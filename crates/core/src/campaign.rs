@@ -61,7 +61,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use advm_asm::{AsmError, Image, SourceSet};
-use advm_fuzz::TraceAssertion;
+use advm_fuzz::{Miner, TraceAssertion};
 use advm_gen::{Scenario, ScenarioMeta};
 use advm_metrics::Table;
 use advm_sim::diverge::{compare, DivergenceReport};
@@ -669,6 +669,10 @@ pub struct CampaignPerf {
     /// Wall-clock time of report sealing: divergence comparison,
     /// indexing and (when enabled) bisection.
     pub report_wall: Duration,
+    /// Wall-clock time of the assertion-mining pass that runs between
+    /// build and execution when [`Fuzz::mine`](crate::fuzz::Fuzz::mine)
+    /// is on; zero otherwise. Mining runs count in no other field.
+    pub mine_wall: Duration,
 }
 
 impl CampaignPerf {
@@ -710,6 +714,7 @@ impl CampaignPerf {
         self.build_wall += other.build_wall;
         self.exec_wall += other.exec_wall;
         self.report_wall += other.report_wall;
+        self.mine_wall += other.mine_wall;
     }
 
     /// Renders the JSON object embedded in report documents.
@@ -720,7 +725,7 @@ impl CampaignPerf {
              \"decode_hit_rate\":{:.4},\"blocks_built\":{},\
              \"block_dispatches\":{},\"block_insns\":{},\"prefix_saved\":{},\
              \"forked_runs\":{},\"artifact_hits\":{},\"build_wall_ms\":{:.3},\
-             \"exec_wall_ms\":{:.3},\"report_wall_ms\":{:.3}}}",
+             \"exec_wall_ms\":{:.3},\"report_wall_ms\":{:.3},\"mine_wall_ms\":{:.3}}}",
             self.instructions,
             self.wall.as_secs_f64() * 1e3,
             self.steps_per_sec(),
@@ -736,7 +741,8 @@ impl CampaignPerf {
             self.artifact_hits,
             self.build_wall.as_secs_f64() * 1e3,
             self.exec_wall.as_secs_f64() * 1e3,
-            self.report_wall.as_secs_f64() * 1e3
+            self.report_wall.as_secs_f64() * 1e3,
+            self.mine_wall.as_secs_f64() * 1e3
         )
     }
 }
@@ -769,7 +775,14 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    fn new(runs: Vec<TestRun>, cache_hits: usize, unique_builds: usize, wall: Duration) -> Self {
+    /// Indexes `runs` and adds their execution counters to `perf`, the
+    /// phase walls and counters the pipeline's stages recorded.
+    fn new(
+        runs: Vec<TestRun>,
+        cache_hits: usize,
+        unique_builds: usize,
+        mut perf: CampaignPerf,
+    ) -> Self {
         let mut tests: Vec<(String, String)> = Vec::new();
         let mut platforms: Vec<PlatformId> = Vec::new();
         let mut test_of: HashMap<(String, String), usize> = HashMap::new();
@@ -802,10 +815,6 @@ impl CampaignReport {
                 passed += 1;
             }
         }
-        let mut perf = CampaignPerf {
-            wall,
-            ..CampaignPerf::default()
-        };
         for run in &runs {
             perf.instructions += run.result.insns;
             perf.decode_hits += run.result.decode.hits;
@@ -1626,7 +1635,9 @@ impl Campaign {
         self
     }
 
-    /// Plans the job graph and runs it on the worker pool.
+    /// Plans the job graph and runs it on the worker pool: the
+    /// composition of the pipeline's four stages, plan → build →
+    /// execute → seal.
     ///
     /// Assembly happens inside the pool, deduplicated by the build
     /// cache; results stream to observers; the sealed
@@ -1639,24 +1650,44 @@ impl Campaign {
     /// (in job order) assembler or link failure. Execution failures are
     /// results, not errors.
     pub fn run(self) -> Result<CampaignReport, CampaignError> {
+        Ok(self.plan()?.build()?.execute().seal())
+    }
+
+    /// The attached artifact store, when the build cache can use it.
+    fn store(&self) -> Option<&ArtifactStore> {
+        self.cache
+            .then_some(self.artifact_store.as_deref())
+            .flatten()
+    }
+
+    /// Stage 1, plan: materialises generated scenarios, generates the
+    /// per-(env, platform) abstraction layers and the job list with its
+    /// shared build slots, then emits [`CampaignEvent::Started`].
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::NoEnvironments`] / [`CampaignError::NoPlatforms`]
+    /// for an unrunnable plan, [`CampaignError::Build`] for a job whose
+    /// sources cannot be generated.
+    pub(crate) fn plan(mut self) -> Result<Planned, CampaignError> {
         if self.envs.is_empty() && self.scenarios.is_empty() {
             return Err(CampaignError::NoEnvironments);
         }
         if self.platforms.is_empty() {
             return Err(CampaignError::NoPlatforms);
         }
-        let phase_started = Instant::now();
+        let started = Instant::now();
 
         // Materialise generated scenarios into synthetic environments;
         // their runs carry the scenario's provenance. Names are deduped
         // against the hand-built envs and against each other — separately
         // planned batches can mint the same engine names (`CR_000`, …),
         // and a colliding env name would silently merge report cells.
-        let mut planned: Vec<(ModuleTestEnv, Option<Arc<ScenarioMeta>>)> = self.envs.clone();
+        let mut planned: Vec<(ModuleTestEnv, Option<Arc<ScenarioMeta>>)> =
+            std::mem::take(&mut self.envs);
         let mut used_names: std::collections::HashSet<String> =
             planned.iter().map(|(e, _)| e.name().to_owned()).collect();
-        for s in &self.scenarios {
-            let mut scenario = s.clone();
+        for mut scenario in std::mem::take(&mut self.scenarios) {
             if used_names.contains(scenario.name()) {
                 let base = scenario.name().to_owned();
                 let mut n = 1;
@@ -1674,10 +1705,10 @@ impl Campaign {
             ));
         }
 
-        // Plan: generate per-(env, platform) abstraction layers and the
-        // job list. Source *generation* is cheap string work and stays
-        // serial; source *assembly* is the hot path and moves to the
-        // workers below.
+        // Generate per-(env, platform) abstraction layers and the job
+        // list. Source *generation* is cheap string work and stays
+        // serial; source *assembly* is the hot path and runs on the
+        // workers in the build stage.
         let mut jobs: Vec<Job> = Vec::new();
         // Local slot maps memoise one store lookup per distinct key per
         // campaign, so the store's hit/miss counters measure *cross*-
@@ -1686,10 +1717,7 @@ impl Campaign {
         let mut es_slots: HashMap<u64, EsSlot> = HashMap::new();
         let mut cache_hits = 0;
         let mut artifact_hits: u64 = 0;
-        let store = self
-            .cache
-            .then_some(self.artifact_store.as_deref())
-            .flatten();
+        let store = self.store();
         for (env, scenario) in &planned {
             // Per-env invariants: the ES ROM source and the derivative
             // model depend only on derivative/ES release, never on the
@@ -1789,84 +1817,138 @@ impl Campaign {
         }
         let unique_builds = jobs.len() - cache_hits;
         let workers = self.workers.min(jobs.len().max(1));
-
-        // Event dispatch: with no observers (the common library case)
-        // events are neither constructed nor serialized on the lock.
-        let has_observers = !self.observers.is_empty();
-        let observers = Mutex::new(self.observers);
-        let emit = |make: &dyn Fn() -> CampaignEvent| {
-            if !has_observers {
-                return;
-            }
-            let event = make();
-            let mut observers = observers.lock();
-            for observer in observers.iter_mut() {
-                observer.on_event(&event);
-            }
-        };
-        emit(&|| CampaignEvent::Started {
+        let events = Events::new(std::mem::take(&mut self.observers));
+        events.emit(|| CampaignEvent::Started {
             jobs: jobs.len(),
             unique_builds,
             workers,
         });
+        Ok(Planned {
+            options: self,
+            events,
+            jobs,
+            cache_hits,
+            unique_builds,
+            workers,
+            started,
+            perf: CampaignPerf {
+                artifact_hits,
+                ..CampaignPerf::default()
+            },
+        })
+    }
+}
 
-        // ---- Build phase ----
-        // Every distinct image slot is filled here, before execution
-        // starts: on the worker pool when the parallel front-end is
-        // enabled, on the calling thread otherwise. Filling every slot
-        // (rather than aborting on the first failure) is what makes
-        // error attribution deterministic: the error reported below is
-        // the first failing job in *plan* order, never whichever worker
-        // happened to parse first.
+/// A campaign's observers, shared by every stage. With no observers (the
+/// common library case) events are neither constructed nor serialized
+/// on the lock.
+struct Events {
+    observers: Mutex<Vec<Box<dyn CampaignObserver>>>,
+    active: bool,
+}
+
+impl Events {
+    fn new(observers: Vec<Box<dyn CampaignObserver>>) -> Self {
+        Self {
+            active: !observers.is_empty(),
+            observers: Mutex::new(observers),
+        }
+    }
+
+    /// Builds and dispatches one event, if anyone listens.
+    fn emit(&self, make: impl FnOnce() -> CampaignEvent) {
+        if self.active {
+            self.dispatch(&[make()]);
+        }
+    }
+
+    /// Dispatches a batch of events in order, under one lock.
+    fn dispatch(&self, batch: &[CampaignEvent]) {
+        let mut observers = self.observers.lock();
+        for event in batch {
+            for observer in observers.iter_mut() {
+                observer.on_event(event);
+            }
+        }
+    }
+}
+
+/// A campaign after the plan stage: its job graph, shared build slots
+/// and the perf counters the stages fill in as they go.
+pub(crate) struct Planned {
+    /// The campaign's knobs; its environments, scenarios and observers
+    /// have moved into the jobs and `events`.
+    options: Campaign,
+    events: Events,
+    jobs: Vec<Job>,
+    cache_hits: usize,
+    unique_builds: usize,
+    /// Worker threads every pool of this campaign spawns.
+    workers: usize,
+    started: Instant,
+    perf: CampaignPerf,
+}
+
+impl Planned {
+    /// Stage 2, build: fills every distinct image slot before anything
+    /// executes — on the worker pool when the parallel front-end is
+    /// enabled, on the calling thread otherwise. Filling every slot
+    /// (rather than aborting on the first failure) is what makes error
+    /// attribution deterministic: the error reported is the first
+    /// failing job in *plan* order, never whichever worker happened to
+    /// parse first.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Build`] for the first failing job in plan order.
+    pub(crate) fn build(mut self) -> Result<Built, CampaignError> {
+        let jobs = &self.jobs;
         let build_tasks: Vec<usize> = {
             let mut seen = std::collections::HashSet::new();
             (0..jobs.len())
                 .filter(|&index| seen.insert(Arc::as_ptr(&jobs[index].slot)))
                 .collect()
         };
+        let decode = self.options.decode;
         let build_slot = |index: usize| {
             let job = &jobs[index];
-            job.slot.get_or_init(|| job.build(self.decode));
+            job.slot.get_or_init(|| job.build(decode));
         };
-        if self.parallel_frontend && workers > 1 && build_tasks.len() > 1 {
+        if self.options.parallel_frontend && self.workers > 1 && build_tasks.len() > 1 {
             let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(build_tasks.len()) {
-                    scope.spawn(|| loop {
-                        let task = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = build_tasks.get(task) else {
-                            break;
-                        };
-                        build_slot(index);
-                    });
-                }
+            on_workers(self.workers.min(build_tasks.len()), || loop {
+                let task = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&index) = build_tasks.get(task) else {
+                    break;
+                };
+                build_slot(index);
             });
         } else {
             build_tasks.iter().copied().for_each(build_slot);
         }
-        for job in &jobs {
+        for job in jobs {
             let Some(Err(source)) = job.slot.get() else {
                 continue;
             };
             // Terminate the event stream even though the campaign
             // errors: builds fail before anything executes, so the
             // stream records the failing job and an empty completion.
-            emit(&|| CampaignEvent::JobStarted {
+            self.events.emit(|| CampaignEvent::JobStarted {
                 env: job.env_name.clone(),
                 test_id: job.test_id.clone(),
                 platform: job.platform,
             });
-            emit(&|| CampaignEvent::JobFailed {
+            self.events.emit(|| CampaignEvent::JobFailed {
                 env: job.env_name.clone(),
                 test_id: job.test_id.clone(),
                 platform: job.platform,
                 error: source.to_string(),
             });
-            emit(&|| CampaignEvent::Finished {
+            self.events.emit(|| CampaignEvent::Finished {
                 total: 0,
                 passed: 0,
                 failed: 0,
-                cache_hits,
+                cache_hits: self.cache_hits,
             });
             return Err(CampaignError::Build {
                 env: job.env_name.clone(),
@@ -1875,15 +1957,99 @@ impl Campaign {
                 source: source.clone(),
             });
         }
-        let build_wall = phase_started.elapsed();
+        self.perf.build_wall = self.started.elapsed();
+        Ok(Built(self))
+    }
+}
 
-        // ---- Execution phase ----
+/// A campaign after the build stage: every job's image slot holds its
+/// built image.
+pub(crate) struct Built(Planned);
+
+impl Built {
+    /// The built image of one job.
+    fn prebuilt(job: &Job) -> &Prebuilt {
+        job.slot
+            .get()
+            .expect("the build stage fills every slot")
+            .as_ref()
+            .expect("build errors end the pipeline in the build stage")
+    }
+
+    /// Mines checkers from the campaign's own builds: every job runs
+    /// once more, fault-free from reset with the MMIO monitor armed at
+    /// the campaign's monitor capacity, loading the same image and
+    /// predecode artifact the execute stage loads. Workers fold each
+    /// trace into their own [`Miner`] and drop it; the merged miners
+    /// give the checkers. The pass emits no events and adds nothing to
+    /// the report's counters; its wall time is
+    /// [`CampaignPerf::mine_wall`].
+    pub(crate) fn mine(&mut self) -> Vec<TraceAssertion> {
+        let started = Instant::now();
+        let Planned { options, jobs, .. } = &self.0;
+        let (fuel, superblocks, capacity) =
+            (options.fuel, options.superblocks, options.monitor_capacity);
+        let next = AtomicUsize::new(0);
+        let mine_jobs = || {
+            let mut miner = Miner::new();
+            while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let prebuilt = Self::prebuilt(job);
+                let (platform, _) = run_monitored(
+                    job,
+                    prebuilt,
+                    PlatformFault::None,
+                    fuel,
+                    superblocks,
+                    capacity,
+                );
+                miner.observe(platform.mmio_trace().expect("the monitor is armed"));
+            }
+            miner
+        };
+        let miners = on_workers(self.0.workers, mine_jobs);
+        self.0.perf.mine_wall = started.elapsed();
+        miners
+            .into_iter()
+            .reduce(Miner::merge)
+            .unwrap_or_default()
+            .finish()
+    }
+
+    /// Arms `checkers` on every run of the execute stage (see
+    /// [`Campaign::checkers`]).
+    pub(crate) fn arm(&mut self, checkers: &[TraceAssertion]) {
+        self.0.options.checkers = checkers.to_vec();
+    }
+
+    /// Stage 3, execute: runs every job on the worker pool, streaming
+    /// each job's events in plan order.
+    pub(crate) fn execute(self) -> Executed {
+        let mut planned = self.0;
         // An explicit pool wins; otherwise an attached store lends its
         // own, so prefix snapshots also persist across campaigns.
-        let prefix_pool = self
+        let prefix_pool = planned
+            .options
             .prefix_pool
             .as_deref()
-            .or_else(|| store.map(|s| s.prefix_pool().as_ref()));
+            .or_else(|| planned.options.store().map(|s| s.prefix_pool().as_ref()));
+        // Workers borrow the knobs one by one: the campaign itself holds
+        // (moved-out) observers, which are not `Sync`.
+        let Planned {
+            options:
+                Campaign {
+                    fuel,
+                    superblocks,
+                    machine_pool,
+                    checkers,
+                    monitor_capacity,
+                    ..
+                },
+            events,
+            jobs,
+            workers,
+            ..
+        } = &planned;
+        let workers = *workers;
         // Workers claim jobs in chunks — one atomic increment and one
         // results-lock per chunk, not per job — sized so every worker
         // still gets several claims for tail balance.
@@ -1891,8 +2057,8 @@ impl Campaign {
         let chunk = (jobs.len() / (workers * 4)).clamp(1, 32);
         let results: Mutex<Vec<Option<TestRun>>> = Mutex::new(vec![None; jobs.len()]);
         // Violations are collected per job index and flattened in job
-        // order after the pool drains, so the sealed report (and its
-        // JSON) is byte-identical for any worker count.
+        // order by the seal stage, so the sealed report (and its JSON)
+        // is byte-identical for any worker count.
         let violations_by_job: Mutex<Vec<Vec<(String, String)>>> =
             Mutex::new(vec![Vec::new(); jobs.len()]);
         let prefix_saved = AtomicU64::new(0);
@@ -1917,148 +2083,163 @@ impl Campaign {
             while let Some(slot) = drain.ready.get_mut(flush) {
                 let Some(batch) = slot.take() else { break };
                 flush += 1;
-                let mut observers = observers.lock();
-                for event in &batch {
-                    for observer in observers.iter_mut() {
-                        observer.on_event(event);
-                    }
-                }
+                events.dispatch(&batch);
             }
             drain.next = flush;
         };
         let started = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Worker-local machine pool: each (platform,
-                    // derivative, fault) is constructed once and
-                    // pristine-restored per job (see
-                    // [`Campaign::machine_pool`]).
-                    let mut machines = self.machine_pool.then(MachinePool::default);
-                    let mut claimed: Vec<(usize, TestRun)> = Vec::with_capacity(chunk);
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(jobs.len());
-                        // Execute the chunk machine-major: the plan
-                        // interleaves platforms per env, so a pooled
-                        // worker walking it in order would cycle its
-                        // whole pool every job and thrash the machines
-                        // through cache. Grouping by platform keeps
-                        // consecutive jobs on one pooled machine.
-                        // Results, violations and events all stay keyed
-                        // by plan index — and the event drain flushes
-                        // strictly in plan order — so every observable
-                        // output is identical at any execution order.
-                        let mut order: Vec<usize> = (start..end).collect();
-                        if machines.is_some() {
-                            order.sort_by_key(|&i| jobs[i].platform.code());
-                        }
-                        for index in order {
-                            let job = &jobs[index];
-                            let prebuilt = job
-                                .slot
-                                .get()
-                                .expect("build phase fills every slot")
-                                .as_ref()
-                                .expect("build errors abort before execution");
-                            let mut batch = Vec::new();
-                            if has_observers {
-                                batch.push(CampaignEvent::JobStarted {
-                                    env: job.env_name.clone(),
-                                    test_id: job.test_id.clone(),
-                                    platform: job.platform,
-                                });
-                                batch.push(CampaignEvent::JobBuilt {
-                                    env: job.env_name.clone(),
-                                    test_id: job.test_id.clone(),
-                                    platform: job.platform,
-                                    cache_hit: job.planned_hit,
-                                });
-                            }
-                            let (result, violations) = if self.checkers.is_empty() {
-                                let result = execute_job(
-                                    job,
-                                    prebuilt,
-                                    &ExecCtx {
-                                        fuel: self.fuel,
-                                        superblocks: self.superblocks,
-                                        prefix_pool,
-                                        prefix_saved: &prefix_saved,
-                                        forked_runs: &forked_runs,
-                                    },
-                                    machines.as_mut(),
-                                );
-                                (result, Vec::new())
-                            } else {
-                                execute_checked(
-                                    job,
-                                    prebuilt,
-                                    self.fuel,
-                                    self.superblocks,
-                                    &self.checkers,
-                                    self.monitor_capacity,
-                                )
-                            };
-                            if has_observers {
-                                for (checker, detail) in &violations {
-                                    batch.push(CampaignEvent::CheckerViolation {
-                                        env: job.env_name.clone(),
-                                        test_id: job.test_id.clone(),
-                                        platform: job.platform,
-                                        checker: checker.clone(),
-                                        detail: detail.clone(),
-                                    });
-                                }
-                                batch.push(CampaignEvent::JobFinished {
-                                    env: job.env_name.clone(),
-                                    test_id: job.test_id.clone(),
-                                    platform: job.platform,
-                                    passed: result.passed(),
-                                });
-                                deposit(index, batch);
-                            }
-                            if !violations.is_empty() {
-                                violations_by_job.lock()[index] = violations;
-                            }
-                            claimed.push((
-                                index,
-                                TestRun {
-                                    env: job.env_name.clone(),
-                                    test_id: job.test_id.clone(),
-                                    platform: job.platform,
-                                    result,
-                                    scenario: job.scenario.as_deref().cloned(),
-                                },
-                            ));
-                        }
-                        let mut guard = results.lock();
-                        for (index, run) in claimed.drain(..) {
-                            guard[index] = Some(run);
-                        }
+        on_workers(workers, || {
+            // Worker-local machine pool: each (platform,
+            // derivative, fault) is constructed once and
+            // pristine-restored per job (see
+            // [`Campaign::machine_pool`]).
+            let mut machines = machine_pool.then(MachinePool::default);
+            let mut claimed: Vec<(usize, TestRun)> = Vec::with_capacity(chunk);
+            loop {
+                let start = next.fetch_add(chunk, Ordering::Relaxed);
+                if start >= jobs.len() {
+                    break;
+                }
+                let end = (start + chunk).min(jobs.len());
+                // Execute the chunk machine-major: the plan
+                // interleaves platforms per env, so a pooled
+                // worker walking it in order would cycle its
+                // whole pool every job and thrash the machines
+                // through cache. Grouping by platform keeps
+                // consecutive jobs on one pooled machine.
+                // Results, violations and events all stay keyed
+                // by plan index — and the event drain flushes
+                // strictly in plan order — so every observable
+                // output is identical at any execution order.
+                let mut order: Vec<usize> = (start..end).collect();
+                if machines.is_some() {
+                    order.sort_by_key(|&i| jobs[i].platform.code());
+                }
+                for index in order {
+                    let job = &jobs[index];
+                    let prebuilt = Self::prebuilt(job);
+                    let mut batch = Vec::new();
+                    if events.active {
+                        batch.push(CampaignEvent::JobStarted {
+                            env: job.env_name.clone(),
+                            test_id: job.test_id.clone(),
+                            platform: job.platform,
+                        });
+                        batch.push(CampaignEvent::JobBuilt {
+                            env: job.env_name.clone(),
+                            test_id: job.test_id.clone(),
+                            platform: job.platform,
+                            cache_hit: job.planned_hit,
+                        });
                     }
-                });
+                    let (result, violations) = if checkers.is_empty() {
+                        let result = execute_job(
+                            job,
+                            prebuilt,
+                            &ExecCtx {
+                                fuel: *fuel,
+                                superblocks: *superblocks,
+                                prefix_pool,
+                                prefix_saved: &prefix_saved,
+                                forked_runs: &forked_runs,
+                            },
+                            machines.as_mut(),
+                        );
+                        (result, Vec::new())
+                    } else {
+                        execute_checked(
+                            job,
+                            prebuilt,
+                            *fuel,
+                            *superblocks,
+                            checkers,
+                            *monitor_capacity,
+                        )
+                    };
+                    if events.active {
+                        for (checker, detail) in &violations {
+                            batch.push(CampaignEvent::CheckerViolation {
+                                env: job.env_name.clone(),
+                                test_id: job.test_id.clone(),
+                                platform: job.platform,
+                                checker: checker.clone(),
+                                detail: detail.clone(),
+                            });
+                        }
+                        batch.push(CampaignEvent::JobFinished {
+                            env: job.env_name.clone(),
+                            test_id: job.test_id.clone(),
+                            platform: job.platform,
+                            passed: result.passed(),
+                        });
+                        deposit(index, batch);
+                    }
+                    if !violations.is_empty() {
+                        violations_by_job.lock()[index] = violations;
+                    }
+                    claimed.push((
+                        index,
+                        TestRun {
+                            env: job.env_name.clone(),
+                            test_id: job.test_id.clone(),
+                            platform: job.platform,
+                            result,
+                            scenario: job.scenario.as_deref().cloned(),
+                        },
+                    ));
+                }
+                let mut guard = results.lock();
+                for (index, run) in claimed.drain(..) {
+                    guard[index] = Some(run);
+                }
             }
         });
-
         let wall = started.elapsed();
-        let seal_started = Instant::now();
-        let runs: Vec<TestRun> = results
+        planned.perf.wall = wall;
+        planned.perf.exec_wall = wall;
+        planned.perf.prefix_saved = prefix_saved.into_inner();
+        planned.perf.forked_runs = forked_runs.into_inner();
+        let runs = results
             .into_inner()
             .into_iter()
             .map(|r| r.expect("every job produces a result"))
             .collect();
-        let mut report = CampaignReport::new(runs, cache_hits, unique_builds, wall);
-        report.perf.build_wall = build_wall;
-        report.perf.exec_wall = wall;
-        report.perf.prefix_saved = prefix_saved.into_inner();
-        report.perf.forked_runs = forked_runs.into_inner();
-        report.perf.artifact_hits = artifact_hits;
-        report.checkers_armed = self.checkers.len();
+        Executed {
+            planned,
+            runs,
+            violations_by_job: violations_by_job.into_inner(),
+        }
+    }
+}
+
+/// A campaign after the execute stage: every job's run, in plan order.
+pub(crate) struct Executed {
+    planned: Planned,
+    runs: Vec<TestRun>,
+    violations_by_job: Vec<Vec<(String, String)>>,
+}
+
+impl Executed {
+    /// Stage 4, seal: indexes the runs, compares platforms for
+    /// divergence, bisects divergent tests when enabled, and emits the
+    /// closing events.
+    pub(crate) fn seal(self) -> CampaignReport {
+        let sealing = Instant::now();
+        let Executed {
+            planned,
+            runs,
+            violations_by_job,
+        } = self;
+        let jobs = &planned.jobs;
+        let options = &planned.options;
+        let mut report = CampaignReport::new(
+            runs,
+            planned.cache_hits,
+            planned.unique_builds,
+            planned.perf,
+        );
+        report.checkers_armed = options.checkers.len();
         report.violations = violations_by_job
-            .into_inner()
             .into_iter()
             .enumerate()
             .flat_map(|(index, per_job)| {
@@ -2074,27 +2255,45 @@ impl Campaign {
                     })
             })
             .collect();
-        if self.bisect {
+        if options.bisect {
             for (test, divergence) in report.divergences.iter_mut() {
                 divergence.bisection =
-                    bisect_test(self.fuel, self.superblocks, test, divergence, &jobs);
+                    bisect_test(options.fuel, options.superblocks, test, divergence, jobs);
             }
         }
-        report.perf.report_wall = seal_started.elapsed();
+        report.perf.report_wall = sealing.elapsed();
         for (test, divergence) in report.divergences() {
-            emit(&|| CampaignEvent::DivergenceDetected {
+            planned.events.emit(|| CampaignEvent::DivergenceDetected {
                 test: test.clone(),
                 divergent: divergence.divergent.clone(),
             });
         }
-        emit(&|| CampaignEvent::Finished {
+        planned.events.emit(|| CampaignEvent::Finished {
             total: report.total(),
             passed: report.passed(),
             failed: report.failed(),
             cache_hits: report.cache_hits(),
         });
-        Ok(report)
+        report
     }
+}
+
+/// Runs `work` on `workers` threads and returns each thread's result.
+///
+/// Every thread is joined before this returns. `std::thread::scope`
+/// alone only waits for the closures: a thread can still be exiting,
+/// holding its allocator arena, when the next pool starts, and the
+/// allocator then gives the new thread a fresh arena. With a pool per
+/// campaign stage, those arenas pile up and peak memory grows run after
+/// run.
+fn on_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&work)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// A worker-local pool of constructed machines, keyed by everything
@@ -2266,11 +2465,7 @@ fn execute_checked(
     checkers: &[TraceAssertion],
     capacity: usize,
 ) -> (RunResult, Vec<(String, String)>) {
-    let mut platform = Platform::with_fault(job.platform, &job.derivative, job.fault);
-    platform.set_fuel(fuel);
-    platform.enable_mmio_trace(capacity);
-    load_into(&mut platform, prebuilt, superblocks);
-    let result = platform.run();
+    let (platform, result) = run_monitored(job, prebuilt, job.fault, fuel, superblocks, capacity);
     let mut violations = Vec::new();
     if let Some(trace) = platform.mmio_trace() {
         for checker in checkers {
@@ -2281,6 +2476,25 @@ fn execute_checked(
         }
     }
     (result, violations)
+}
+
+/// Runs one job's built image from reset on a fresh machine carrying
+/// `fault`, with the MMIO monitor armed at `capacity`. Returns the
+/// machine, whose monitor holds the run's trace, and the result.
+fn run_monitored(
+    job: &Job,
+    prebuilt: &Prebuilt,
+    fault: PlatformFault,
+    fuel: u64,
+    superblocks: bool,
+    capacity: usize,
+) -> (Platform, RunResult) {
+    let mut platform = Platform::with_fault(job.platform, &job.derivative, fault);
+    platform.set_fuel(fuel);
+    platform.enable_mmio_trace(capacity);
+    load_into(&mut platform, prebuilt, superblocks);
+    let result = platform.run();
+    (platform, result)
 }
 
 /// Loads a built image (and its predecode artifact, when enabled) into

@@ -10,15 +10,19 @@
 //!    guest programs (deterministic per seed, independent of worker
 //!    count) and reject the batch if any instruction fails the
 //!    encode→decode round-trip.
-//! 2. **Mine** (optional): run every program fault-free on every target
-//!    platform with the MMIO monitor armed, and mine
-//!    [`TraceAssertion`] checkers — readback invariants and bounded
-//!    temporal windows — from the captured traces.
-//! 3. **Verify**: run the same programs as a [`Campaign`] across the
-//!    target platforms with the mined checkers armed. Because the
-//!    checking runs replay the mining runs exactly (same images, same
-//!    monitor capacity, from reset), a fault-free matrix reports zero
-//!    spurious violations *by construction*.
+//! 2. **Plan and build** the programs as one verify [`Campaign`] across
+//!    the target platforms: one job per program × platform, each image
+//!    assembled once (deduplicated by the build cache) on the worker
+//!    pool.
+//! 3. **Mine** (optional), then **verify**: the mining pass runs every
+//!    planned job fault-free from reset on the worker pool with the MMIO
+//!    monitor armed, loading the built image the verify run loads, and
+//!    mines [`TraceAssertion`] checkers — readback invariants and
+//!    bounded temporal windows — from the traces. The campaign then
+//!    executes with those checkers armed. Because the checking runs
+//!    replay the mining runs exactly (same images, same monitor
+//!    capacity, from reset), a fault-free matrix reports zero spurious
+//!    violations *by construction*.
 //!
 //! Mined checkers then feed [`FaultAudit`](crate::audit::FaultAudit)
 //! via [`FaultAudit::checkers`](crate::audit::FaultAudit::checkers) to
@@ -28,11 +32,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use advm_fuzz::{mine, FuzzProgram, ProgramSource, TraceAssertion};
-use advm_sim::{MmioTrace, Platform};
-use advm_soc::{Derivative, PlatformId};
-
-use advm_asm::AsmError;
+use advm_fuzz::{FuzzProgram, ProgramSource, TraceAssertion};
+use advm_soc::PlatformId;
 
 use crate::artifacts::ArtifactStore;
 use crate::campaign::{
@@ -68,9 +69,8 @@ pub enum FuzzError {
         /// What failed to round-trip.
         detail: String,
     },
-    /// A generated program failed to assemble or link.
-    Build(AsmError),
-    /// The verify campaign failed.
+    /// The verify campaign failed, including a generated program that
+    /// failed to assemble or link.
     Campaign(CampaignError),
 }
 
@@ -82,19 +82,12 @@ impl fmt::Display for FuzzError {
             FuzzError::Encoding { program, detail } => {
                 write!(f, "encode round-trip failed in {program}: {detail}")
             }
-            FuzzError::Build(e) => write!(f, "fuzz program failed to build: {e}"),
             FuzzError::Campaign(e) => write!(f, "fuzz campaign failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for FuzzError {}
-
-impl From<AsmError> for FuzzError {
-    fn from(e: AsmError) -> Self {
-        FuzzError::Build(e)
-    }
-}
 
 impl From<CampaignError> for FuzzError {
     fn from(e: CampaignError) -> Self {
@@ -238,7 +231,8 @@ impl Fuzz {
         }
     }
 
-    /// Sets the number of generated programs (minimum 1).
+    /// Sets the number of generated programs; [`Fuzz::run`] rejects
+    /// `0` with [`FuzzError::NoPrograms`].
     pub fn programs(mut self, programs: usize) -> Self {
         self.programs = programs;
         self
@@ -250,10 +244,13 @@ impl Fuzz {
         self
     }
 
-    /// Enables or disables assertion mining (default: off). When on,
-    /// every program runs fault-free on every target platform first,
-    /// checkers are mined from the captured MMIO traces, and the verify
-    /// campaign arms them.
+    /// Enables or disables assertion mining (default: off). When on, a
+    /// mining pass between the verify campaign's build and execution
+    /// runs every planned job (program × platform) fault-free from reset
+    /// with the MMIO monitor armed, on the campaign's images and worker
+    /// pool; checkers are mined from the traces and the verify campaign
+    /// arms them. Its wall time is reported as
+    /// [`CampaignPerf::mine_wall`](crate::campaign::CampaignPerf::mine_wall).
     pub fn mine(mut self, enabled: bool) -> Self {
         self.mine = enabled;
         self
@@ -265,7 +262,8 @@ impl Fuzz {
         self
     }
 
-    /// Sets the campaign worker count (minimum 1).
+    /// Sets the worker count (minimum 1) of the verify campaign's
+    /// build, mining and execution pools.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -296,9 +294,8 @@ impl Fuzz {
 
     /// Attaches a shared artifact store: the verify campaign's builds
     /// land in (and reuse) `store` — the daemon passes its cross-job
-    /// store here. Mining runs always build directly; their images must
-    /// match the checking runs byte for byte, and bypassing the cache
-    /// keeps that equality independent of what other jobs cached.
+    /// store here. Mining loads the same builds, so a warm job skips
+    /// assembly for mining and checking alike.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.artifact_store = Some(store);
         self
@@ -335,81 +332,17 @@ impl Fuzz {
         Ok(programs)
     }
 
-    /// Runs one program fault-free on one platform with the monitor
-    /// armed and returns the captured MMIO trace.
-    fn golden_trace(
-        &self,
-        env: &ModuleTestEnv,
-        platform: PlatformId,
-    ) -> Result<MmioTrace, FuzzError> {
-        let mut ported = env.clone();
-        ported.reconfigure(EnvConfig {
-            platform,
-            ..env.config()
-        });
-        let cell_id = ported.cells()[0].id().to_owned();
-        let image = crate::build::build_cell(&ported, &cell_id)?;
-        let derivative = Derivative::from_id(ported.config().derivative);
-        let mut machine = Platform::new(platform, &derivative);
-        machine.set_fuel(self.fuel);
-        machine.enable_mmio_trace(self.monitor_capacity);
-        machine.load_image(&image);
-        machine.run();
-        Ok(machine
-            .mmio_trace()
-            .expect("monitor was enabled above")
-            .clone())
-    }
-
-    /// Generates the batch and mines checkers from fault-free runs on
-    /// every target platform, without running the verify campaign.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fuzz::run`] minus campaign execution.
-    pub fn mine_checkers(&self) -> Result<Vec<TraceAssertion>, FuzzError> {
-        let programs = self.generate()?;
-        self.mine_for(&programs)
-    }
-
-    fn mine_for(&self, programs: &[FuzzProgram]) -> Result<Vec<TraceAssertion>, FuzzError> {
-        let mut traces = Vec::new();
-        for program in programs {
-            let env = program_env(program);
-            for &platform in &self.platforms {
-                traces.push(self.golden_trace(&env, platform)?);
-            }
-        }
-        let refs: Vec<&MmioTrace> = traces.iter().collect();
-        Ok(mine(&refs))
-    }
-
-    /// Generates, mines (when enabled) and verifies.
-    ///
-    /// # Errors
-    ///
-    /// [`FuzzError::NoPrograms`] / [`FuzzError::NoPlatforms`] for an
-    /// unrunnable plan, [`FuzzError::Encoding`] when a generated
-    /// instruction fails its round-trip, build and campaign failures
-    /// otherwise.
-    pub fn run(&self) -> Result<FuzzReport, FuzzError> {
-        let programs = self.generate()?;
-        let mined = if self.mine {
-            self.mine_for(&programs)?
-        } else {
-            Vec::new()
-        };
+    /// The verify campaign over `programs`, without observers or mined
+    /// checkers; [`Fuzz::run`] and [`Fuzz::mine_checkers`] both start
+    /// from it.
+    fn campaign(&self, programs: &[FuzzProgram]) -> Campaign {
         let mut campaign = Campaign::new()
             .platforms(self.platforms.iter().copied())
             .workers(self.workers)
-            .fuel(self.fuel);
-        for program in &programs {
+            .fuel(self.fuel)
+            .monitor_capacity(self.monitor_capacity);
+        for program in programs {
             campaign = campaign.env_with_meta(program_env(program), program.scenario_meta());
-        }
-        if !mined.is_empty() {
-            campaign = campaign
-                .checkers(mined.iter().copied())
-                .monitor_capacity(self.monitor_capacity);
         }
         if let Some(store) = &self.artifact_store {
             campaign = campaign.artifact_store(Arc::clone(store));
@@ -417,15 +350,43 @@ impl Fuzz {
         if let Some((platform, fault)) = self.fault {
             campaign = campaign.fault(platform, fault);
         }
+        campaign
+    }
+
+    /// Generates the batch, plans and builds it, and mines checkers from
+    /// fault-free runs on every target platform, without running the
+    /// verify campaign.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Fuzz::run`] minus campaign execution.
+    pub fn mine_checkers(&self) -> Result<Vec<TraceAssertion>, FuzzError> {
+        let programs = self.generate()?;
+        Ok(self.campaign(&programs).plan()?.build()?.mine())
+    }
+
+    /// Generates, plans and builds, mines (when enabled) and verifies.
+    ///
+    /// # Errors
+    ///
+    /// [`FuzzError::NoPrograms`] / [`FuzzError::NoPlatforms`] for an
+    /// unrunnable plan, [`FuzzError::Encoding`] when a generated
+    /// instruction fails its round-trip, [`FuzzError::Campaign`] for
+    /// build and campaign failures.
+    pub fn run(&self) -> Result<FuzzReport, FuzzError> {
+        let programs = self.generate()?;
+        let mut campaign = self.campaign(&programs);
         if let Some(factory) = &self.observer_factory {
             campaign = campaign.observe(factory());
         }
-        let report = campaign.run()?;
+        let mut built = campaign.plan()?.build()?;
+        let mined = if self.mine { built.mine() } else { Vec::new() };
+        built.arm(&mined);
         Ok(FuzzReport {
             programs: programs.len(),
             seed: self.seed,
             mined,
-            campaign: report,
+            campaign: built.execute().seal(),
         })
     }
 }
@@ -537,9 +498,8 @@ mod tests {
             .seed(11)
             .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
             .workers(2);
-        let programs = fuzz.generate().unwrap();
-        let envs: Vec<ModuleTestEnv> = programs.iter().map(program_env).collect();
-        let mined = fuzz.mine_for(&programs).unwrap();
+        let envs: Vec<ModuleTestEnv> = fuzz.generate().unwrap().iter().map(program_env).collect();
+        let mined = fuzz.mine_checkers().unwrap();
         assert!(!mined.is_empty());
 
         let audit = FaultAudit::new()

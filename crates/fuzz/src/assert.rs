@@ -171,15 +171,32 @@ fn late(
 }
 
 /// Per-address readback statistics accumulated during mining.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReadbackStats {
     pairs: usize,
     mask: u32,
 }
 
+impl Default for ReadbackStats {
+    /// No pairs yet: every bit is still a mask candidate.
+    fn default() -> Self {
+        Self {
+            pairs: 0,
+            mask: u32::MAX,
+        }
+    }
+}
+
+impl ReadbackStats {
+    fn merge(&mut self, other: &Self) {
+        self.pairs += other.pairs;
+        self.mask &= other.mask;
+    }
+}
+
 /// Per-(write, status, bit) temporal statistics accumulated during
 /// mining.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RiseStats {
     anchors: usize,
     max_latency: u64,
@@ -187,39 +204,93 @@ struct RiseStats {
     incomplete: bool,
 }
 
-/// Mines checkers from a set of fault-free traces (typically one trace
-/// per program × platform). Deterministic: output order follows the
-/// derived key order, independent of trace order.
-pub fn mine(traces: &[&MmioTrace]) -> Vec<TraceAssertion> {
-    let mut readback: BTreeMap<u32, ReadbackStats> = BTreeMap::new();
-    let mut rise: BTreeMap<(u32, u32, u8), RiseStats> = BTreeMap::new();
+impl RiseStats {
+    fn merge(&mut self, other: &Self) {
+        self.anchors += other.anchors;
+        self.max_latency = self.max_latency.max(other.max_latency);
+        self.saw_clear_first |= other.saw_clear_first;
+        self.incomplete |= other.incomplete;
+    }
+}
 
-    for trace in traces {
+/// Incremental checker mining: [`observe`](Miner::observe) folds one
+/// fault-free trace into running statistics, so a trace can be dropped
+/// as soon as it is observed.
+///
+/// Every statistic is a sum, a maximum, a bitwise AND or an OR, so
+/// miners fed disjoint shares of a trace set [`merge`](Miner::merge) in
+/// any order to the miner that observed the whole set — one miner per
+/// worker, merged at the end, [`finish`](Miner::finish)es to exactly
+/// what [`mine`] returns for the full list.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Miner {
+    readback: BTreeMap<u32, ReadbackStats>,
+    rise: BTreeMap<(u32, u32, u8), RiseStats>,
+}
+
+impl Miner {
+    /// A miner that has observed nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds one fault-free trace into the statistics.
+    pub fn observe(&mut self, trace: &MmioTrace) {
         let events = trace.records();
-        mine_readback(&events, &mut readback);
-        mine_rise(&events, &mut rise);
+        mine_readback(&events, &mut self.readback);
+        mine_rise(&events, &mut self.rise);
     }
 
-    let mut mined = Vec::new();
-    for (addr, stats) in readback {
-        if stats.pairs >= MIN_SAMPLES && stats.mask != 0 {
-            mined.push(TraceAssertion::ReadbackEquals {
-                addr,
-                mask: stats.mask,
-            });
+    /// Combines two miners' statistics; the result is the miner that
+    /// observed both trace sets.
+    #[must_use]
+    pub fn merge(mut self, other: Miner) -> Miner {
+        for (addr, stats) in &other.readback {
+            self.readback.entry(*addr).or_default().merge(stats);
         }
-    }
-    for ((write_addr, status_addr, bit), stats) in rise {
-        if stats.anchors >= MIN_SAMPLES && stats.saw_clear_first && !stats.incomplete {
-            mined.push(TraceAssertion::BitSetsWithin {
-                write_addr,
-                status_addr,
-                bit,
-                window: WINDOW_SLACK * stats.max_latency + WINDOW_PAD,
-            });
+        for (key, stats) in &other.rise {
+            self.rise.entry(*key).or_default().merge(stats);
         }
+        self
     }
-    mined
+
+    /// The checkers the observed traces support. Deterministic: output
+    /// order follows the derived key order, independent of observation
+    /// and merge order.
+    pub fn finish(self) -> Vec<TraceAssertion> {
+        let mut mined = Vec::new();
+        for (addr, stats) in self.readback {
+            if stats.pairs >= MIN_SAMPLES && stats.mask != 0 {
+                mined.push(TraceAssertion::ReadbackEquals {
+                    addr,
+                    mask: stats.mask,
+                });
+            }
+        }
+        for ((write_addr, status_addr, bit), stats) in self.rise {
+            if stats.anchors >= MIN_SAMPLES && stats.saw_clear_first && !stats.incomplete {
+                mined.push(TraceAssertion::BitSetsWithin {
+                    write_addr,
+                    status_addr,
+                    bit,
+                    window: WINDOW_SLACK * stats.max_latency + WINDOW_PAD,
+                });
+            }
+        }
+        mined
+    }
+}
+
+/// Mines checkers from a set of fault-free traces (typically one trace
+/// per program × platform): a [`Miner`] folded over `traces`.
+/// Deterministic: output order follows the derived key order,
+/// independent of trace order.
+pub fn mine(traces: &[&MmioTrace]) -> Vec<TraceAssertion> {
+    let mut miner = Miner::new();
+    for trace in traces {
+        miner.observe(trace);
+    }
+    miner.finish()
 }
 
 fn mine_readback(events: &[MmioEvent], stats: &mut BTreeMap<u32, ReadbackStats>) {
@@ -228,10 +299,7 @@ fn mine_readback(events: &[MmioEvent], stats: &mut BTreeMap<u32, ReadbackStats>)
         if event.write {
             last_write.insert(event.addr, event.value);
         } else if let Some(written) = last_write.get(&event.addr) {
-            let entry = stats.entry(event.addr).or_insert(ReadbackStats {
-                pairs: 0,
-                mask: u32::MAX,
-            });
+            let entry = stats.entry(event.addr).or_default();
             entry.pairs += 1;
             entry.mask &= !(event.value ^ written);
         }

@@ -15,9 +15,11 @@
 //! * [`TraceAssertion`] checkers are [`mine`]d from fault-free MMIO
 //!   traces ([`advm_sim::MmioTrace`]) — readback invariants and
 //!   bounded-temporal bit-rise windows — then evaluated on every later
-//!   run. Mining is observational: faults that the differential
-//!   pass/fail verdict masks (a page MAP write silently ignored) become
-//!   visible as checker violations.
+//!   run. A [`Miner`] does the same incrementally, one trace at a time,
+//!   and merges with other miners, so parallel workers can mine without
+//!   keeping traces. Mining is observational: faults that the
+//!   differential pass/fail verdict masks (a page MAP write silently
+//!   ignored) become visible as checker violations.
 //!
 //! The `advm` core crate wires both halves into campaigns
 //! (`advm::fuzz::Fuzz`) and into `FaultAudit` kill-rate grading.
@@ -28,5 +30,5 @@
 mod assert;
 mod program;
 
-pub use assert::{mine, TraceAssertion};
+pub use assert::{mine, Miner, TraceAssertion};
 pub use program::{FuzzProgram, ProgramSource, FUZZ_SOURCE_INDEX, SCRATCH_BASE};

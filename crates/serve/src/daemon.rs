@@ -389,14 +389,16 @@ impl Drop for Daemon {
 }
 
 /// Renders a perf block's phase split: build (assembly + planning),
-/// exec (the run itself) and report (sealing, divergence, bisection)
+/// exec (the run itself), report (sealing, divergence, bisection) and
+/// mine (a fuzz job's assertion-mining pass; zero for every other job)
 /// wall, in milliseconds.
 fn phases_json(perf: &CampaignPerf) -> String {
     format!(
-        "{{\"build_ms\":{:.3},\"exec_ms\":{:.3},\"report_ms\":{:.3}}}",
+        "{{\"build_ms\":{:.3},\"exec_ms\":{:.3},\"report_ms\":{:.3},\"mine_ms\":{:.3}}}",
         perf.build_wall.as_secs_f64() * 1e3,
         perf.exec_wall.as_secs_f64() * 1e3,
-        perf.report_wall.as_secs_f64() * 1e3
+        perf.report_wall.as_secs_f64() * 1e3,
+        perf.mine_wall.as_secs_f64() * 1e3
     )
 }
 
@@ -790,6 +792,13 @@ mod tests {
                 .any(|l| l.contains("\"type\":\"job_started\"") && l.contains("FUZZ_")),
             "stream must carry fuzz runs"
         );
+        // The mining pass is timed in the job's phases.
+        assert!(!record.perf().unwrap().mine_wall.is_zero());
+        let list = JsonValue::parse(&daemon.list_line()).unwrap();
+        let phases = list.get("jobs").unwrap().as_array().unwrap()[0]
+            .get("phases")
+            .unwrap();
+        assert!(phases.get("mine_ms").unwrap().as_f64().unwrap() > 0.0);
         daemon.join();
     }
 
@@ -806,7 +815,7 @@ mod tests {
         assert_eq!(status.u64_field("done").unwrap(), 1);
         assert!(status.get("artifacts").is_some());
         let phases = status.get("phases").unwrap();
-        for key in ["build_ms", "exec_ms", "report_ms"] {
+        for key in ["build_ms", "exec_ms", "report_ms", "mine_ms"] {
             assert!(phases.get(key).is_some(), "status phases lack {key}");
         }
         let list = JsonValue::parse(&daemon.list_line()).unwrap();
@@ -815,9 +824,11 @@ mod tests {
         assert_eq!(jobs[0].str_field("kind").unwrap(), "regress");
         assert_eq!(jobs[0].str_field("state").unwrap(), "done");
         let phases = jobs[0].get("phases").unwrap();
-        for key in ["build_ms", "exec_ms", "report_ms"] {
+        for key in ["build_ms", "exec_ms", "report_ms", "mine_ms"] {
             assert!(phases.get(key).is_some(), "job phases lack {key}");
         }
+        // Only fuzz jobs mine.
+        assert_eq!(phases.get("mine_ms").unwrap().as_f64(), Some(0.0));
         daemon.join();
     }
 }

@@ -566,7 +566,12 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
         for checker in report.mined() {
             println!("  armed {}", checker.name());
         }
-        println!("{}", perf_line(report.campaign().perf()));
+        let perf = report.campaign().perf();
+        println!(
+            "{}, mining {:.1}ms",
+            perf_line(perf),
+            perf.mine_wall.as_secs_f64() * 1e3
+        );
         for v in report.violations() {
             println!(
                 "VIOLATION: {}/{} @ {} {}: {}",

@@ -6,10 +6,13 @@
 //! run's report is a pure function of its spec — worker count shards
 //! the work, never the verdict.
 
-use advm::campaign::Campaign;
+use advm::build::build_cell;
+use advm::campaign::{Campaign, CampaignPerf, DEFAULT_MONITOR_CAPACITY};
+use advm::env::EnvConfig;
 use advm::fuzz::{program_env, Fuzz};
-use advm_fuzz::ProgramSource;
-use advm_soc::PlatformId;
+use advm_fuzz::{mine, ProgramSource, TraceAssertion};
+use advm_sim::{Platform, PlatformFault, DEFAULT_FUEL};
+use advm_soc::{Derivative, PlatformId};
 
 use proptest::prelude::*;
 
@@ -73,6 +76,97 @@ fn acceptance_64_programs_by_six_platforms_mine_clean() {
         report.violations()
     );
     assert!(report.ok());
+}
+
+/// Serial reference mining: per program × platform, a direct build of
+/// the program's cell, a fresh fault-free machine with the monitor
+/// armed, and `mine` over every trace.
+fn reference_mined(seed: u64, programs: usize) -> Vec<TraceAssertion> {
+    let mut traces = Vec::new();
+    for program in ProgramSource::new(seed).generate(programs) {
+        let env = program_env(&program);
+        for platform in PlatformId::ALL {
+            let mut ported = env.clone();
+            ported.reconfigure(EnvConfig {
+                platform,
+                ..env.config()
+            });
+            let image = build_cell(&ported, ported.cells()[0].id()).expect("program builds");
+            let derivative = Derivative::from_id(ported.config().derivative);
+            let mut machine = Platform::new(platform, &derivative);
+            machine.set_fuel(DEFAULT_FUEL);
+            machine.enable_mmio_trace(DEFAULT_MONITOR_CAPACITY);
+            machine.load_image(&image);
+            machine.run();
+            traces.push(machine.mmio_trace().expect("monitor armed").clone());
+        }
+    }
+    mine(&traces.iter().collect::<Vec<_>>())
+}
+
+/// The deterministic execution counters of a perf block: instructions,
+/// `decode_*` and `block_*`.
+fn exec_counters(perf: &CampaignPerf) -> [u64; 7] {
+    [
+        perf.instructions,
+        perf.decode_hits,
+        perf.decode_misses,
+        perf.decode_preloaded,
+        perf.blocks_built,
+        perf.block_dispatches,
+        perf.block_insns,
+    ]
+}
+
+/// Mining inside the verify campaign's pipeline (its builds, its worker
+/// pool, per-worker miners) mines exactly what the serial reference
+/// mines, at any worker count and with a fault injected into the verify
+/// run — and adds nothing to the verify report's execution counters,
+/// which equal a plain checked campaign's over the same programs.
+#[test]
+fn pipelined_mining_matches_the_serial_reference() {
+    const PROGRAMS: usize = 16;
+    for seed in [1, 2, 7919] {
+        let expected = reference_mined(seed, PROGRAMS);
+        assert!(!expected.is_empty(), "seed {seed} mines nothing");
+        let fuzz = Fuzz::new()
+            .programs(PROGRAMS)
+            .seed(seed)
+            .mine(true)
+            .platforms(PlatformId::ALL);
+        for workers in [1, 8] {
+            let what = format!("seed {seed}, {workers} worker(s)");
+            let report = fuzz.clone().workers(workers).run().expect("fuzz run");
+            assert_eq!(report.mined(), expected, "{what}");
+            let faulted = fuzz
+                .clone()
+                .workers(workers)
+                .fault(PlatformId::RtlSim, PlatformFault::PageMapWriteIgnored)
+                .run()
+                .expect("faulted fuzz run");
+            assert_eq!(faulted.mined(), expected, "{what}, faulted");
+
+            let plain = Campaign::new()
+                .envs(
+                    ProgramSource::new(seed)
+                        .generate(PROGRAMS)
+                        .iter()
+                        .map(program_env),
+                )
+                .platforms(PlatformId::ALL)
+                .workers(workers)
+                .checkers(expected.iter().copied())
+                .run()
+                .expect("plain checked campaign");
+            assert_eq!(
+                exec_counters(report.campaign().perf()),
+                exec_counters(plain.perf()),
+                "{what}"
+            );
+            assert!(!report.campaign().perf().mine_wall.is_zero(), "{what}");
+            assert!(plain.perf().mine_wall.is_zero(), "{what}");
+        }
+    }
 }
 
 proptest! {
