@@ -15,9 +15,16 @@
 //! * **Content-keyed build cache.** Jobs whose effective source content
 //!   is identical (e.g. a platform-independent cell targeted at two
 //!   platforms with the same abstraction-layer knobs) share one build.
-//!   The key hashes only content that can reach the emitted image:
-//!   comments are ignored, and `Globals.inc` defines count only when the
-//!   rest of the unit references them.
+//!   The key hashes only content that can reach the emitted image of the
+//!   sources the job assembles: comments are ignored, and `Globals.inc`
+//!   defines count only when the rest of the unit references them.
+//!   Planning the keys costs what varies, not cells × platforms × library
+//!   size: the shared frame (library, trap handlers, vector table, unit
+//!   wrapper) is tokenised and hashed once per distinct library in the
+//!   plan, each cell's test and ES ROM once per environment, and each
+//!   re-targeted `Globals.inc` is parsed and closed over the frame's
+//!   references once per (environment, platform); a cell then adds only
+//!   its test's references and hashes the live defines.
 //! * **Event streaming.** Typed [`CampaignEvent`]s (job started / built /
 //!   finished, planned cache hits, divergences) stream to pluggable
 //!   [`CampaignObserver`]s while the campaign runs.
@@ -74,7 +81,7 @@ use parking_lot::Mutex;
 
 use crate::artifacts::ArtifactStore;
 use crate::build::{es_rom_source, link_programs, unit_sources};
-use crate::env::{EnvConfig, ModuleTestEnv, GLOBALS_FILE};
+use crate::env::{EnvConfig, ModuleTestEnv, BASE_FUNCTIONS_FILE, GLOBALS_FILE, TEST_SOURCE_FILE};
 use crate::prefix::{PrefixEntry, PrefixPool};
 
 /// Default capacity of the per-run MMIO monitor armed when a campaign
@@ -1125,114 +1132,183 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Collects the identifier tokens of one line into `out`.
-fn collect_tokens(line: &str, out: &mut std::collections::HashSet<String>) {
-    let mut token = String::new();
-    for c in line.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            token.push(c);
-        } else if !token.is_empty() {
-            out.insert(std::mem::take(&mut token));
-        }
-    }
-    if !token.is_empty() {
-        out.insert(token);
-    }
+/// The identifier tokens of one line: maximal runs of ASCII
+/// alphanumerics and `_`.
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|token| !token.is_empty())
 }
 
-/// Whether a line is pure comment or blank (cannot reach the image).
-fn is_inert_line(line: &str) -> bool {
-    let trimmed = line.trim_start();
-    trimmed.is_empty() || trimmed.starts_with(';')
+/// The lines of a source that can reach the image: all but blank and
+/// pure-comment lines.
+fn code_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().filter(|line| {
+        let trimmed = line.trim_start();
+        !trimmed.is_empty() && !trimmed.starts_with(';')
+    })
 }
 
-/// The platform-invariant half of a cell's content key: the hash of
-/// every non-comment line of the unit sources *except* `Globals.inc`
-/// (the one file re-targeting regenerates), plus the ES ROM source, plus
-/// the set of identifier tokens those lines reference. Computed once per
-/// (environment, cell) and reused across every target platform.
-struct CellFingerprint {
-    invariant_hash: u64,
-    referenced: std::collections::HashSet<String>,
+/// Continues the content key's FNV chain over one code line.
+fn hash_line(hash: u64, line: &str) -> u64 {
+    fnv1a(fnv1a(hash, line.as_bytes()), b"\n")
 }
 
-impl CellFingerprint {
-    fn new(sources: &SourceSet, es_source: &str) -> Self {
-        let mut referenced = std::collections::HashSet::new();
+/// A unit's *frame*: every unit file except `Globals.inc` and
+/// `test.asm`, that is the base-function library, the trap handlers, the
+/// vector table and the unit wrapper (whose one cell-specific line is a
+/// comment). Every cell of an environment shares it, and a plan's
+/// environments share one frame per library text, so it is tokenised
+/// and hashed once per distinct library in the plan.
+///
+/// A content key is one FNV chain over the unit's code lines: the frame's
+/// files by name (they all sort before `test.asm`), then `test.asm`, the
+/// ES ROM source and the live lines of `Globals.inc` (see [`Defines`]).
+struct Frame {
+    /// The `Base_Functions.asm` text this frame was built from.
+    library: String,
+    /// The chain over the frame's file names and code lines.
+    hash: u64,
+    /// Every identifier the frame's code lines reference.
+    tokens: std::collections::HashSet<String>,
+}
+
+impl Frame {
+    fn new(sources: &SourceSet) -> Self {
         let mut hash = 0;
+        let mut tokens = std::collections::HashSet::new();
         for (name, text) in sources.iter() {
-            if name == GLOBALS_FILE {
+            if name == GLOBALS_FILE || name == TEST_SOURCE_FILE {
                 continue;
             }
             hash = fnv1a(hash, name.as_bytes());
-            for line in text.lines().filter(|l| !is_inert_line(l)) {
-                collect_tokens(line, &mut referenced);
-                hash = fnv1a(hash, line.as_bytes());
-                hash = fnv1a(hash, b"\n");
+            for line in code_lines(text) {
+                for token in identifiers(line) {
+                    if !tokens.contains(token) {
+                        tokens.insert(token.to_owned());
+                    }
+                }
+                hash = hash_line(hash, line);
             }
         }
-        hash = fnv1a(hash, b"\x00es\x00");
-        for line in es_source.lines().filter(|l| !is_inert_line(l)) {
-            hash = fnv1a(hash, line.as_bytes());
-            hash = fnv1a(hash, b"\n");
-        }
         Self {
-            invariant_hash: hash,
-            referenced,
+            library: sources
+                .get(BASE_FUNCTIONS_FILE)
+                .unwrap_or_default()
+                .to_owned(),
+            hash,
+            tokens,
+        }
+    }
+}
+
+/// One cell's platform-invariant share of its content key, computed
+/// once per environment and reused on every platform: the frame's chain
+/// continued through `test.asm` and the ES ROM source, and the names the
+/// test references that the frame does not.
+struct CellKey<'e> {
+    hash: u64,
+    references: Vec<&'e str>,
+}
+
+impl<'e> CellKey<'e> {
+    fn new(frame: &Frame, test: &'e str, es_source: &str) -> Self {
+        let mut hash = fnv1a(frame.hash, TEST_SOURCE_FILE.as_bytes());
+        let mut references = Vec::new();
+        for line in code_lines(test) {
+            references.extend(identifiers(line).filter(|token| !frame.tokens.contains(*token)));
+            hash = hash_line(hash, line);
+        }
+        references.sort_unstable();
+        references.dedup();
+        hash = fnv1a(hash, b"\x00es\x00");
+        Self {
+            hash: code_lines(es_source).fold(hash, hash_line),
+            references,
+        }
+    }
+}
+
+/// One re-targeted `Globals.inc`, parsed once per (environment,
+/// platform) into its define lines, an index from defined name to
+/// lines, and the lines the frame alone keeps live.
+///
+/// The content key must be *sound*: equal keys must imply equal images.
+/// `Globals.inc` is a pure define file, so a define can only reach the
+/// image if the rest of the unit mentions its name, directly or through
+/// the value of another live define (the assembler resolves symbolic
+/// `.EQU` expressions). Only live lines are hashed, so a
+/// platform-independent cell keys identically on two platforms whose
+/// referenced abstraction-layer knobs agree, and the campaign assembles
+/// it once.
+struct Defines<'g> {
+    lines: Vec<&'g str>,
+    /// The last line defining each name.
+    by_name: HashMap<&'g str, usize>,
+    /// Per line, the previous line defining the same name.
+    same_name: Vec<Option<usize>>,
+    frame_live: Vec<bool>,
+}
+
+impl<'g> Defines<'g> {
+    fn new(globals_text: &'g str, frame: &Frame) -> Self {
+        let mut lines = Vec::new();
+        let mut by_name = HashMap::new();
+        let mut same_name = Vec::new();
+        for line in code_lines(globals_text) {
+            // `NAME .EQU value` puts the name first, `.DEFINE NAME
+            // value` puts it second.
+            let mut words = line.split_whitespace();
+            let first = words.next().unwrap_or("");
+            let name = if first.eq_ignore_ascii_case(".DEFINE") {
+                words.next().unwrap_or("")
+            } else {
+                first
+            };
+            same_name.push(by_name.insert(name, lines.len()));
+            lines.push(line);
+        }
+        let mut defines = Self {
+            lines,
+            by_name,
+            same_name,
+            frame_live: Vec::new(),
+        };
+        let mut live = vec![false; defines.lines.len()];
+        let referenced = defines.by_name.keys().copied();
+        defines.reference(
+            &mut live,
+            referenced.filter(|name| frame.tokens.contains(*name)),
+        );
+        defines.frame_live = live;
+        defines
+    }
+
+    /// Marks the lines defining `names` live, then every define their
+    /// values reference, transitively.
+    fn reference<'n>(&self, live: &mut [bool], names: impl IntoIterator<Item = &'n str>) {
+        let mut pending: Vec<&str> = names.into_iter().collect();
+        while let Some(name) = pending.pop() {
+            let mut line = self.by_name.get(name).copied();
+            while let Some(i) = line {
+                if !live[i] {
+                    live[i] = true;
+                    pending.extend(identifiers(self.lines[i]));
+                }
+                line = self.same_name[i];
+            }
         }
     }
 
-    /// Completes the content key against one platform's generated
-    /// `Globals.inc`.
-    ///
-    /// The key must be *sound*: equal keys must imply equal images.
-    /// `Globals.inc` is a pure define file, so a define can only reach
-    /// the emitted image if the rest of the unit mentions its name; only
-    /// those live defines are hashed. A platform-independent cell
-    /// therefore keys identically on two platforms whose referenced
-    /// abstraction-layer knobs agree, and the campaign assembles it once.
-    fn content_key(&self, globals_text: &str) -> u64 {
-        // Parse the define list: `NAME .EQU value` puts the name first,
-        // `.DEFINE NAME value` puts it second.
-        let defines: Vec<(&str, &str)> = globals_text
-            .lines()
-            .filter(|l| !is_inert_line(l))
-            .map(|line| {
-                let mut words = line.split_whitespace();
-                let first = words.next().unwrap_or("");
-                let defined = if first.eq_ignore_ascii_case(".DEFINE") {
-                    words.next().unwrap_or("")
-                } else {
-                    first
-                };
-                (defined, line)
-            })
-            .collect();
-        // A define is live if the unit references its name — directly,
-        // or transitively through another live define's value expression
-        // (the assembler resolves symbolic `.EQU` expressions, so a live
-        // define's value tokens are references too).
-        let mut live = vec![false; defines.len()];
-        let mut extra: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (i, (name, line)) in defines.iter().enumerate() {
-                if !live[i] && (self.referenced.contains(*name) || extra.contains(*name)) {
-                    live[i] = true;
-                    collect_tokens(line, &mut extra);
-                    changed = true;
-                }
-            }
-        }
-        let mut hash = self.invariant_hash;
-        for (i, (_, line)) in defines.iter().enumerate() {
-            if live[i] {
-                hash = fnv1a(hash, line.as_bytes());
-                hash = fnv1a(hash, b"\n");
-            }
-        }
-        hash
+    /// Completes one cell's content key: its references join the frame's
+    /// live set, and the live lines, in file order, end the chain.
+    fn content_key(&self, cell: &CellKey) -> u64 {
+        let mut live = self.frame_live.clone();
+        self.reference(&mut live, cell.references.iter().copied());
+        self.lines
+            .iter()
+            .zip(&live)
+            .filter(|(_, &live)| live)
+            .fold(cell.hash, |hash, (line, _)| hash_line(hash, line))
     }
 }
 
@@ -1664,6 +1740,15 @@ impl Campaign {
     /// per-(env, platform) abstraction layers and the job list with its
     /// shared build slots, then emits [`CampaignEvent::Started`].
     ///
+    /// Each job's content key is taken from the re-targeted sources it
+    /// assembles, with work split by what varies: per distinct library
+    /// in the plan a [`Frame`] (tokens and hash of every unit file but
+    /// `Globals.inc` and `test.asm`), per environment a [`CellKey`] for
+    /// each cell (the frame's hash continued through `test.asm` and the
+    /// ES ROM, plus the test's own references), per (environment,
+    /// platform) one [`Defines`] table with the frame's live set closed,
+    /// and per job only the cell's references and the live lines' hash.
+    ///
     /// # Errors
     ///
     /// [`CampaignError::NoEnvironments`] / [`CampaignError::NoPlatforms`]
@@ -1718,6 +1803,8 @@ impl Campaign {
         let mut cache_hits = 0;
         let mut artifact_hits: u64 = 0;
         let store = self.store();
+        // One frame per distinct library in the plan.
+        let mut frames: Vec<Frame> = Vec::new();
         for (env, scenario) in &planned {
             // Per-env invariants: the ES ROM source and the derivative
             // model depend only on derivative/ES release, never on the
@@ -1731,25 +1818,8 @@ impl Campaign {
                     None => EsSlot::default(),
                 }))
             });
-            // Platform-invariant fingerprints: one pass over each cell's
-            // sources, reused by every target platform below.
-            let fingerprints: Vec<CellFingerprint> = if self.cache {
-                env.cells()
-                    .iter()
-                    .map(|cell| {
-                        unit_sources(env, cell.id())
-                            .map(|sources| CellFingerprint::new(&sources, &es_source))
-                            .map_err(|source| CampaignError::Build {
-                                env: env.name().to_owned(),
-                                test_id: cell.id().to_owned(),
-                                platform: env.config().platform,
-                                source,
-                            })
-                    })
-                    .collect::<Result<_, _>>()?
-            } else {
-                Vec::new()
-            };
+            // The cells' key shares, and the frame they continue.
+            let mut cell_keys: Option<(usize, Vec<CellKey>)> = None;
             for &platform in &self.platforms {
                 let mut ported = env.clone();
                 ported.reconfigure(EnvConfig {
@@ -1760,18 +1830,48 @@ impl Campaign {
                     Some((p, f)) if p == platform => f,
                     _ => PlatformFault::None,
                 };
-                for (cell_idx, cell) in ported.cells().iter().enumerate() {
-                    let sources = unit_sources(&ported, cell.id()).map_err(|source| {
-                        CampaignError::Build {
+                let cell_sources = ported
+                    .cells()
+                    .iter()
+                    .map(|cell| {
+                        unit_sources(&ported, cell.id()).map_err(|source| CampaignError::Build {
                             env: ported.name().to_owned(),
                             test_id: cell.id().to_owned(),
                             platform,
                             source,
+                        })
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let content_keys: Vec<Option<u64>> = match cell_sources.first() {
+                    Some(sources) if self.cache => {
+                        let library = ported.base_functions_text();
+                        let frame = match frames.iter().position(|f| f.library == library) {
+                            Some(frame) => frame,
+                            None => {
+                                frames.push(Frame::new(sources));
+                                frames.len() - 1
+                            }
+                        };
+                        if cell_keys.as_ref().map(|(f, _)| *f) != Some(frame) {
+                            let keys = env
+                                .cells()
+                                .iter()
+                                .map(|cell| CellKey::new(&frames[frame], cell.source(), &es_source))
+                                .collect();
+                            cell_keys = Some((frame, keys));
                         }
-                    })?;
-                    let content_key = self
-                        .cache
-                        .then(|| fingerprints[cell_idx].content_key(ported.globals_text()));
+                        let defines = Defines::new(ported.globals_text(), &frames[frame]);
+                        cell_keys
+                            .iter()
+                            .flat_map(|(_, keys)| keys)
+                            .map(|key| Some(defines.content_key(key)))
+                            .collect()
+                    }
+                    _ => vec![None; cell_sources.len()],
+                };
+                for ((cell, sources), content_key) in
+                    ported.cells().iter().zip(cell_sources).zip(content_keys)
+                {
                     let (slot, planned_hit) = match content_key {
                         Some(key) => match slots.entry(key) {
                             std::collections::hash_map::Entry::Occupied(e) => {
@@ -3077,18 +3177,25 @@ t_fail:
         assert_eq!(opens, closes, "{json}");
     }
 
+    /// The content key of a one-cell unit, by way of the planner's
+    /// frame / cell / define-table split.
+    fn content_key_of(sources: &SourceSet, globals_text: &str) -> u64 {
+        let frame = Frame::new(sources);
+        let test = sources.get(TEST_SOURCE_FILE).unwrap_or_default();
+        Defines::new(globals_text, &frame).content_key(&CellKey::new(&frame, test, ""))
+    }
+
     #[test]
     fn content_key_tracks_referenced_alias_defines() {
         let sources = SourceSet::new()
             .with(GLOBALS_FILE, "")
             .with("test.asm", "_main:\n    MOV CallAddr, d1\n    RETURN\n");
-        let fp = CellFingerprint::new(&sources, "");
         // `.DEFINE NAME value` lines put the name second; a changed alias
         // binding must change the key (equal keys must imply equal
         // images), while an unreferenced define must not.
-        let a = fp.content_key("X .EQU 0x1\n.DEFINE CallAddr a12\n");
-        let b = fp.content_key("X .EQU 0x2\n.DEFINE CallAddr a12\n");
-        let c = fp.content_key("X .EQU 0x1\n.DEFINE CallAddr a10\n");
+        let a = content_key_of(&sources, "X .EQU 0x1\n.DEFINE CallAddr a12\n");
+        let b = content_key_of(&sources, "X .EQU 0x2\n.DEFINE CallAddr a12\n");
+        let c = content_key_of(&sources, "X .EQU 0x1\n.DEFINE CallAddr a10\n");
         assert_eq!(a, b, "unreferenced .EQU must not affect the key");
         assert_ne!(a, c, "referenced alias binding must affect the key");
     }
@@ -3098,13 +3205,231 @@ t_fail:
         let sources = SourceSet::new()
             .with(GLOBALS_FILE, "")
             .with("test.asm", "_main:\n    LOAD d1, #TIMEOUT\n    RETURN\n");
-        let fp = CellFingerprint::new(&sources, "");
         // The unit references only TIMEOUT, but TIMEOUT's value is a
         // symbolic expression over POLL_LIMIT — a changed POLL_LIMIT
         // changes the emitted image, so it must change the key.
-        let a = fp.content_key("TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x100\n");
-        let b = fp.content_key("TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x200\n");
+        let a = content_key_of(&sources, "TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x100\n");
+        let b = content_key_of(&sources, "TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x200\n");
         assert_ne!(a, b, "transitively referenced define must affect the key");
+    }
+
+    /// Reference for the planner's content keys: the whole-unit
+    /// fingerprint the planner once built per cell, kept verbatim so the
+    /// frame / cell / define-table split can be checked against it.
+    struct CellFingerprint {
+        invariant_hash: u64,
+        referenced: std::collections::HashSet<String>,
+    }
+
+    impl CellFingerprint {
+        fn collect_tokens(line: &str, out: &mut std::collections::HashSet<String>) {
+            let mut token = String::new();
+            for c in line.chars() {
+                if c.is_ascii_alphanumeric() || c == '_' {
+                    token.push(c);
+                } else if !token.is_empty() {
+                    out.insert(std::mem::take(&mut token));
+                }
+            }
+            if !token.is_empty() {
+                out.insert(token);
+            }
+        }
+
+        fn is_inert_line(line: &str) -> bool {
+            let trimmed = line.trim_start();
+            trimmed.is_empty() || trimmed.starts_with(';')
+        }
+
+        fn new(sources: &SourceSet, es_source: &str) -> Self {
+            let mut referenced = std::collections::HashSet::new();
+            let mut hash = 0;
+            for (name, text) in sources.iter() {
+                if name == GLOBALS_FILE {
+                    continue;
+                }
+                hash = fnv1a(hash, name.as_bytes());
+                for line in text.lines().filter(|l| !Self::is_inert_line(l)) {
+                    Self::collect_tokens(line, &mut referenced);
+                    hash = fnv1a(hash, line.as_bytes());
+                    hash = fnv1a(hash, b"\n");
+                }
+            }
+            hash = fnv1a(hash, b"\x00es\x00");
+            for line in es_source.lines().filter(|l| !Self::is_inert_line(l)) {
+                hash = fnv1a(hash, line.as_bytes());
+                hash = fnv1a(hash, b"\n");
+            }
+            Self {
+                invariant_hash: hash,
+                referenced,
+            }
+        }
+
+        fn content_key(&self, globals_text: &str) -> u64 {
+            let defines: Vec<(&str, &str)> = globals_text
+                .lines()
+                .filter(|l| !Self::is_inert_line(l))
+                .map(|line| {
+                    let mut words = line.split_whitespace();
+                    let first = words.next().unwrap_or("");
+                    let defined = if first.eq_ignore_ascii_case(".DEFINE") {
+                        words.next().unwrap_or("")
+                    } else {
+                        first
+                    };
+                    (defined, line)
+                })
+                .collect();
+            let mut live = vec![false; defines.len()];
+            let mut extra = std::collections::HashSet::new();
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for (i, (name, line)) in defines.iter().enumerate() {
+                    if !live[i] && (self.referenced.contains(*name) || extra.contains(*name)) {
+                        live[i] = true;
+                        Self::collect_tokens(line, &mut extra);
+                        changed = true;
+                    }
+                }
+            }
+            let mut hash = self.invariant_hash;
+            for (i, (_, line)) in defines.iter().enumerate() {
+                if live[i] {
+                    hash = fnv1a(hash, line.as_bytes());
+                    hash = fnv1a(hash, b"\n");
+                }
+            }
+            hash
+        }
+    }
+
+    /// Plans `campaign` and checks every job's content key, and the
+    /// plan's hit and build counts, against [`CellFingerprint`] run on
+    /// the job's own re-targeted sources. Returns the number of jobs.
+    fn assert_keys_match_reference(campaign: Campaign) -> usize {
+        let planned = campaign.plan().unwrap();
+        let mut keys = std::collections::HashSet::new();
+        for job in &planned.jobs {
+            let globals_text = job.sources.get(GLOBALS_FILE).unwrap();
+            let reference =
+                CellFingerprint::new(&job.sources, &job.es_source).content_key(globals_text);
+            assert_eq!(
+                job.content_key,
+                Some(reference),
+                "{}/{} on {}",
+                job.env_name,
+                job.test_id,
+                job.platform
+            );
+            keys.insert(reference);
+        }
+        assert_eq!(planned.unique_builds, keys.len());
+        assert_eq!(planned.cache_hits, planned.jobs.len() - keys.len());
+        planned.jobs.len()
+    }
+
+    #[test]
+    fn content_keys_equal_the_whole_unit_reference() {
+        use crate::basefuncs::BaseFuncsStyle;
+        use crate::env::Stimulus;
+        use advm_gen::{ConstrainedRandom, GlobalsConstraints, ScenarioEngine};
+
+        // The standard system on every derivative in both library styles,
+        // in one plan: two library texts, so two frames.
+        let mut standard = Vec::new();
+        for derivative in DerivativeId::ALL {
+            for style in [BaseFuncsStyle::V1Only, BaseFuncsStyle::VersionAware] {
+                let config = EnvConfig::new(derivative, PlatformId::GoldenModel).with_style(style);
+                standard.extend(crate::presets::standard_system(config));
+            }
+        }
+        let cells: usize = standard.iter().map(|e| e.cells().len()).sum();
+        let jobs = assert_keys_match_reference(Campaign::new().envs(standard));
+        assert_eq!(jobs, cells * PlatformId::ALL.len());
+
+        // Scenario envs pin `Stimulus` extras; one extra shares its name
+        // with a generated define, so `Globals.inc` defines it twice.
+        let scenarios = ScenarioEngine::new(7)
+            .source(ConstrainedRandom::new(
+                GlobalsConstraints::new(DerivativeId::Sc88C, PlatformId::GoldenModel)
+                    .with_knob("SCN_KNOB", 1..=9)
+                    .with_knob("POLL_LIMIT", 16..=64),
+            ))
+            .batch(4)
+            .plan()
+            .unwrap()
+            .into_scenarios();
+        let shadowing = crate::presets::page_env(crate::presets::default_config(), 3)
+            .with_stimulus(Stimulus {
+                test_pages: vec![3, 17, 40],
+                extra: vec![("POLL_LIMIT".into(), 7), ("SCN_KNOB".into(), 2)],
+            });
+        assert!(
+            assert_keys_match_reference(Campaign::new().scenarios(scenarios).env(shadowing)) > 0
+        );
+
+        // Fuzz-program envs: one generated cell each, one frame for all.
+        let programs = advm_fuzz::ProgramSource::new(11).generate(8);
+        let fuzz = programs.iter().map(crate::fuzz::program_env);
+        assert_eq!(
+            assert_keys_match_reference(Campaign::new().envs(fuzz)),
+            8 * PlatformId::ALL.len()
+        );
+
+        // An env without cells plans no jobs.
+        let empty = ModuleTestEnv::new("EMPTY", crate::presets::default_config(), Vec::new());
+        assert_eq!(assert_keys_match_reference(Campaign::new().env(empty)), 0);
+    }
+
+    #[test]
+    fn content_keys_follow_the_library_each_job_assembles() {
+        use crate::env::ABSTRACTION_DIR;
+        // Re-targeting regenerates `Base_Functions.asm`, so an on-disk
+        // library that lost its platform-knob lines must still key the
+        // knobs the assembled library uses: platforms that differ in
+        // them must not share an image.
+        let env = crate::presets::wdt_env(crate::presets::default_config());
+        let mut tree = env.tree();
+        let library = tree
+            .get_mut(&format!(
+                "{}/{ABSTRACTION_DIR}/{BASE_FUNCTIONS_FILE}",
+                env.name()
+            ))
+            .unwrap();
+        *library = library
+            .lines()
+            .filter(|line| {
+                !["VERBOSE", "POLL_LIMIT", "WDT_DISABLE"]
+                    .iter()
+                    .any(|k| line.contains(k))
+            })
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let edited = ModuleTestEnv::from_tree(env.name(), &tree).unwrap();
+        let run = |env: &ModuleTestEnv, cache: bool| {
+            Campaign::new()
+                .env(env.clone())
+                .workers(2)
+                .cache(cache)
+                .run()
+                .unwrap()
+        };
+        let cached = run(&edited, true);
+        assert_eq!(cached.unique_builds(), run(&env, true).unique_builds());
+        let uncached = run(&edited, false);
+        assert_eq!(cached.total(), uncached.total());
+        for a in cached.runs() {
+            let b = uncached.run_of(&a.env, &a.test_id, a.platform).unwrap();
+            assert_eq!(
+                (a.result.passed(), a.result.insns),
+                (b.result.passed(), b.result.insns),
+                "{} on {}",
+                a.test_id,
+                a.platform
+            );
+        }
     }
 
     #[test]

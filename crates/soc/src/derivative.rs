@@ -348,7 +348,32 @@ impl Derivative {
 
     /// Number of pages the page-mapping module supports (2^width of the
     /// page field).
+    ///
+    /// Every `Globals.inc` regeneration asks for this, and building the
+    /// register map is almost all of a re-target's cost. The count is a
+    /// pure function of the derivative, so each catalogued derivative's
+    /// count is computed once per process; any other derivative (one
+    /// deserialized with a different change list, say) builds its map.
     pub fn page_count(&self) -> u32 {
+        static CATALOGUE: std::sync::OnceLock<Vec<(Derivative, u32)>> = std::sync::OnceLock::new();
+        let catalogue = CATALOGUE.get_or_init(|| {
+            DerivativeId::ALL
+                .into_iter()
+                .map(|id| {
+                    let derivative = Self::from_id(id);
+                    let count = derivative.regmap_page_count();
+                    (derivative, count)
+                })
+                .collect()
+        });
+        match catalogue.iter().find(|(derivative, _)| derivative == self) {
+            Some(&(_, count)) => count,
+            None => self.regmap_page_count(),
+        }
+    }
+
+    /// [`Derivative::page_count`], read off a freshly built register map.
+    fn regmap_page_count(&self) -> u32 {
         let map = self.regmap();
         let page_ctrl = self.hardware_register_name("PAGE_CTRL");
         let width = map
@@ -806,6 +831,37 @@ mod tests {
         assert_eq!((f.pos(), f.width()), (0, 6));
         assert_eq!(c.page_count(), 64);
         assert_eq!(Derivative::sc88a().page_count(), 32);
+    }
+
+    #[test]
+    fn page_count_equals_the_register_map_value() {
+        let from_map = |d: &Derivative| {
+            let map = d.regmap();
+            let width = map
+                .module("PAGE")
+                .and_then(|m| m.register(d.hardware_register_name("PAGE_CTRL")))
+                .and_then(|r| r.field("PAGE"))
+                .map(|f| f.width())
+                .unwrap();
+            1u32 << width
+        };
+        for id in DerivativeId::ALL {
+            let d = Derivative::from_id(id);
+            // Twice: the first call may fill the memo, the second reads it.
+            assert_eq!(d.page_count(), from_map(&d), "{id}");
+            assert_eq!(d.page_count(), from_map(&d), "{id}");
+        }
+        // A derivative outside the catalogue is not answered from the
+        // catalogue's memo, even when it shares a catalogued id.
+        let mut wide = Derivative::sc88c();
+        wide.changes[0] = ChangeOp::ResizeField {
+            module: "PAGE".into(),
+            register: "PAGE_CTRL".into(),
+            field: "PAGE".into(),
+            new_width: 7,
+        };
+        assert_eq!(wide.page_count(), 128);
+        assert_eq!(wide.page_count(), from_map(&wide));
     }
 
     #[test]
