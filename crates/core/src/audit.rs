@@ -28,6 +28,13 @@
 //! kill counts, the escape list and a JSON rendering; `advm-cli audit`
 //! is a thin veneer over it.
 //!
+//! The reference runs each stimulus set once, as one campaign on
+//! [`FaultAudit::workers`] threads. The cells then share a pool of as
+//! many threads: each thread claims the next cell in fault-major order,
+//! runs that cell's campaign on its own, and classifies it against the
+//! baseline at once. Observers see each internal campaign's events in
+//! one unbroken run, in sweep order, at any thread count.
+//!
 //! ```no_run
 //! use advm::audit::FaultAudit;
 //! use advm_soc::PlatformId;
@@ -48,18 +55,20 @@ use std::fmt;
 use std::sync::Arc;
 
 use advm_gen::{
-    ConstraintError, CoverageDirected, CoverageFeedback, GlobalsConstraints, ScenarioEngine,
+    ConstraintError, CoverageDirected, CoverageFeedback, GlobalsConstraints, Scenario,
+    ScenarioEngine,
 };
 use advm_metrics::Table;
 use advm_sim::{compare, PlatformFault};
 use advm_soc::{DerivativeId, PlatformId};
+use parking_lot::Mutex;
 
 use advm_fuzz::TraceAssertion;
 
 use crate::artifacts::ArtifactStore;
 use crate::campaign::{
-    default_workers, json_string, Campaign, CampaignError, CampaignPerf, CampaignReport,
-    ObserverFactory,
+    default_workers, json_string, on_workers, Campaign, CampaignError, CampaignEvent,
+    CampaignObserver, CampaignPerf, CampaignReport, EventLog, ObserverFactory,
 };
 use crate::env::ModuleTestEnv;
 use crate::prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
@@ -374,6 +383,44 @@ impl fmt::Display for FaultAuditReport {
     }
 }
 
+/// The event batches of a sweep's finished cells, each handed to a fresh
+/// observer strictly in cell order.
+struct Forward {
+    /// The next cell whose batch is due; past the end once a failed
+    /// cell's batch has gone out.
+    next: usize,
+    /// Each finished cell's events, and whether the cell failed.
+    ready: Vec<Option<(Vec<CampaignEvent>, bool)>>,
+}
+
+impl Forward {
+    fn new(cells: usize) -> Self {
+        Self {
+            next: 0,
+            ready: vec![None; cells],
+        }
+    }
+
+    /// Files cell `index`'s batch and forwards every batch now due. A
+    /// failed cell's batch is the last one forwarded.
+    fn deposit(
+        &mut self,
+        index: usize,
+        batch: Vec<CampaignEvent>,
+        failed: bool,
+        factory: &ObserverFactory,
+    ) {
+        self.ready[index] = Some((batch, failed));
+        while let Some(Some((batch, failed))) = self.ready.get_mut(self.next).map(Option::take) {
+            let mut observer = factory();
+            for event in &batch {
+                observer.on_event(event);
+            }
+            self.next = if failed { usize::MAX } else { self.next + 1 };
+        }
+    }
+}
+
 /// Builder for a fault-matrix suite-strength sweep.
 ///
 /// Defaults: the full catalogued [`presets::standard_system`] suite, the
@@ -501,7 +548,9 @@ impl FaultAudit {
         self
     }
 
-    /// Sets the campaign worker count (minimum 1).
+    /// Sets the threads the sweep runs cells on, one cell per thread at
+    /// a time (minimum 1). Each cell's campaign runs on its thread
+    /// alone; the reference baselines run on this many workers.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -583,72 +632,138 @@ impl FaultAudit {
 
     /// Attaches an observer factory: each internal campaign of the
     /// sweep gets one fresh observer built by `factory`, so its
-    /// [`CampaignEvent`](crate::campaign::CampaignEvent)s stream out
-    /// live (the daemon's per-job NDJSON feed).
+    /// [`CampaignEvent`]s stream out (the daemon's per-job NDJSON feed).
+    /// Baselines stream live; a cell's events go out once it and every
+    /// earlier cell have finished, so the stream is the same at any
+    /// [`FaultAudit::workers`] count but for each baseline's
+    /// `started.workers`.
     pub fn observe_with(mut self, factory: ObserverFactory) -> Self {
         self.observer_factory = Some(factory);
         self
     }
 
-    /// Runs the fault-free reference baseline for a stimulus set — once,
-    /// shared by every matrix cell of the sweep, instead of re-simulating
-    /// the reference inside each faulted campaign.
-    fn baseline(
+    /// One internal campaign over a stimulus set. With no `cell` it is
+    /// the fault-free reference baseline on [`FaultAudit::workers`]
+    /// workers, run once and shared by every cell of the sweep. With a
+    /// `(fault, platform)` cell it runs on the faulted platform only, at
+    /// one worker, forking from `pool` when one is given.
+    fn campaign(
         &self,
+        cell: Option<(PlatformFault, PlatformId)>,
         envs: &[ModuleTestEnv],
-        scenarios: &[advm_gen::Scenario],
-    ) -> Result<CampaignReport, CampaignError> {
-        self.dress(
-            Campaign::new()
-                .envs(envs.iter().cloned())
-                .scenarios(scenarios.iter().cloned())
-                .platform(self.reference)
-                .workers(self.workers)
-                .fuel(self.fuel)
-                .decode_cache(self.decode)
-                .machine_pool(self.machine_pool),
-        )
-        .run()
-    }
-
-    /// Attaches the sweep-wide store and a fresh observer (when
-    /// configured) to one internal campaign.
-    fn dress(&self, mut campaign: Campaign) -> Campaign {
+        scenarios: &[Scenario],
+        pool: Option<&Arc<PrefixPool>>,
+    ) -> Campaign {
+        let mut campaign = Campaign::new()
+            .envs(envs.iter().cloned())
+            .scenarios(scenarios.iter().cloned())
+            .fuel(self.fuel)
+            .decode_cache(self.decode)
+            .machine_pool(self.machine_pool);
+        campaign = match cell {
+            None => campaign.platform(self.reference).workers(self.workers),
+            Some((fault, platform)) => campaign
+                .platform(platform)
+                .workers(1)
+                .fault(platform, fault),
+        };
+        if let Some(pool) = pool {
+            campaign = campaign.prefix_pool(Arc::clone(pool));
+        }
         if !self.checkers.is_empty() {
             campaign = campaign.checkers(self.checkers.iter().copied());
         }
         if let Some(store) = &self.artifact_store {
             campaign = campaign.artifact_store(Arc::clone(store));
         }
-        if let Some(factory) = &self.observer_factory {
-            campaign = campaign.observe(factory());
-        }
         campaign
     }
 
-    /// Runs one (fault, platform) campaign over the given stimulus on
-    /// the faulted platform only.
-    fn faulted(
+    /// Runs the reference baseline for a stimulus set, its events
+    /// streaming live to a fresh observer.
+    fn baseline(
         &self,
-        fault: PlatformFault,
-        platform: PlatformId,
         envs: &[ModuleTestEnv],
-        scenarios: &[advm_gen::Scenario],
-        pool: Option<&Arc<PrefixPool>>,
+        scenarios: &[Scenario],
     ) -> Result<CampaignReport, CampaignError> {
-        let mut campaign = Campaign::new()
-            .envs(envs.iter().cloned())
-            .scenarios(scenarios.iter().cloned())
-            .platform(platform)
-            .workers(self.workers)
-            .fuel(self.fuel)
-            .decode_cache(self.decode)
-            .machine_pool(self.machine_pool)
-            .fault(platform, fault);
-        if let Some(pool) = pool {
-            campaign = campaign.prefix_pool(Arc::clone(pool));
+        let mut campaign = self.campaign(None, envs, scenarios, None);
+        if let Some(factory) = &self.observer_factory {
+            campaign = campaign.observe(factory());
         }
-        self.dress(campaign).run()
+        campaign.run()
+    }
+
+    /// Runs the campaigns of `cells` on [`FaultAudit::workers`] threads
+    /// and classifies each against `baseline` as it finishes, keeping
+    /// only the outcome and the perf block.
+    ///
+    /// Each thread claims the next cell and plans its campaign under one
+    /// lock, then builds, executes and seals it on its own. Campaigns
+    /// thus plan in cell order, so an attached store sees the lookups of
+    /// a one-thread sweep: the same hits, misses and evictions, and the
+    /// same `cache_hit` on every job. A cell's events are buffered and
+    /// handed to a fresh observer once every earlier cell's have been,
+    /// so observers see the same stream too.
+    ///
+    /// # Errors
+    ///
+    /// The first failing cell's error, in cell order. A failure stops
+    /// further claims, and no cell after it forwards events.
+    fn sweep(
+        &self,
+        cells: &[(PlatformFault, PlatformId)],
+        round: usize,
+        baseline: &CampaignReport,
+        envs: &[ModuleTestEnv],
+        scenarios: &[Scenario],
+        pool: Option<&Arc<PrefixPool>>,
+    ) -> Result<Vec<(CellOutcome, CampaignPerf)>, CampaignError> {
+        type CellResult = Result<(CellOutcome, CampaignPerf), CampaignError>;
+        // The next cell to claim; a failure sets it past the end.
+        let claim = Mutex::new(0usize);
+        let results: Mutex<Vec<Option<CellResult>>> =
+            Mutex::new((0..cells.len()).map(|_| None).collect());
+        let forward = Mutex::new(Forward::new(cells.len()));
+        on_workers(self.workers.min(cells.len()), || loop {
+            let (index, platform, planned, log) = {
+                let mut next = claim.lock();
+                let index = *next;
+                let Some(&(fault, platform)) = cells.get(index) else {
+                    break;
+                };
+                *next += 1;
+                let mut campaign = self.campaign(Some((fault, platform)), envs, scenarios, pool);
+                let log = self.observer_factory.is_some().then(EventLog::new);
+                if let Some(log) = &log {
+                    campaign = campaign.observe(log.clone());
+                }
+                (index, platform, campaign.plan(), log)
+            };
+            let result = planned
+                .and_then(|planned| Ok(planned.build()?.execute().seal()))
+                .map(|report| {
+                    (
+                        self.classify(platform, round, baseline, &report),
+                        *report.perf(),
+                    )
+                });
+            if result.is_err() {
+                *claim.lock() = cells.len();
+            }
+            if let (Some(log), Some(factory)) = (log, &self.observer_factory) {
+                forward
+                    .lock()
+                    .deposit(index, log.events(), result.is_err(), factory);
+            }
+            results.lock()[index] = Some(result);
+        });
+        // Collecting stops at the first failure, and every cell before
+        // it was claimed, so it ran.
+        results
+            .into_inner()
+            .into_iter()
+            .map(|result| result.expect("every cell before the first failure ran"))
+            .collect()
     }
 
     /// Classifies one cell by comparing every test's faulted run against
@@ -765,19 +880,21 @@ impl FaultAudit {
         let mut perf = CampaignPerf::default();
         let suite_baseline = self.baseline(&self.suite, &[])?;
         perf.absorb(suite_baseline.perf());
-        let mut cells: Vec<AuditCell> = Vec::new();
-        for &fault in &self.faults {
-            for &platform in &platforms {
-                let report = self.faulted(fault, platform, &self.suite, &[], pool.as_ref())?;
-                perf.absorb(report.perf());
-                let outcome = self.classify(platform, 1, &suite_baseline, &report);
-                tally(&outcome);
-                cells.push(AuditCell {
-                    fault,
-                    platform,
-                    outcome,
-                });
-            }
+        let grid: Vec<(PlatformFault, PlatformId)> = self
+            .faults
+            .iter()
+            .flat_map(|&fault| platforms.iter().map(move |&platform| (fault, platform)))
+            .collect();
+        let swept = self.sweep(&grid, 1, &suite_baseline, &self.suite, &[], pool.as_ref())?;
+        let mut cells: Vec<AuditCell> = Vec::with_capacity(grid.len());
+        for ((fault, platform), (outcome, cell_perf)) in grid.into_iter().zip(swept) {
+            perf.absorb(&cell_perf);
+            tally(&outcome);
+            cells.push(AuditCell {
+                fault,
+                platform,
+                outcome,
+            });
         }
 
         // Rounds 2..: escapes drive generation. The escaped faults'
@@ -820,11 +937,20 @@ impl FaultAudit {
             scenarios_generated += plan.len();
             let scenario_baseline = self.baseline(&[], plan.scenarios())?;
             perf.absorb(scenario_baseline.perf());
-            for i in escaped {
-                let (fault, platform) = (cells[i].fault, cells[i].platform);
-                let report = self.faulted(fault, platform, &[], plan.scenarios(), pool.as_ref())?;
-                perf.absorb(report.perf());
-                let outcome = self.classify(platform, 2 + round, &scenario_baseline, &report);
+            let targets: Vec<(PlatformFault, PlatformId)> = escaped
+                .iter()
+                .map(|&i| (cells[i].fault, cells[i].platform))
+                .collect();
+            let swept = self.sweep(
+                &targets,
+                2 + round,
+                &scenario_baseline,
+                &[],
+                plan.scenarios(),
+                pool.as_ref(),
+            )?;
+            for (i, (outcome, cell_perf)) in escaped.into_iter().zip(swept) {
+                perf.absorb(&cell_perf);
                 if outcome != CellOutcome::Masked {
                     tally(&outcome);
                     cells[i].outcome = outcome;
@@ -1062,6 +1188,111 @@ _main:
             .unwrap();
         assert_eq!(report.broken(), 1);
         assert_eq!(report.detected(), 0);
+    }
+
+    #[test]
+    fn first_failing_cell_ends_the_sweep_and_its_event_stream() {
+        // The cell refuses to assemble for the gate-level platform only,
+        // so the baseline and the RTL cells build. They spin for a while,
+        // so later cells are claimed while earlier ones still run.
+        let gated = ModuleTestEnv::new(
+            "GATED",
+            EnvConfig::new(DerivativeId::Sc88A, PlatformId::GoldenModel),
+            vec![crate::env::TestCell::new(
+                "TEST_NO_GATE",
+                "refuses the gate-level build",
+                "\
+.INCLUDE Globals.inc
+.IF PLATFORM_ID == 3
+.ERROR no gate-level build
+.ENDIF
+_main:
+    LOAD d10, #30000
+t_spin:
+    SUB d10, d10, #1
+    CMP d10, #0
+    JNE t_spin
+    CALL Base_Report_Pass
+    RETURN
+",
+            )],
+        );
+        let events = |workers: usize| {
+            let log = EventLog::new();
+            let sink = log.clone();
+            let error = FaultAudit::new()
+                .suite([gated.clone()])
+                .faults([
+                    PlatformFault::PageActiveOffByOne,
+                    PlatformFault::UartDropsBytes,
+                    PlatformFault::TimerNeverExpires,
+                ])
+                .platforms([PlatformId::RtlSim, PlatformId::GateSim])
+                .workers(workers)
+                .observe_with(Arc::new(move || {
+                    Box::new(sink.clone()) as Box<dyn CampaignObserver>
+                }))
+                .run()
+                .expect_err("gate-level cells cannot build");
+            match error {
+                AuditError::Campaign(CampaignError::Build { platform, .. }) => {
+                    assert_eq!(platform, PlatformId::GateSim);
+                }
+                other => panic!("expected a build error, got {other}"),
+            }
+            log.events()
+        };
+        // The baseline, the first RTL cell and the first gate-level
+        // cell, whose stream ends with its failed build.
+        let serial = events(1);
+        let started = serial
+            .iter()
+            .filter(|e| matches!(e, CampaignEvent::Started { .. }))
+            .count();
+        assert_eq!(started, 3, "{serial:?}");
+        assert!(
+            matches!(
+                serial.last(),
+                Some(CampaignEvent::Finished { total: 0, .. })
+            ),
+            "{serial:?}"
+        );
+        // Later cells may run on other threads, but forward nothing.
+        assert_eq!(events(4), serial);
+    }
+
+    #[test]
+    fn batches_go_out_in_cell_order_and_stop_after_a_failed_cell() {
+        let log = EventLog::new();
+        let sink = log.clone();
+        let factory: ObserverFactory =
+            Arc::new(move || Box::new(sink.clone()) as Box<dyn CampaignObserver>);
+        let batch = |cell: usize| {
+            vec![CampaignEvent::Finished {
+                total: cell,
+                passed: 0,
+                failed: 0,
+                cache_hits: 0,
+            }]
+        };
+        let forwarded = || -> Vec<usize> {
+            log.events()
+                .iter()
+                .map(|event| match event {
+                    CampaignEvent::Finished { total, .. } => *total,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        let mut forward = Forward::new(5);
+        forward.deposit(1, batch(1), false, &factory);
+        forward.deposit(3, batch(3), false, &factory);
+        assert!(forwarded().is_empty(), "cell 0 is still running");
+        forward.deposit(0, batch(0), false, &factory);
+        assert_eq!(forwarded(), [0, 1]);
+        forward.deposit(2, batch(2), true, &factory);
+        forward.deposit(4, batch(4), false, &factory);
+        assert_eq!(forwarded(), [0, 1, 2], "nothing after the failed cell");
     }
 
     #[test]

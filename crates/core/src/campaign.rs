@@ -141,9 +141,8 @@ pub struct TestRun {
 
 /// A typed event streamed to [`CampaignObserver`]s while a campaign runs.
 ///
-/// Job-level events are emitted from worker threads, so their order
-/// interleaves under parallel execution; their *content* is deterministic
-/// for a given campaign.
+/// The stream is deterministic at any worker count: the execute stage
+/// flushes each job's events in plan order, whichever worker ran it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignEvent {
     /// The campaign's job graph is planned and the worker pool is about
@@ -705,7 +704,11 @@ impl CampaignPerf {
     }
 
     /// Folds another perf block into this one (used by multi-campaign
-    /// drivers such as the fault audit).
+    /// drivers such as the fault audit). Walls add up: the walls of
+    /// campaigns that ran at the same time, such as the cells a fault
+    /// audit sweeps on several threads, sum thread time, so an audit's
+    /// `wall_ms`, `build_wall_ms` and `exec_wall_ms` can exceed its
+    /// elapsed time.
     pub fn absorb(&mut self, other: &CampaignPerf) {
         self.instructions += other.instructions;
         self.wall += other.wall;
@@ -2379,6 +2382,7 @@ impl Executed {
 }
 
 /// Runs `work` on `workers` threads and returns each thread's result.
+/// One worker runs `work` on the calling thread instead.
 ///
 /// Every thread is joined before this returns. `std::thread::scope`
 /// alone only waits for the closures: a thread can still be exiting,
@@ -2386,7 +2390,10 @@ impl Executed {
 /// allocator then gives the new thread a fresh arena. With a pool per
 /// campaign stage, those arenas pile up and peak memory grows run after
 /// run.
-fn on_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -> Vec<T> {
+pub(crate) fn on_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -> Vec<T> {
+    if workers == 1 {
+        return vec![work()];
+    }
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&work)).collect();
         handles

@@ -10,7 +10,9 @@
 //! suite skips assembly entirely and reports the reuse in its `perf`
 //! JSON (`artifact_hits`).
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -235,6 +237,11 @@ impl Default for Daemon {
 impl Daemon {
     /// Starts the worker pool (threads are named `advm-serve-N`).
     pub fn start(config: DaemonConfig) -> Self {
+        Self::start_with(config, execute)
+    }
+
+    /// Starts the worker pool with `execute` as every job's body.
+    fn start_with(config: DaemonConfig, execute: Executor) -> Self {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             store: Arc::new(ArtifactStore::new(config.cache_capacity)),
@@ -251,7 +258,7 @@ impl Daemon {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("advm-serve-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, execute))
                     .expect("spawning daemon worker")
             })
             .collect();
@@ -402,8 +409,16 @@ fn phases_json(perf: &CampaignPerf) -> String {
     )
 }
 
+/// What a job body yields: the run-level verdict, the report JSON and
+/// the job's aggregated campaign perf (all internal campaigns
+/// absorbed), or the error that ended the job.
+type JobOutcome = Result<(bool, String, CampaignPerf), String>;
+
+/// A job body; the daemon runs [`execute`].
+type Executor = fn(&JobSpec, &Arc<ArtifactStore>, &Arc<JobRecord>) -> JobOutcome;
+
 /// One worker: pull, execute, seal, repeat.
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, execute: Executor) {
     loop {
         let record = {
             let mut state = shared.state.lock().expect("daemon state poisoned");
@@ -422,29 +437,48 @@ fn worker_loop(shared: &Shared) {
             continue;
         }
         record.set_state(JobState::Running);
-        match execute(record.spec(), &shared.store, &record) {
-            Ok((ok, report, perf)) => {
-                let _ = record.perf.set(perf);
-                record.finish(
-                    JobState::Done { ok },
-                    format!(
-                        "{{\"job\":{},\"done\":true,\"ok\":{ok},\"report\":{report}}}",
-                        record.id()
-                    ),
-                );
-            }
-            Err(error) => record.finish(
-                JobState::Failed {
-                    error: error.clone(),
-                },
-                format!(
-                    "{{\"job\":{},\"done\":true,\"ok\":false,\"error\":{}}}",
-                    record.id(),
-                    advm::wire::json_string(&error)
-                ),
-            ),
-        }
+        seal(&record, || execute(record.spec(), &shared.store, &record));
     }
+}
+
+/// Runs one job body and seals the job with its outcome. A body that
+/// panics is sealed `Failed` with a `panic: <message>` error, so its
+/// watchers still get the `done` line and the worker lives on to serve
+/// the next job.
+fn seal(record: &JobRecord, body: impl FnOnce() -> JobOutcome) {
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(body))
+        .unwrap_or_else(|payload| Err(format!("panic: {}", panic_message(payload.as_ref()))));
+    match outcome {
+        Ok((ok, report, perf)) => {
+            let _ = record.perf.set(perf);
+            record.finish(
+                JobState::Done { ok },
+                format!(
+                    "{{\"job\":{},\"done\":true,\"ok\":{ok},\"report\":{report}}}",
+                    record.id()
+                ),
+            );
+        }
+        Err(error) => record.finish(
+            JobState::Failed {
+                error: error.clone(),
+            },
+            format!(
+                "{{\"job\":{},\"done\":true,\"ok\":false,\"error\":{}}}",
+                record.id(),
+                advm::wire::json_string(&error)
+            ),
+        ),
+    }
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
 }
 
 /// Builds the observer factory handing each internal campaign a fresh
@@ -455,13 +489,8 @@ fn streamer_factory(record: &Arc<JobRecord>) -> ObserverFactory {
 }
 
 /// Executes one job spec against the shared store, streaming events to
-/// the record. Returns the run-level verdict, the report JSON, and the
-/// job's aggregated campaign perf (all internal campaigns absorbed).
-fn execute(
-    spec: &JobSpec,
-    store: &Arc<ArtifactStore>,
-    record: &Arc<JobRecord>,
-) -> Result<(bool, String, CampaignPerf), String> {
+/// the record.
+fn execute(spec: &JobSpec, store: &Arc<ArtifactStore>, record: &Arc<JobRecord>) -> JobOutcome {
     match spec {
         JobSpec::Regress {
             dir,
@@ -738,6 +767,66 @@ mod tests {
         ));
         let missing = daemon.cancel(99);
         assert!(missing.contains("no such job"), "{missing}");
+        daemon.join();
+    }
+
+    #[test]
+    fn panicking_job_is_sealed_failed_and_the_worker_keeps_serving() {
+        let dir = tiny_env_dir();
+        // One worker whose audit jobs panic; every other job runs as the
+        // daemon runs it.
+        let daemon = Daemon::start_with(
+            DaemonConfig {
+                workers: 1,
+                cache_capacity: 8,
+            },
+            |spec, store, record| {
+                if matches!(spec, JobSpec::Audit { .. }) {
+                    panic!("job body exploded");
+                }
+                execute(spec, store, record)
+            },
+        );
+        let bad = daemon.submit(JobSpec::Audit {
+            platforms: Vec::new(),
+            all_platforms: false,
+            scenarios: None,
+            seed: None,
+            workers: None,
+            fuel: None,
+        });
+        let next = daemon.submit(regress_spec(dir.path()));
+        // A watcher's view of a job: its backlog, then the live tail. The
+        // timeout turns a worker that died with its job into a failure
+        // instead of a hang.
+        let watch = |id: u64| {
+            let (mut lines, live) = daemon.job(id).unwrap().subscribe();
+            if let Some(live) = live {
+                while let Ok(line) = live.recv_timeout(std::time::Duration::from_secs(60)) {
+                    lines.push(line);
+                }
+            }
+            let done = lines.last().expect("the watcher gets the done line");
+            let value = JsonValue::parse(done).unwrap();
+            assert!(value.bool_field("done").unwrap(), "{done}");
+            value
+        };
+
+        let done = watch(bad);
+        assert!(!done.bool_field("ok").unwrap());
+        assert_eq!(done.str_field("error").unwrap(), "panic: job body exploded");
+        assert_eq!(
+            daemon.job(bad).unwrap().state(),
+            JobState::Failed {
+                error: "panic: job body exploded".into()
+            }
+        );
+        // The same worker serves the next job.
+        assert!(watch(next).bool_field("ok").unwrap());
+        assert!(matches!(
+            daemon.job(next).unwrap().state(),
+            JobState::Done { ok: true }
+        ));
         daemon.join();
     }
 

@@ -91,7 +91,8 @@ pub enum JobSpec {
         scenarios: Option<u64>,
         /// Master seed of the escape-driven plan.
         seed: Option<u64>,
-        /// Campaign worker override.
+        /// Override of the threads the sweep runs cells on (see
+        /// `FaultAudit::workers`).
         workers: Option<u64>,
         /// Per-run instruction budget override.
         fuel: Option<u64>,

@@ -3,8 +3,9 @@
 
 use std::sync::Arc;
 
-use advm::audit::FaultAudit;
-use advm::campaign::Campaign;
+use advm::artifacts::ArtifactStore;
+use advm::audit::{CellOutcome, FaultAudit};
+use advm::campaign::{Campaign, CampaignEvent, CampaignObserver, EventLog};
 use advm::env::{EnvConfig, ModuleTestEnv, TestCell};
 use advm::porting::{port_env, test_files_touched};
 use advm::prefix::PrefixPool;
@@ -395,6 +396,138 @@ proptest! {
             );
             prop_assert_eq!(reference.perf().instructions, forked.perf().instructions);
         }
+    }
+}
+
+/// A fault audit's event stream does not depend on its thread count.
+/// Every internal campaign feeds one shared log. At workers 1 and 4,
+/// with and without a shared artifact store:
+/// - the two streams are equal apart from `started.workers`;
+/// - each campaign's events form one unbroken run from `started` to
+///   `finished`, in sweep order: the suite baseline, the cells
+///   fault-major, the scenario baseline, then the escaped cells;
+/// - store hits and misses, forked runs and saved prefix instructions
+///   are equal.
+#[test]
+fn fault_audit_event_stream_is_independent_of_worker_count() {
+    let faults = [
+        PlatformFault::PageActiveOffByOne,
+        PlatformFault::PageMapWriteIgnored,
+        PlatformFault::UartDropsBytes,
+    ];
+    let platforms = [PlatformId::RtlSim, PlatformId::GateSim];
+    let audit = |workers: usize, store: Option<Arc<ArtifactStore>>| {
+        let log = EventLog::new();
+        let sink = log.clone();
+        let mut audit = FaultAudit::new()
+            .suite([page_env(default_config(), 1), uart_env(default_config())])
+            .faults(faults)
+            .platforms(platforms)
+            .scenarios(2)
+            .fuel(200_000)
+            .workers(workers)
+            .observe_with(Arc::new(move || {
+                Box::new(sink.clone()) as Box<dyn CampaignObserver>
+            }));
+        if let Some(store) = &store {
+            audit = audit.artifact_store(Arc::clone(store));
+        }
+        let report = audit.run().expect("audit runs");
+        let stats = store.map(|store| {
+            let stats = store.stats();
+            (stats.hits, stats.misses)
+        });
+        (report, log.events(), stats)
+    };
+    let without_workers = |events: &[CampaignEvent]| -> Vec<CampaignEvent> {
+        events
+            .iter()
+            .map(|event| match event {
+                CampaignEvent::Started {
+                    jobs,
+                    unique_builds,
+                    ..
+                } => CampaignEvent::Started {
+                    jobs: *jobs,
+                    unique_builds: *unique_builds,
+                    workers: 0,
+                },
+                other => other.clone(),
+            })
+            .collect()
+    };
+    for shared in [false, true] {
+        let run = |workers| audit(workers, shared.then(|| Arc::new(ArtifactStore::default())));
+        let (serial, serial_events, serial_stats) = run(1);
+        let (report, events, stats) = run(4);
+        assert_eq!(
+            without_workers(&serial_events),
+            without_workers(&events),
+            "shared store: {shared}"
+        );
+        assert_eq!(serial_stats, stats, "shared store: {shared}");
+        assert_eq!(serial.perf().forked_runs, report.perf().forked_runs);
+        assert_eq!(serial.perf().prefix_saved, report.perf().prefix_saved);
+
+        // The campaigns the sweep runs, in order, by the one platform
+        // each simulates: the reference baselines run on the golden
+        // model, each cell on its faulted platform.
+        let escaped: Vec<PlatformId> = report
+            .cells()
+            .iter()
+            .filter(|cell| match &cell.outcome {
+                CellOutcome::Detected { round, .. } => *round > 1,
+                CellOutcome::Masked => true,
+                CellOutcome::Broken { .. } => false,
+            })
+            .map(|cell| cell.platform)
+            .collect();
+        assert!(!escaped.is_empty(), "the escape round must run");
+        let mut expected = vec![PlatformId::GoldenModel];
+        expected.extend(faults.iter().flat_map(|_| platforms));
+        expected.push(PlatformId::GoldenModel);
+        expected.extend(escaped);
+
+        // Split the stream into runs, each from `started` to `finished`
+        // with neither in between.
+        let mut order: Vec<PlatformId> = Vec::new();
+        let mut rest = &events[..];
+        while let Some(first) = rest.first() {
+            let CampaignEvent::Started { jobs, workers, .. } = first else {
+                panic!("a campaign's events must open with `started`: {first:?}");
+            };
+            let end = rest
+                .iter()
+                .position(|event| matches!(event, CampaignEvent::Finished { .. }))
+                .expect("every campaign finishes");
+            let run = &rest[..=end];
+            assert!(
+                !run[1..]
+                    .iter()
+                    .any(|event| matches!(event, CampaignEvent::Started { .. })),
+                "campaign interrupted by another's `started`"
+            );
+            let platforms: Vec<PlatformId> = run
+                .iter()
+                .filter_map(|event| match event {
+                    CampaignEvent::JobFinished { platform, .. } => Some(*platform),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(platforms.len(), *jobs, "every planned job finishes");
+            assert!(platforms.windows(2).all(|pair| pair[0] == pair[1]));
+            // Cells run at one worker; baselines at the sweep's four.
+            let platform = platforms[0];
+            let expected_workers = if platform == PlatformId::GoldenModel {
+                4.min(*jobs)
+            } else {
+                1
+            };
+            assert_eq!(*workers, expected_workers, "{platform}");
+            order.push(platform);
+            rest = &rest[end + 1..];
+        }
+        assert_eq!(order, expected, "shared store: {shared}");
     }
 }
 
