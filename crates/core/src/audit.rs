@@ -31,9 +31,10 @@
 //! The reference runs each stimulus set once, as one campaign on
 //! [`FaultAudit::workers`] threads. The cells then share a pool of as
 //! many threads: each thread claims the next cell in fault-major order,
-//! runs that cell's campaign on its own, and classifies it against the
-//! baseline at once. Observers see each internal campaign's events in
-//! one unbroken run, in sweep order, at any thread count.
+//! runs that cell's campaign on its own (or, when a round has fewer
+//! cells than workers, on an even share of them), and classifies it
+//! against the baseline at once. Observers see each internal campaign's
+//! events in one unbroken run, in sweep order, at any thread count.
 //!
 //! ```no_run
 //! use advm::audit::FaultAudit;
@@ -53,6 +54,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use advm_gen::{
     ConstraintError, CoverageDirected, CoverageFeedback, GlobalsConstraints, Scenario,
@@ -67,8 +69,8 @@ use advm_fuzz::TraceAssertion;
 
 use crate::artifacts::ArtifactStore;
 use crate::campaign::{
-    default_workers, json_string, on_workers, Campaign, CampaignError, CampaignEvent,
-    CampaignObserver, CampaignPerf, CampaignReport, EventLog, ObserverFactory,
+    default_workers, json_string, on_workers, Campaign, CampaignError, CampaignObserver,
+    CampaignPerf, CampaignReport, EventLog, InOrder, ObserverFactory,
 };
 use crate::env::ModuleTestEnv;
 use crate::prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
@@ -202,7 +204,10 @@ impl FaultAuditReport {
     }
 
     /// Execution-performance telemetry aggregated over every campaign
-    /// the sweep ran (reference baselines and faulted cells alike).
+    /// the sweep ran (reference baselines and faulted cells alike). Its
+    /// `wall` is the audit's elapsed time; the build, execute and report
+    /// walls sum the campaigns' own, which overlap (see
+    /// [`CampaignPerf::absorb`]).
     pub fn perf(&self) -> &CampaignPerf {
         &self.perf
     }
@@ -383,44 +388,6 @@ impl fmt::Display for FaultAuditReport {
     }
 }
 
-/// The event batches of a sweep's finished cells, each handed to a fresh
-/// observer strictly in cell order.
-struct Forward {
-    /// The next cell whose batch is due; past the end once a failed
-    /// cell's batch has gone out.
-    next: usize,
-    /// Each finished cell's events, and whether the cell failed.
-    ready: Vec<Option<(Vec<CampaignEvent>, bool)>>,
-}
-
-impl Forward {
-    fn new(cells: usize) -> Self {
-        Self {
-            next: 0,
-            ready: vec![None; cells],
-        }
-    }
-
-    /// Files cell `index`'s batch and forwards every batch now due. A
-    /// failed cell's batch is the last one forwarded.
-    fn deposit(
-        &mut self,
-        index: usize,
-        batch: Vec<CampaignEvent>,
-        failed: bool,
-        factory: &ObserverFactory,
-    ) {
-        self.ready[index] = Some((batch, failed));
-        while let Some(Some((batch, failed))) = self.ready.get_mut(self.next).map(Option::take) {
-            let mut observer = factory();
-            for event in &batch {
-                observer.on_event(event);
-            }
-            self.next = if failed { usize::MAX } else { self.next + 1 };
-        }
-    }
-}
-
 /// Builder for a fault-matrix suite-strength sweep.
 ///
 /// Defaults: the full catalogued [`presets::standard_system`] suite, the
@@ -548,9 +515,11 @@ impl FaultAudit {
         self
     }
 
-    /// Sets the threads the sweep runs cells on, one cell per thread at
-    /// a time (minimum 1). Each cell's campaign runs on its thread
-    /// alone; the reference baselines run on this many workers.
+    /// Sets the worker count (minimum 1). The reference baselines run
+    /// on this many workers. The sweep then runs cells on as many
+    /// threads, one cell per thread at a time: each cell's campaign runs
+    /// on its thread alone, or, in a round with fewer cells than
+    /// workers, on an even share of the workers.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -632,24 +601,26 @@ impl FaultAudit {
 
     /// Attaches an observer factory: each internal campaign of the
     /// sweep gets one fresh observer built by `factory`, so its
-    /// [`CampaignEvent`]s stream out (the daemon's per-job NDJSON feed).
-    /// Baselines stream live; a cell's events go out once it and every
-    /// earlier cell have finished, so the stream is the same at any
-    /// [`FaultAudit::workers`] count but for each baseline's
+    /// [`CampaignEvent`](crate::campaign::CampaignEvent)s stream out
+    /// (the daemon's per-job NDJSON feed). Baselines stream live; a
+    /// cell's events go out once it and every earlier cell have
+    /// finished, so the stream is the same at any
+    /// [`FaultAudit::workers`] count but for each campaign's
     /// `started.workers`.
     pub fn observe_with(mut self, factory: ObserverFactory) -> Self {
         self.observer_factory = Some(factory);
         self
     }
 
-    /// One internal campaign over a stimulus set. With no `cell` it is
-    /// the fault-free reference baseline on [`FaultAudit::workers`]
-    /// workers, run once and shared by every cell of the sweep. With a
-    /// `(fault, platform)` cell it runs on the faulted platform only, at
-    /// one worker, forking from `pool` when one is given.
+    /// One internal campaign over a stimulus set on `workers` workers.
+    /// With no `cell` it is the fault-free reference baseline, run once
+    /// and shared by every cell of the sweep. With a `(fault, platform)`
+    /// cell it runs on the faulted platform only, forking from `pool`
+    /// when one is given.
     fn campaign(
         &self,
         cell: Option<(PlatformFault, PlatformId)>,
+        workers: usize,
         envs: &[ModuleTestEnv],
         scenarios: &[Scenario],
         pool: Option<&Arc<PrefixPool>>,
@@ -657,15 +628,13 @@ impl FaultAudit {
         let mut campaign = Campaign::new()
             .envs(envs.iter().cloned())
             .scenarios(scenarios.iter().cloned())
+            .workers(workers)
             .fuel(self.fuel)
             .decode_cache(self.decode)
             .machine_pool(self.machine_pool);
         campaign = match cell {
-            None => campaign.platform(self.reference).workers(self.workers),
-            Some((fault, platform)) => campaign
-                .platform(platform)
-                .workers(1)
-                .fault(platform, fault),
+            None => campaign.platform(self.reference),
+            Some((fault, platform)) => campaign.platform(platform).fault(platform, fault),
         };
         if let Some(pool) = pool {
             campaign = campaign.prefix_pool(Arc::clone(pool));
@@ -679,31 +648,42 @@ impl FaultAudit {
         campaign
     }
 
-    /// Runs the reference baseline for a stimulus set, its events
-    /// streaming live to a fresh observer.
+    /// Runs the reference baseline for a stimulus set on
+    /// [`FaultAudit::workers`] workers, its events streaming live to a
+    /// fresh observer.
     fn baseline(
         &self,
         envs: &[ModuleTestEnv],
         scenarios: &[Scenario],
     ) -> Result<CampaignReport, CampaignError> {
-        let mut campaign = self.campaign(None, envs, scenarios, None);
+        let mut campaign = self.campaign(None, self.workers, envs, scenarios, None);
         if let Some(factory) = &self.observer_factory {
             campaign = campaign.observe(factory());
         }
         campaign.run()
     }
 
-    /// Runs the campaigns of `cells` on [`FaultAudit::workers`] threads
-    /// and classifies each against `baseline` as it finishes, keeping
-    /// only the outcome and the perf block.
+    /// The workers the campaign of cell `index` of `cells` runs on: an
+    /// even share of [`FaultAudit::workers`], the first cells taking
+    /// what does not divide, and at least one. A round with fewer cells
+    /// than workers thus keeps every worker busy, while a larger round
+    /// runs each cell on its sweep thread alone.
+    fn share(&self, index: usize, cells: usize) -> usize {
+        (self.workers / cells + usize::from(index < self.workers % cells)).max(1)
+    }
+
+    /// Runs the campaigns of `cells` on up to [`FaultAudit::workers`]
+    /// threads and classifies each against `baseline` as it finishes,
+    /// keeping only the outcome and the perf block.
     ///
     /// Each thread claims the next cell and plans its campaign under one
-    /// lock, then builds, executes and seals it on its own. Campaigns
-    /// thus plan in cell order, so an attached store sees the lookups of
-    /// a one-thread sweep: the same hits, misses and evictions, and the
-    /// same `cache_hit` on every job. A cell's events are buffered and
-    /// handed to a fresh observer once every earlier cell's have been,
-    /// so observers see the same stream too.
+    /// lock, then builds, executes and seals it on its
+    /// [share](Self::share) of the workers. Campaigns thus plan in cell
+    /// order, so an attached store sees the lookups of a one-thread
+    /// sweep: the same hits, misses and evictions, and the same
+    /// `cache_hit` on every job. A cell's events are buffered and handed
+    /// to a fresh observer once every earlier cell's have been, so
+    /// observers see the same stream too.
     ///
     /// # Errors
     ///
@@ -723,7 +703,9 @@ impl FaultAudit {
         let claim = Mutex::new(0usize);
         let results: Mutex<Vec<Option<CellResult>>> =
             Mutex::new((0..cells.len()).map(|_| None).collect());
-        let forward = Mutex::new(Forward::new(cells.len()));
+        // Each finished cell's events and whether it failed, forwarded
+        // in cell order while the flag holds: up to the first failure.
+        let forward = Mutex::new((InOrder::new(cells.len()), true));
         on_workers(self.workers.min(cells.len()), || loop {
             let (index, platform, planned, log) = {
                 let mut next = claim.lock();
@@ -732,7 +714,9 @@ impl FaultAudit {
                     break;
                 };
                 *next += 1;
-                let mut campaign = self.campaign(Some((fault, platform)), envs, scenarios, pool);
+                let workers = self.share(index, cells.len());
+                let mut campaign =
+                    self.campaign(Some((fault, platform)), workers, envs, scenarios, pool);
                 let log = self.observer_factory.is_some().then(EventLog::new);
                 if let Some(log) = &log {
                     campaign = campaign.observe(log.clone());
@@ -751,9 +735,18 @@ impl FaultAudit {
                 *claim.lock() = cells.len();
             }
             if let (Some(log), Some(factory)) = (log, &self.observer_factory) {
-                forward
-                    .lock()
-                    .deposit(index, log.events(), result.is_err(), factory);
+                let mut forward = forward.lock();
+                let (batches, open) = &mut *forward;
+                for (batch, failed) in batches.deposit(index, (log.events(), result.is_err())) {
+                    if !*open {
+                        break;
+                    }
+                    let mut observer = factory();
+                    for event in &batch {
+                        observer.on_event(event);
+                    }
+                    *open = !failed;
+                }
             }
             results.lock()[index] = Some(result);
         });
@@ -854,6 +847,7 @@ impl FaultAudit {
         if platforms.is_empty() {
             return Err(AuditError::NoPlatforms);
         }
+        let started = Instant::now();
 
         let mut kill_counts: HashMap<String, usize> = HashMap::new();
         let mut tally = |outcome: &CellOutcome| {
@@ -958,6 +952,9 @@ impl FaultAudit {
             }
         }
 
+        // Cells overlap, so their walls sum thread time; the audit's own
+        // wall is the time it took.
+        perf.wall = started.elapsed();
         let mut kill_counts: Vec<(String, usize)> = kill_counts.into_iter().collect();
         kill_counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         Ok(FaultAuditReport {
@@ -975,6 +972,7 @@ impl FaultAudit {
 
 #[cfg(test)]
 mod tests {
+    use crate::campaign::CampaignEvent;
     use crate::env::EnvConfig;
 
     use super::*;
@@ -1262,37 +1260,50 @@ t_spin:
     }
 
     #[test]
-    fn batches_go_out_in_cell_order_and_stop_after_a_failed_cell() {
+    fn rounds_with_fewer_cells_than_workers_share_the_workers() {
+        let shares = |workers: usize, cells: usize| -> Vec<usize> {
+            let audit = FaultAudit::new().workers(workers);
+            (0..cells).map(|index| audit.share(index, cells)).collect()
+        };
+        assert_eq!(shares(4, 1), [4]);
+        assert_eq!(shares(4, 3), [2, 1, 1]);
+        assert_eq!(shares(8, 3), [3, 3, 2]);
+        assert_eq!(shares(2, 5), [1; 5]);
+        assert_eq!(shares(1, 2), [1; 2]);
+
+        // Each campaign opens with its worker count, which no campaign's
+        // job count caps here: the baseline's four, then the three
+        // cells' shares.
         let log = EventLog::new();
         let sink = log.clone();
-        let factory: ObserverFactory =
-            Arc::new(move || Box::new(sink.clone()) as Box<dyn CampaignObserver>);
-        let batch = |cell: usize| {
-            vec![CampaignEvent::Finished {
-                total: cell,
-                passed: 0,
-                failed: 0,
-                cache_hits: 0,
-            }]
-        };
-        let forwarded = || -> Vec<usize> {
-            log.events()
-                .iter()
-                .map(|event| match event {
-                    CampaignEvent::Finished { total, .. } => *total,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect()
-        };
-        let mut forward = Forward::new(5);
-        forward.deposit(1, batch(1), false, &factory);
-        forward.deposit(3, batch(3), false, &factory);
-        assert!(forwarded().is_empty(), "cell 0 is still running");
-        forward.deposit(0, batch(0), false, &factory);
-        assert_eq!(forwarded(), [0, 1]);
-        forward.deposit(2, batch(2), true, &factory);
-        forward.deposit(4, batch(4), false, &factory);
-        assert_eq!(forwarded(), [0, 1, 2], "nothing after the failed cell");
+        FaultAudit::new()
+            .suite(tiny_suite())
+            .faults([
+                PlatformFault::PageActiveOffByOne,
+                PlatformFault::UartDropsBytes,
+                PlatformFault::TimerNeverExpires,
+            ])
+            .platforms([PlatformId::RtlSim])
+            .escape_rounds(0)
+            .fuel(200_000)
+            .workers(4)
+            .observe_with(Arc::new(move || {
+                Box::new(sink.clone()) as Box<dyn CampaignObserver>
+            }))
+            .run()
+            .unwrap();
+        let started: Vec<(usize, usize)> = log
+            .events()
+            .iter()
+            .filter_map(|event| match event {
+                CampaignEvent::Started { jobs, workers, .. } => Some((*jobs, *workers)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(started.len(), 4, "{started:?}");
+        assert!(started.iter().all(|&(jobs, _)| jobs >= 4), "{started:?}");
+        let workers: Vec<usize> = started.iter().map(|&(_, workers)| workers).collect();
+        assert_eq!(workers, [4, 2, 1, 1]);
     }
 
     #[test]

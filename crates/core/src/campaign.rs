@@ -706,9 +706,10 @@ impl CampaignPerf {
     /// Folds another perf block into this one (used by multi-campaign
     /// drivers such as the fault audit). Walls add up: the walls of
     /// campaigns that ran at the same time, such as the cells a fault
-    /// audit sweeps on several threads, sum thread time, so an audit's
-    /// `wall_ms`, `build_wall_ms` and `exec_wall_ms` can exceed its
-    /// elapsed time.
+    /// audit sweeps on several threads, sum thread time. A fault audit
+    /// therefore sets its `wall` to its elapsed time once every
+    /// campaign is folded in, while its `build_wall_ms`,
+    /// `exec_wall_ms` and `report_wall_ms` can exceed that.
     pub fn absorb(&mut self, other: &CampaignPerf) {
         self.instructions += other.instructions;
         self.wall += other.wall;
@@ -2168,27 +2169,15 @@ impl Built {
         let forked_runs = AtomicU64::new(0);
         // Per-job event batches, drained strictly in plan order: each
         // worker deposits a finished job's events and flushes whatever
-        // prefix of jobs is now complete. Observers see the same
-        // deterministic stream at every worker count, and workers never
-        // contend on the observer lock mid-job.
-        struct EventDrain {
-            next: usize,
-            ready: Vec<Option<Vec<CampaignEvent>>>,
-        }
-        let drain = Mutex::new(EventDrain {
-            next: 0,
-            ready: vec![None; jobs.len()],
-        });
+        // prefix of jobs is now complete, under the drain's lock.
+        // Observers see the same deterministic stream at every worker
+        // count, and workers never contend on the observer lock mid-job.
+        let drain = Mutex::new(InOrder::new(jobs.len()));
         let deposit = |index: usize, batch: Vec<CampaignEvent>| {
             let mut drain = drain.lock();
-            drain.ready[index] = Some(batch);
-            let mut flush = drain.next;
-            while let Some(slot) = drain.ready.get_mut(flush) {
-                let Some(batch) = slot.take() else { break };
-                flush += 1;
+            for batch in drain.deposit(index, batch) {
                 events.dispatch(&batch);
             }
-            drain.next = flush;
         };
         let started = Instant::now();
         on_workers(workers, || {
@@ -2378,6 +2367,36 @@ impl Executed {
             cache_hits: report.cache_hits(),
         });
         report
+    }
+}
+
+/// Items filed by index in any order and released strictly in index
+/// order, such as the event batches of jobs or cells that finish out of
+/// order on a pool.
+pub(crate) struct InOrder<T> {
+    /// The index of the next item to release.
+    next: usize,
+    ready: Vec<Option<T>>,
+}
+
+impl<T> InOrder<T> {
+    /// Room for items `0..len`.
+    pub(crate) fn new(len: usize) -> Self {
+        Self {
+            next: 0,
+            ready: std::iter::repeat_with(|| None).take(len).collect(),
+        }
+    }
+
+    /// Files item `index` and releases, in order, every item now due:
+    /// the run of filed items from the next unreleased index on.
+    pub(crate) fn deposit(&mut self, index: usize, item: T) -> impl Iterator<Item = T> + '_ {
+        self.ready[index] = Some(item);
+        std::iter::from_fn(move || {
+            let item = self.ready.get_mut(self.next)?.take()?;
+            self.next += 1;
+            Some(item)
+        })
     }
 }
 
@@ -3016,6 +3035,16 @@ t_fail:
             .collect();
         assert_eq!(built, vec![false, true], "second job reuses the build");
         assert_eq!(report.cache_hits(), 1);
+    }
+
+    #[test]
+    fn in_order_releases_each_run_of_filed_items() {
+        let mut due = InOrder::new(5);
+        assert!(due.deposit(1, 'b').next().is_none(), "item 0 is missing");
+        assert!(due.deposit(3, 'd').next().is_none());
+        assert_eq!(due.deposit(0, 'a').collect::<String>(), "ab");
+        assert_eq!(due.deposit(2, 'c').collect::<String>(), "cd");
+        assert_eq!(due.deposit(4, 'e').collect::<String>(), "e");
     }
 
     #[test]

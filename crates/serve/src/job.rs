@@ -91,8 +91,7 @@ pub enum JobSpec {
         scenarios: Option<u64>,
         /// Master seed of the escape-driven plan.
         seed: Option<u64>,
-        /// Override of the threads the sweep runs cells on (see
-        /// `FaultAudit::workers`).
+        /// Worker count override (see `FaultAudit::workers`).
         workers: Option<u64>,
         /// Per-run instruction budget override.
         fuel: Option<u64>,

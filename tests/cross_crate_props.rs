@@ -470,8 +470,11 @@ fn fault_audit_event_stream_is_independent_of_worker_count() {
         assert_eq!(serial.perf().prefix_saved, report.perf().prefix_saved);
 
         // The campaigns the sweep runs, in order, by the one platform
-        // each simulates: the reference baselines run on the golden
-        // model, each cell on its faulted platform.
+        // each simulates and its worker count: the reference baselines
+        // run on the golden model at the sweep's four workers, each cell
+        // on its faulted platform at its share of them. That is one
+        // each among the first round's six cells, and an even split
+        // when fewer cells escape.
         let escaped: Vec<PlatformId> = report
             .cells()
             .iter()
@@ -483,14 +486,26 @@ fn fault_audit_event_stream_is_independent_of_worker_count() {
             .map(|cell| cell.platform)
             .collect();
         assert!(!escaped.is_empty(), "the escape round must run");
-        let mut expected = vec![PlatformId::GoldenModel];
-        expected.extend(faults.iter().flat_map(|_| platforms));
-        expected.push(PlatformId::GoldenModel);
-        expected.extend(escaped);
+        let share =
+            |index: usize, cells: usize| (4 / cells + usize::from(index < 4 % cells)).max(1);
+        let grid: Vec<PlatformId> = faults.iter().flat_map(|_| platforms).collect();
+        let mut expected = vec![(PlatformId::GoldenModel, 4)];
+        expected.extend(
+            grid.iter()
+                .enumerate()
+                .map(|(i, &p)| (p, share(i, grid.len()))),
+        );
+        expected.push((PlatformId::GoldenModel, 4));
+        expected.extend(
+            escaped
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (p, share(i, escaped.len()))),
+        );
 
         // Split the stream into runs, each from `started` to `finished`
         // with neither in between.
-        let mut order: Vec<PlatformId> = Vec::new();
+        let mut order: Vec<(PlatformId, usize)> = Vec::new();
         let mut rest = &events[..];
         while let Some(first) = rest.first() {
             let CampaignEvent::Started { jobs, workers, .. } = first else {
@@ -516,15 +531,9 @@ fn fault_audit_event_stream_is_independent_of_worker_count() {
                 .collect();
             assert_eq!(platforms.len(), *jobs, "every planned job finishes");
             assert!(platforms.windows(2).all(|pair| pair[0] == pair[1]));
-            // Cells run at one worker; baselines at the sweep's four.
-            let platform = platforms[0];
-            let expected_workers = if platform == PlatformId::GoldenModel {
-                4.min(*jobs)
-            } else {
-                1
-            };
-            assert_eq!(*workers, expected_workers, "{platform}");
-            order.push(platform);
+            // So no campaign's worker count is capped by its jobs.
+            assert!(*jobs >= 4, "{jobs} jobs");
+            order.push((platforms[0], *workers));
             rest = &rest[end + 1..];
         }
         assert_eq!(order, expected, "shared store: {shared}");
