@@ -543,9 +543,11 @@ impl FaultAudit {
     }
 
     /// Enables or disables worker-local machine pooling in every
-    /// campaign the sweep runs (default: enabled). Pooling is
-    /// perf-only — see [`Campaign::machine_pool`]: detection matrices,
-    /// kill counts and report JSON are byte-identical either way.
+    /// campaign the sweep runs (default: enabled). Pooling neither
+    /// changes results nor saves work — see [`Campaign::machine_pool`],
+    /// which measures pooled-vs-fresh at 0.82–1.07× (median 0.92×):
+    /// detection matrices, kill counts and report JSON are
+    /// byte-identical either way.
     pub fn machine_pool(mut self, enabled: bool) -> Self {
         self.machine_pool = enabled;
         self

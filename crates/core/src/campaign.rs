@@ -1587,15 +1587,18 @@ impl Campaign {
 
     /// Enables or disables worker-local machine pooling (default:
     /// enabled). A pooled worker keeps one constructed [`Platform`] per
-    /// (platform, derivative, injected fault) and resets it through the
-    /// snapshot `restore` path instead of rebuilding the whole SoC —
-    /// bus, peripherals, decode cache — for every job. Purely a
-    /// performance knob: a restored machine is byte-identical to a
-    /// freshly constructed one, so verdicts, traces, divergences and
-    /// report JSON never depend on it. Runs with armed checkers always
-    /// construct fresh machines (snapshots do not carry the MMIO
-    /// monitor), as do prefix-pool forks, which have their own reuse
-    /// path.
+    /// (platform, derivative, injected fault) and resets it through
+    /// [`Platform::restore_pristine`] between jobs instead of building a
+    /// new one. A machine holds only the memory and decode pages its
+    /// run touched, so the rewind frees the same pages a fresh machine
+    /// would allocate, and pooling no longer saves work:
+    /// `exp_campaign_e2e` measures pooled-vs-fresh at 0.82–1.07×
+    /// (median 0.92×, 5 runs on a 2-core host). A restored machine is
+    /// byte-identical to a freshly constructed one, so verdicts,
+    /// traces, divergences and report JSON never depend on it. Runs
+    /// with armed checkers always construct fresh machines (snapshots
+    /// do not carry the MMIO monitor), as do prefix-pool forks, which
+    /// have their own reuse path.
     ///
     /// ```
     /// use advm::campaign::Campaign;
@@ -2427,17 +2430,12 @@ pub(crate) fn on_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -
 /// model and injected fault. A `Derivative` is fully determined by its
 /// [`DerivativeId`] (campaigns always build them via
 /// [`Derivative::from_id`]), so the id is a sound key. Reused machines
-/// are reset through the snapshot restore path instead of
-/// reconstructing the whole SoC per job.
+/// are reset through [`Platform::restore_pristine`], which drops every
+/// memory and decode page the last run touched.
 ///
-/// The pool deliberately holds ONE machine: keeping a machine per
-/// platform resident (6+ machines × several MB of memories, decode
-/// slots and block maps) measurably regressed throughput — every job
-/// hopped to a cache-cold machine, while the unpooled path kept
-/// re-using one hot allocation. A single slot, combined with
-/// machine-major chunk execution, gets both: consecutive same-platform
-/// jobs share one hot machine, and a platform switch recycles the old
-/// machine's freshly freed memory into the new one.
+/// The pool holds ONE machine: consecutive same-platform jobs (chunks
+/// execute machine-major) share it, and a platform switch drops it
+/// before building the next.
 #[derive(Default)]
 struct MachinePool {
     slot: Option<MachineSlot>,

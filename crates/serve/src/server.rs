@@ -5,8 +5,13 @@
 //! [`Daemon`] and translates wire requests into calls on it; `watch`
 //! turns the connection into an event stream until the watched job
 //! seals.
+//!
+//! Request lines are read with a bound of [`MAX_REQUEST_LINE`] bytes.
+//! A longer line is answered with one error line and the connection is
+//! closed; a line that is not UTF-8 is answered with an error line and
+//! the connection keeps serving.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,6 +19,11 @@ use std::sync::Arc;
 
 use crate::daemon::Daemon;
 use crate::protocol::{error_line, Request};
+
+/// The longest request line the server reads, in bytes (newline not
+/// counted). Requests are a few hundred bytes; the cap keeps one client
+/// from growing a connection thread's buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// A bound, not-yet-running server.
 pub struct Server {
@@ -89,14 +99,35 @@ fn handle_connection(
     stop: &AtomicBool,
     path: &Path,
 ) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if read == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_LINE {
+            let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            reply(&mut writer, &error_line(&message))?;
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            reply(&mut writer, &error_line("request line is not UTF-8"))?;
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let request = match Request::from_json(&line) {
+        let request = match Request::from_json(line) {
             Ok(request) => request,
             Err(error) => {
                 reply(&mut writer, &error_line(&error.to_string()))?;

@@ -6,16 +6,25 @@
 //! documentation. A test built against the wrong `Globals.inc` touches
 //! the wrong addresses or bits and fails — which is exactly the behaviour
 //! the methodology's experiments need to observe.
+//!
+//! What a bus holds is sized to what its run touches: ROM, RAM and NVM
+//! are paged tables (see `paged`, crate-internal) holding only the pages
+//! an image load, store or NVM program wrote, and the derivative's
+//! peripheral windows and page-field geometry are read from a wiring
+//! built once per catalogued derivative.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 use advm_isa::Insn;
 use advm_soc::memmap::{MemoryMap, NVM_SIZE, NVM_START, RAM_SIZE, RAM_START, ROM_SIZE, ROM_START};
 use advm_soc::testbench::PlatformId;
-use advm_soc::{Derivative, RegionKind};
+use advm_soc::{Derivative, DerivativeId, Field, RegionKind};
 
 use crate::decoded::{DecodeCache, DecodeStats, DecodedProgram, ExecRegion, Superblock};
 use crate::fault::{PlatformFault, BUS_WAIT_STATE_CYCLES};
+use crate::paged::Memory;
 use crate::periph::{
     timer::TIMER_IRQ_LINE, CrcUnit, Intc, MailboxDevice, NvmController, PageModule, Timer, Uart,
     Watchdog,
@@ -59,20 +68,117 @@ enum Periph {
     Mailbox,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Mapping {
     base: u32,
     size: u32,
     periph: Periph,
 }
 
+/// What [`SocBus::new`] reads off a derivative's register map: the
+/// eight peripheral windows and the page module's four field
+/// geometries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Wiring {
+    mappings: [Mapping; 8],
+    /// `PAGE_CTRL.PAGE`, `PAGE_CTRL.ENABLE`, `PAGE_STATUS.ACTIVE_PAGE`,
+    /// `PAGE_STATUS.READY`, as the page module takes them.
+    page_fields: [Field; 4],
+}
+
+impl Wiring {
+    /// The derivative's wiring. Building the register map is almost all
+    /// of a bus's construction cost, and the wiring is a pure function
+    /// of the derivative, so each catalogued derivative's wiring is
+    /// built once per process (the same memo as
+    /// [`Derivative::page_count`]); any other derivative builds its map.
+    fn of(derivative: &Derivative) -> Cow<'static, Wiring> {
+        static CATALOGUE: OnceLock<Vec<(Derivative, Wiring)>> = OnceLock::new();
+        let catalogue = CATALOGUE.get_or_init(|| {
+            DerivativeId::ALL
+                .into_iter()
+                .map(|id| {
+                    let derivative = Derivative::from_id(id);
+                    let wiring = Self::from_regmap(&derivative);
+                    (derivative, wiring)
+                })
+                .collect()
+        });
+        Self::lookup(catalogue, derivative)
+    }
+
+    /// `derivative`'s entry in `catalogue`, or its wiring built from the
+    /// register map when the catalogue has no equal derivative.
+    fn lookup<'a>(
+        catalogue: &'a [(Derivative, Wiring)],
+        derivative: &Derivative,
+    ) -> Cow<'a, Wiring> {
+        match catalogue.iter().find(|(known, _)| known == derivative) {
+            Some((_, wiring)) => Cow::Borrowed(wiring),
+            None => Cow::Owned(Self::from_regmap(derivative)),
+        }
+    }
+
+    /// The wiring read off a freshly built register map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the derivative's register map is missing a catalogued
+    /// module or page field — impossible for maps produced by
+    /// [`Derivative::regmap`].
+    fn from_regmap(derivative: &Derivative) -> Self {
+        let map = derivative.regmap();
+        let window = |name: &str, periph: Periph| {
+            let module = map
+                .module(name)
+                .unwrap_or_else(|| panic!("derivative map lacks module {name}"));
+            Mapping {
+                base: module.base(),
+                size: module.size(),
+                periph,
+            }
+        };
+        let field = |reg: &str, field_name: &str| {
+            let hw = derivative.hardware_register_name(reg);
+            map.module("PAGE")
+                .and_then(|m| m.register(hw))
+                .and_then(|r| r.field(field_name))
+                .cloned()
+                .unwrap_or_else(|| panic!("missing field PAGE.{reg}.{field_name}"))
+        };
+        Self {
+            mappings: [
+                window("UART", Periph::Uart),
+                window("PAGE", Periph::Page),
+                window("TIMER", Periph::Timer),
+                window("INTC", Periph::Intc),
+                window("WDT", Periph::Wdt),
+                window("NVMC", Periph::Nvmc),
+                window("CRC", Periph::Crc),
+                window("TB", Periph::Mailbox),
+            ],
+            page_fields: [
+                field("PAGE_CTRL", "PAGE"),
+                field("PAGE_CTRL", "ENABLE"),
+                field("PAGE_STATUS", "ACTIVE_PAGE"),
+                field("PAGE_STATUS", "READY"),
+            ],
+        }
+    }
+}
+
 /// The SC88 SoC bus for one (derivative, platform) pair.
+///
+/// Construction allocates no memory page: ROM and RAM read as `0x00`
+/// and NVM as erased `0xFF` until written, and each memory and decode
+/// table holds only the pages its run wrote. Snapshots encode the
+/// memories page by page, and a pristine rewind drops every page.
 #[derive(Debug, Clone)]
 pub struct SocBus {
-    rom: Vec<u8>,
-    ram: Vec<u8>,
-    nvm: Vec<u8>,
-    mappings: Vec<Mapping>,
+    rom: Memory,
+    ram: Memory,
+    nvm: Memory,
+    mappings: [Mapping; 8],
     uart: Uart,
     page: PageModule,
     timer: Timer,
@@ -103,41 +209,6 @@ pub struct SocBus {
     /// assertion mining/checking. Verification scaffolding, not machine
     /// state — never serialized into snapshots.
     mmio_trace: Option<MmioTrace>,
-    /// Dirty-chunk bitmaps over the three memories (one bit per
-    /// [`DIRTY_CHUNK`] bytes): which chunks may differ from their
-    /// constructor fill. [`SocBus::rewind_memories`] resets only these,
-    /// so pooled machines rewind in proportion to what a run touched
-    /// instead of re-filling all of ROM+RAM+NVM. Bookkeeping, not
-    /// machine state — never serialized.
-    dirty_rom: u64,
-    dirty_ram: u64,
-    dirty_nvm: u64,
-}
-
-/// Granularity of the dirty-memory bitmaps: 4 KiB chunks keep every
-/// region's chunk count within one `u64` (ROM's 256 KiB → 64 bits).
-const DIRTY_CHUNK: usize = 4096;
-
-/// Marks the chunks covering `start..end` (byte offsets) dirty.
-fn mark_dirty(bits: &mut u64, start: usize, end: usize) {
-    debug_assert!(start < end);
-    for chunk in (start / DIRTY_CHUNK)..=((end - 1) / DIRTY_CHUNK) {
-        *bits |= 1 << chunk;
-    }
-}
-
-/// Fills every dirty chunk of `mem` with its constructor value.
-fn fill_dirty(mem: &mut [u8], mut dirty: u64, value: u8) {
-    while dirty != 0 {
-        let chunk = dirty.trailing_zeros() as usize;
-        dirty &= dirty - 1;
-        let start = chunk * DIRTY_CHUNK;
-        if start >= mem.len() {
-            break;
-        }
-        let end = (start + DIRTY_CHUNK).min(mem.len());
-        mem[start..end].fill(value);
-    }
 }
 
 impl SocBus {
@@ -149,29 +220,12 @@ impl SocBus {
     /// Panics if the derivative's register map is missing a catalogued
     /// module — impossible for maps produced by [`Derivative::regmap`].
     pub fn new(derivative: &Derivative, platform: PlatformId, fault: PlatformFault) -> Self {
-        let map = derivative.regmap();
-        let module = |name: &str| {
-            map.module(name)
-                .unwrap_or_else(|| panic!("derivative map lacks module {name}"))
-        };
-        let field = |module_name: &str, reg: &str, field_name: &str| {
-            let hw = derivative.hardware_register_name(reg);
-            map.module(module_name)
-                .and_then(|m| m.register(hw))
-                .and_then(|r| r.field(field_name))
-                .cloned()
-                .unwrap_or_else(|| panic!("missing field {module_name}.{reg}.{field_name}"))
-        };
-
+        let wiring = Wiring::of(derivative);
         let cycle_accurate = matches!(platform, PlatformId::RtlSim | PlatformId::GateSim);
 
         let mut uart = Uart::new(cycle_accurate);
-        let mut page = PageModule::new(
-            field("PAGE", "PAGE_CTRL", "PAGE"),
-            field("PAGE", "PAGE_CTRL", "ENABLE"),
-            field("PAGE", "PAGE_STATUS", "ACTIVE_PAGE"),
-            field("PAGE", "PAGE_STATUS", "READY"),
-        );
+        let [page_field, enable_field, active_field, ready_field] = wiring.page_fields.clone();
+        let mut page = PageModule::new(page_field, enable_field, active_field, ready_field);
         let mut timer = Timer::new();
         let mut mailbox = MailboxDevice::new(platform);
         let mut es_skew = false;
@@ -193,54 +247,11 @@ impl SocBus {
             PlatformFault::BusExtraWaitStates => mmio_wait = BUS_WAIT_STATE_CYCLES,
         }
 
-        let mappings = vec![
-            Mapping {
-                base: module("UART").base(),
-                size: module("UART").size(),
-                periph: Periph::Uart,
-            },
-            Mapping {
-                base: module("PAGE").base(),
-                size: module("PAGE").size(),
-                periph: Periph::Page,
-            },
-            Mapping {
-                base: module("TIMER").base(),
-                size: module("TIMER").size(),
-                periph: Periph::Timer,
-            },
-            Mapping {
-                base: module("INTC").base(),
-                size: module("INTC").size(),
-                periph: Periph::Intc,
-            },
-            Mapping {
-                base: module("WDT").base(),
-                size: module("WDT").size(),
-                periph: Periph::Wdt,
-            },
-            Mapping {
-                base: module("NVMC").base(),
-                size: module("NVMC").size(),
-                periph: Periph::Nvmc,
-            },
-            Mapping {
-                base: module("CRC").base(),
-                size: module("CRC").size(),
-                periph: Periph::Crc,
-            },
-            Mapping {
-                base: module("TB").base(),
-                size: module("TB").size(),
-                periph: Periph::Mailbox,
-            },
-        ];
-
         Self {
-            rom: vec![0; ROM_SIZE as usize],
-            ram: vec![0; RAM_SIZE as usize],
-            nvm: vec![0xFF; NVM_SIZE as usize],
-            mappings,
+            rom: Memory::new(ROM_SIZE as usize, 0x00),
+            ram: Memory::new(RAM_SIZE as usize, 0x00),
+            nvm: Memory::new(NVM_SIZE as usize, 0xFF),
+            mappings: wiring.mappings,
             uart,
             page,
             timer,
@@ -259,9 +270,6 @@ impl SocBus {
             async_work: false,
             timing_active: false,
             mmio_trace: None,
-            dirty_rom: 0,
-            dirty_ram: 0,
-            dirty_nvm: 0,
         }
     }
 
@@ -341,7 +349,7 @@ impl SocBus {
         self.decode.invalidate_all();
         for (base, bytes) in image.runs() {
             // Copy region-sized spans at a time; a run rarely crosses a
-            // region boundary, so this is one memcpy per run in practice.
+            // region boundary, so this is one copy per page in practice.
             let mut addr = base;
             let mut rest = bytes;
             while !rest.is_empty() {
@@ -350,14 +358,13 @@ impl SocBus {
                 };
                 let span = rest.len().min((region.end() - addr) as usize);
                 let off = (addr - region.start()) as usize;
-                let (dst, dirty) = match region.kind() {
-                    RegionKind::Rom => (&mut self.rom, &mut self.dirty_rom),
-                    RegionKind::Ram => (&mut self.ram, &mut self.dirty_ram),
-                    RegionKind::Nvm => (&mut self.nvm, &mut self.dirty_nvm),
+                let dst = match region.kind() {
+                    RegionKind::Rom => &mut self.rom,
+                    RegionKind::Ram => &mut self.ram,
+                    RegionKind::Nvm => &mut self.nvm,
                     _ => panic!("image byte at {addr:#07x} outside loadable memory"),
                 };
-                dst[off..off + span].copy_from_slice(&rest[..span]);
-                mark_dirty(dirty, off, off + span);
+                dst.write_slice(off, &rest[..span]);
                 addr += span as u32;
                 rest = &rest[span..];
             }
@@ -475,9 +482,7 @@ impl SocBus {
         if let Some(op) = self.nvmc.take_completed(self.now) {
             match op {
                 crate::periph::nvmc::NvmOp::Write { offset, value } => {
-                    let o = offset as usize;
-                    self.nvm[o..o + 4].copy_from_slice(&value.to_le_bytes());
-                    mark_dirty(&mut self.dirty_nvm, o, o + 4);
+                    self.nvm.set_word(offset as usize, value);
                     self.decode
                         .invalidate_word(ExecRegion::Nvm, (offset >> 2) as usize);
                 }
@@ -486,8 +491,7 @@ impl SocBus {
                         * crate::periph::nvmc::PAGE_BYTES;
                     let p = page as usize;
                     let end = (p + crate::periph::nvmc::PAGE_BYTES as usize).min(self.nvm.len());
-                    self.nvm[p..end].fill(0xFF);
-                    mark_dirty(&mut self.dirty_nvm, p, end);
+                    self.nvm.fill_range(p..end, 0xFF);
                     self.decode.invalidate_range(
                         ExecRegion::Nvm,
                         (page >> 2) as usize,
@@ -525,7 +529,8 @@ impl SocBus {
     }
 
     /// Serializes the bus's dynamic state: cycle counter, latched
-    /// watchdog bite, the three memories (run-length encoded), the MMIO
+    /// watchdog bite, the three memories (run-length encoded page by
+    /// page, byte-identical to encoding them whole), the MMIO
     /// coverage set (sorted — `BTreeSet` iteration order), the decode
     /// cache counters, and all eight peripherals in fixed order.
     /// Configuration (mappings, memory map, fault wiring) is re-derived
@@ -533,9 +538,9 @@ impl SocBus {
     pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         put_u64(out, self.now);
         put_bool(out, self.watchdog_bite);
-        crate::savestate::put_rle(out, &self.rom);
-        crate::savestate::put_rle(out, &self.ram);
-        crate::savestate::put_rle(out, &self.nvm);
+        crate::savestate::put_rle_paged(out, &self.rom);
+        crate::savestate::put_rle_paged(out, &self.ram);
+        crate::savestate::put_rle_paged(out, &self.nvm);
         put_u32(out, self.mmio_touched.len() as u32);
         for addr in &self.mmio_touched {
             put_u32(out, *addr);
@@ -556,39 +561,30 @@ impl SocBus {
     pub(crate) fn apply_state(&mut self, r: &mut SaveReader<'_>) -> Result<(), SaveStateError> {
         self.now = r.take_u64()?;
         self.watchdog_bite = r.take_bool()?;
-        r.take_rle_into(&mut self.rom)?;
-        r.take_rle_into(&mut self.ram)?;
-        r.take_rle_into(&mut self.nvm)?;
-        // The snapshot may hold arbitrary content: every chunk may now
-        // differ from its constructor fill.
-        self.dirty_rom = !0;
-        self.dirty_ram = !0;
-        self.dirty_nvm = !0;
+        r.take_rle_paged(&mut self.rom)?;
+        r.take_rle_paged(&mut self.ram)?;
+        r.take_rle_paged(&mut self.nvm)?;
         self.apply_state_tail(r)
     }
 
     /// [`SocBus::apply_state`] specialized for a *pristine* snapshot —
     /// one captured right after construction. The memory sections are
-    /// verified to hold the constructor fills (and rejected otherwise),
-    /// then the arrays are reset through the dirty-chunk bitmaps: cost
-    /// proportional to what the last run touched, not to total memory.
-    /// This is what makes pooled campaign machines cheaper to rewind
-    /// than to reconstruct.
+    /// verified to hold the constructor fills (and rejected otherwise,
+    /// leaving the memories untouched), then every memory page is
+    /// dropped: the rewind frees what the last run touched instead of
+    /// decoding the blob's memories.
     pub(crate) fn apply_pristine_state(
         &mut self,
         r: &mut SaveReader<'_>,
     ) -> Result<(), SaveStateError> {
         self.now = r.take_u64()?;
         self.watchdog_bite = r.take_bool()?;
-        r.take_rle_uniform(self.rom.len(), 0x00)?;
-        r.take_rle_uniform(self.ram.len(), 0x00)?;
-        r.take_rle_uniform(self.nvm.len(), 0xFF)?;
-        fill_dirty(&mut self.rom, self.dirty_rom, 0x00);
-        fill_dirty(&mut self.ram, self.dirty_ram, 0x00);
-        fill_dirty(&mut self.nvm, self.dirty_nvm, 0xFF);
-        self.dirty_rom = 0;
-        self.dirty_ram = 0;
-        self.dirty_nvm = 0;
+        r.take_rle_uniform(self.rom.len(), self.rom.fill())?;
+        r.take_rle_uniform(self.ram.len(), self.ram.fill())?;
+        r.take_rle_uniform(self.nvm.len(), self.nvm.fill())?;
+        self.rom.clear();
+        self.ram.clear();
+        self.nvm.clear();
         self.apply_state_tail(r)
     }
 
@@ -619,8 +615,8 @@ impl SocBus {
     /// Cycle counters and busy-until deadlines are excluded so platforms
     /// that share a cost model digest equal while architecturally equal.
     pub(crate) fn arch_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.ram);
-        out.extend_from_slice(&self.nvm);
+        self.ram.extend_into(out);
+        self.nvm.extend_into(out);
         self.mailbox.arch_bytes(out);
         self.uart.arch_bytes(out);
         self.page.arch_bytes(out);
@@ -661,13 +657,21 @@ impl SocBus {
     }
 
     /// Direct NVM inspection for assertions in tests and experiments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word does not lie inside NVM.
     pub fn nvm_word(&self, offset: u32) -> u32 {
         let o = offset as usize;
+        assert!(
+            o + 4 <= self.nvm.len(),
+            "NVM word at {offset:#x} outside NVM"
+        );
         u32::from_le_bytes([
-            self.nvm[o],
-            self.nvm[o + 1],
-            self.nvm[o + 2],
-            self.nvm[o + 3],
+            self.nvm.get(o),
+            self.nvm.get(o + 1),
+            self.nvm.get(o + 2),
+            self.nvm.get(o + 3),
         ])
     }
 
@@ -724,13 +728,13 @@ impl SocBus {
             } else {
                 addr
             };
-            return Ok(read_word(&self.rom, fetch - ROM_START));
+            return Ok(self.rom.word((fetch - ROM_START) as usize));
         }
         if addr.wrapping_sub(RAM_START) < RAM_SIZE {
-            return Ok(read_word(&self.ram, addr - RAM_START));
+            return Ok(self.ram.word((addr - RAM_START) as usize));
         }
         if addr.wrapping_sub(NVM_START) < NVM_SIZE {
-            return Ok(read_word(&self.nvm, addr - NVM_START));
+            return Ok(self.nvm.word((addr - NVM_START) as usize));
         }
         self.mmio_read32(addr)
     }
@@ -787,7 +791,7 @@ impl SocBus {
                 // Jump-table skew: the redirected word is never cached
                 // under the requested address — always re-decode.
                 self.decode.stats.misses += 1;
-                let word = read_word(&self.rom, fetch - ROM_START);
+                let word = self.rom.word((fetch - ROM_START) as usize);
                 return Ok((word, advm_isa::decode(word).ok()));
             }
         }
@@ -821,8 +825,7 @@ impl SocBus {
             return Err(BusFault::Misaligned(addr));
         }
         if addr.wrapping_sub(RAM_START) < RAM_SIZE {
-            write_word(&mut self.ram, addr - RAM_START, value);
-            self.dirty_ram |= 1 << ((addr - RAM_START) as usize / DIRTY_CHUNK);
+            self.ram.set_word((addr - RAM_START) as usize, value);
             self.decode
                 .invalidate_word(ExecRegion::Ram, ((addr - RAM_START) >> 2) as usize);
             return Ok(());
@@ -865,13 +868,13 @@ impl SocBus {
     #[inline]
     pub fn read8(&mut self, addr: u32) -> Result<u8, BusFault> {
         if addr < ROM_START + ROM_SIZE {
-            return Ok(self.rom[(addr - ROM_START) as usize]);
+            return Ok(self.rom.get((addr - ROM_START) as usize));
         }
         if addr.wrapping_sub(RAM_START) < RAM_SIZE {
-            return Ok(self.ram[(addr - RAM_START) as usize]);
+            return Ok(self.ram.get((addr - RAM_START) as usize));
         }
         if addr.wrapping_sub(NVM_START) < NVM_SIZE {
-            return Ok(self.nvm[(addr - NVM_START) as usize]);
+            return Ok(self.nvm.get((addr - NVM_START) as usize));
         }
         match self.memmap.region_at(addr).map(|r| r.kind()) {
             Some(RegionKind::Mmio) => Err(BusFault::ByteAccessToMmio(addr)),
@@ -887,8 +890,7 @@ impl SocBus {
     #[inline]
     pub fn write8(&mut self, addr: u32, value: u8) -> Result<(), BusFault> {
         if addr.wrapping_sub(RAM_START) < RAM_SIZE {
-            self.ram[(addr - RAM_START) as usize] = value;
-            self.dirty_ram |= 1 << ((addr - RAM_START) as usize / DIRTY_CHUNK);
+            *self.ram.entry_mut((addr - RAM_START) as usize) = value;
             self.decode
                 .invalidate_word(ExecRegion::Ram, ((addr - RAM_START) >> 2) as usize);
             return Ok(());
@@ -903,14 +905,17 @@ impl SocBus {
     }
 }
 
-fn read_word(mem: &[u8], offset: u32) -> u32 {
-    let o = offset as usize;
-    u32::from_le_bytes([mem[o], mem[o + 1], mem[o + 2], mem[o + 3]])
-}
-
-fn write_word(mem: &mut [u8], offset: u32, value: u32) {
-    let o = offset as usize;
-    mem[o..o + 4].copy_from_slice(&value.to_le_bytes());
+#[cfg(test)]
+impl SocBus {
+    /// How many pages the bus holds: `(memory pages, decode-cache
+    /// pages)`.
+    pub(crate) fn resident_pages(&self) -> (usize, usize) {
+        let memory = [&self.rom, &self.ram, &self.nvm]
+            .iter()
+            .map(|m| m.resident_pages())
+            .sum();
+        (memory, self.decode.resident_pages())
+    }
 }
 
 #[cfg(test)]
@@ -918,6 +923,58 @@ mod tests {
     use advm_soc::Mailbox;
 
     use super::*;
+
+    #[test]
+    fn wiring_memo_equals_the_register_map_build() {
+        for id in DerivativeId::ALL {
+            let derivative = Derivative::from_id(id);
+            // Twice: the first call may fill the memo, the second reads it.
+            for _ in 0..2 {
+                let wiring = Wiring::of(&derivative);
+                assert!(matches!(wiring, Cow::Borrowed(_)), "{id} misses the memo");
+                assert_eq!(*wiring, Wiring::from_regmap(&derivative), "{id}");
+            }
+        }
+    }
+
+    #[test]
+    fn wiring_outside_the_catalogue_is_built_from_the_register_map() {
+        // A catalogue that knows only SC88-A, under a deliberately wrong
+        // wiring: SC88-A is answered from the catalogue, and every
+        // derivative it does not hold from its own register map.
+        let sc88a = Derivative::sc88a();
+        let wrong = Wiring::from_regmap(&Derivative::sc88d());
+        assert_ne!(wrong, Wiring::from_regmap(&sc88a));
+        let catalogue = [(sc88a.clone(), wrong.clone())];
+        assert_eq!(*Wiring::lookup(&catalogue, &sc88a), wrong);
+        for id in [
+            DerivativeId::Sc88B,
+            DerivativeId::Sc88C,
+            DerivativeId::Sc88D,
+        ] {
+            let derivative = Derivative::from_id(id);
+            let wiring = Wiring::lookup(&catalogue, &derivative);
+            assert!(matches!(wiring, Cow::Owned(_)), "{id} hit the memo");
+            assert_eq!(*wiring, Wiring::from_regmap(&derivative), "{id}");
+        }
+    }
+
+    #[test]
+    fn bus_is_wired_from_the_derivative_register_map() {
+        for id in DerivativeId::ALL {
+            let derivative = Derivative::from_id(id);
+            let map = derivative.regmap();
+            let bus = SocBus::new(&derivative, PlatformId::GoldenModel, PlatformFault::None);
+            for (mapping, name) in bus
+                .mappings
+                .iter()
+                .zip(["UART", "PAGE", "TIMER", "INTC", "WDT", "NVMC", "CRC", "TB"])
+            {
+                let module = map.module(name).unwrap();
+                assert_eq!((mapping.base, mapping.size), (module.base(), module.size()));
+            }
+        }
+    }
 
     fn bus() -> SocBus {
         SocBus::new(

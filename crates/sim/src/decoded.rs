@@ -12,7 +12,9 @@
 //!   decodes once, not six times.
 //! * `DecodeCache` (crate-internal) — the per-bus mutable cache the CPU
 //!   fetches through. Slots memoise `(word, decode(word))` per aligned word of
-//!   ROM, RAM and NVM; they are invalidated *precisely*: a RAM store
+//!   ROM, RAM and NVM, in paged tables (see `paged`, crate-internal)
+//!   that hold only the pages a run fetched from or preloaded. Slots
+//!   are invalidated *precisely*: a RAM store
 //!   clears the word it hits (self-modifying code), an NVM-controller
 //!   program/erase clears the words it commits, and the ES-ROM
 //!   jump-table-skew fault bypasses the cache for redirected fetches —
@@ -39,6 +41,8 @@ use advm_asm::Image;
 use advm_isa::{decode, Insn};
 use advm_soc::memmap::{MemoryMap, NVM_SIZE, NVM_START, RAM_SIZE, RAM_START, ROM_SIZE, ROM_START};
 use advm_soc::RegionKind;
+
+use crate::paged::{Memory, WordTable};
 
 /// One predecoded word slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,20 +296,22 @@ const BLOCK_UNKNOWN: u32 = 0;
 const BLOCK_NONE: u32 = 1;
 const BLOCK_BASE: u32 = 2;
 
-/// The per-bus decode cache: one lazily allocated slot array per
-/// executable region, the superblock tier built over those slots, plus
-/// the run's [`DecodeStats`].
+/// The per-bus decode cache: one paged slot table per executable
+/// region, the superblock tier built over those slots, plus the run's
+/// [`DecodeStats`]. A page of slots or of the block map is allocated on
+/// its first write, so the cache holds only the pages covering words a
+/// run fetched, preloaded or started a block at.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodeCache {
-    rom: Vec<Slot>,
-    ram: Vec<Slot>,
-    nvm: Vec<Slot>,
-    /// Per-region block map, lazily allocated like the slot arrays:
-    /// indexed by start word, [`BLOCK_UNKNOWN`]/[`BLOCK_NONE`] sentinels
-    /// or an arena id + [`BLOCK_BASE`].
-    rom_blocks: Vec<u32>,
-    ram_blocks: Vec<u32>,
-    nvm_blocks: Vec<u32>,
+    rom: WordTable<Slot>,
+    ram: WordTable<Slot>,
+    nvm: WordTable<Slot>,
+    /// Per-region block map, paged like the slot tables: indexed by
+    /// start word, [`BLOCK_UNKNOWN`]/[`BLOCK_NONE`] sentinels or an
+    /// arena id + [`BLOCK_BASE`].
+    rom_blocks: WordTable<u32>,
+    ram_blocks: WordTable<u32>,
+    nvm_blocks: WordTable<u32>,
     /// Shared-ownership block storage; freed ids are recycled.
     arena: Vec<Option<Arc<Superblock>>>,
     free: Vec<u32>,
@@ -322,12 +328,12 @@ pub(crate) struct DecodeCache {
 impl Default for DecodeCache {
     fn default() -> Self {
         Self {
-            rom: Vec::new(),
-            ram: Vec::new(),
-            nvm: Vec::new(),
-            rom_blocks: Vec::new(),
-            ram_blocks: Vec::new(),
-            nvm_blocks: Vec::new(),
+            rom: WordTable::new(ROM_WORDS, Slot::Unknown),
+            ram: WordTable::new(RAM_WORDS, Slot::Unknown),
+            nvm: WordTable::new(NVM_WORDS, Slot::Unknown),
+            rom_blocks: WordTable::new(ROM_WORDS, BLOCK_UNKNOWN),
+            ram_blocks: WordTable::new(RAM_WORDS, BLOCK_UNKNOWN),
+            nvm_blocks: WordTable::new(NVM_WORDS, BLOCK_UNKNOWN),
             arena: Vec::new(),
             free: Vec::new(),
             generation: 0,
@@ -413,47 +419,43 @@ impl DecodeCache {
         self.generation
     }
 
-    /// The slot array and word count of one region. A macro-free free
-    /// function keeps the borrow of the slot vector disjoint from the
-    /// stats counters.
+    /// The slot table of one region. A free function keeps the borrow
+    /// of the table disjoint from the stats counters.
     fn region_of<'a>(
-        rom: &'a mut Vec<Slot>,
-        ram: &'a mut Vec<Slot>,
-        nvm: &'a mut Vec<Slot>,
+        rom: &'a mut WordTable<Slot>,
+        ram: &'a mut WordTable<Slot>,
+        nvm: &'a mut WordTable<Slot>,
         region: ExecRegion,
-    ) -> (&'a mut Vec<Slot>, usize) {
+    ) -> &'a mut WordTable<Slot> {
         match region {
-            ExecRegion::Rom => (rom, ROM_WORDS),
-            ExecRegion::Ram => (ram, RAM_WORDS),
-            ExecRegion::Nvm => (nvm, NVM_WORDS),
+            ExecRegion::Rom => rom,
+            ExecRegion::Ram => ram,
+            ExecRegion::Nvm => nvm,
         }
     }
 
-    /// Fetches through the cache: `mem` is the region's backing array,
+    /// Fetches through the cache: `mem` is the region's backing memory,
     /// `idx` the word index within it. Returns the raw word and its
     /// decoding (`None` = illegal).
+    ///
+    /// Inlined so a hit costs the caller one page lookup; the disabled
+    /// cache's path stays a call, so the uncached baseline the
+    /// predecoded tier is gated against (≥ 2×) keeps its cost.
+    #[inline(always)]
     pub(crate) fn fetch(
         &mut self,
         region: ExecRegion,
-        mem: &[u8],
+        mem: &Memory,
         idx: usize,
     ) -> (u32, Option<Insn>) {
         if !self.enabled {
-            self.stats.misses += 1;
-            let word = word_at(mem, idx);
-            return (word, decode(word).ok());
+            return self.fetch_uncached(mem, idx);
         }
-        let (slots, words) = Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-        if slots.is_empty() {
-            // `resize` re-fills in place: invalidation `clear`s but
-            // keeps capacity, so steady-state refills never re-allocate
-            // the region's slot table.
-            slots.resize(words, Slot::Unknown);
-        }
-        let slot = match slots[idx] {
+        let slots = Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
+        let slot = match slots.get(idx) {
             Slot::Unknown => {
-                let fresh = Slot::of(word_at(mem, idx));
-                slots[idx] = fresh;
+                let fresh = Slot::of(mem.word(idx * 4));
+                *slots.entry_mut(idx) = fresh;
                 self.stats.misses += 1;
                 fresh
             }
@@ -469,18 +471,26 @@ impl DecodeCache {
         }
     }
 
-    /// The block-map array and word count of one region (same disjoint
-    /// borrow trick as [`DecodeCache::region_of`]).
+    /// [`DecodeCache::fetch`] with the cache disabled: decodes afresh.
+    #[inline(never)]
+    fn fetch_uncached(&mut self, mem: &Memory, idx: usize) -> (u32, Option<Insn>) {
+        self.stats.misses += 1;
+        let word = mem.word(idx * 4);
+        (word, decode(word).ok())
+    }
+
+    /// The block map of one region (same disjoint borrow trick as
+    /// [`DecodeCache::region_of`]).
     fn block_map_of<'a>(
-        rom: &'a mut Vec<u32>,
-        ram: &'a mut Vec<u32>,
-        nvm: &'a mut Vec<u32>,
+        rom: &'a mut WordTable<u32>,
+        ram: &'a mut WordTable<u32>,
+        nvm: &'a mut WordTable<u32>,
         region: ExecRegion,
-    ) -> (&'a mut Vec<u32>, usize) {
+    ) -> &'a mut WordTable<u32> {
         match region {
-            ExecRegion::Rom => (rom, ROM_WORDS),
-            ExecRegion::Ram => (ram, RAM_WORDS),
-            ExecRegion::Nvm => (nvm, NVM_WORDS),
+            ExecRegion::Rom => rom,
+            ExecRegion::Ram => ram,
+            ExecRegion::Nvm => nvm,
         }
     }
 
@@ -493,7 +503,7 @@ impl DecodeCache {
     pub(crate) fn superblock(
         &mut self,
         region: ExecRegion,
-        mem: &[u8],
+        mem: &Memory,
         idx: usize,
         excluded: Option<(usize, usize)>,
     ) -> Option<Arc<Superblock>> {
@@ -503,18 +513,13 @@ impl DecodeCache {
         if excluded.is_some_and(|(lo, hi)| idx >= lo && idx < hi) {
             return None;
         }
-        let entry = {
-            let (map, words) = Self::block_map_of(
-                &mut self.rom_blocks,
-                &mut self.ram_blocks,
-                &mut self.nvm_blocks,
-                region,
-            );
-            if map.is_empty() {
-                map.resize(words, BLOCK_UNKNOWN);
-            }
-            map[idx]
-        };
+        let entry = Self::block_map_of(
+            &mut self.rom_blocks,
+            &mut self.ram_blocks,
+            &mut self.nvm_blocks,
+            region,
+        )
+        .get(idx);
         match entry {
             BLOCK_UNKNOWN => {}
             BLOCK_NONE => return None,
@@ -525,20 +530,17 @@ impl DecodeCache {
         // build only materialises the chain.
         let mut insns: Vec<Insn> = Vec::new();
         {
-            let (slots, words) =
-                Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-            if slots.is_empty() {
-                slots.resize(words, Slot::Unknown);
-            }
-            let mut cap = (idx + MAX_BLOCK_WORDS).min(words);
+            let slots = Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
+            let mut cap = (idx + MAX_BLOCK_WORDS).min(slots.len());
             if let Some((lo, _)) = excluded {
                 if idx < lo {
                     cap = cap.min(lo);
                 }
             }
-            for (at, slot) in slots.iter_mut().enumerate().take(cap).skip(idx) {
+            for at in idx..cap {
+                let slot = slots.entry_mut(at);
                 if *slot == Slot::Unknown {
-                    *slot = Slot::of(word_at(mem, at));
+                    *slot = Slot::of(mem.word(at * 4));
                 }
                 let Slot::Insn { insn, .. } = *slot else {
                     break;
@@ -553,14 +555,14 @@ impl DecodeCache {
                 }
             }
         }
+        let map = Self::block_map_of(
+            &mut self.rom_blocks,
+            &mut self.ram_blocks,
+            &mut self.nvm_blocks,
+            region,
+        );
         if insns.is_empty() {
-            let (map, _) = Self::block_map_of(
-                &mut self.rom_blocks,
-                &mut self.ram_blocks,
-                &mut self.nvm_blocks,
-                region,
-            );
-            map[idx] = BLOCK_NONE;
+            *map.entry_mut(idx) = BLOCK_NONE;
             return None;
         }
         let block = Arc::new(Superblock {
@@ -577,13 +579,7 @@ impl DecodeCache {
             }
         };
         self.stats.blocks_built += 1;
-        let (map, _) = Self::block_map_of(
-            &mut self.rom_blocks,
-            &mut self.ram_blocks,
-            &mut self.nvm_blocks,
-            region,
-        );
-        map[idx] = id + BLOCK_BASE;
+        *map.entry_mut(idx) = id + BLOCK_BASE;
         Some(block)
     }
 
@@ -607,37 +603,41 @@ impl DecodeCache {
             ExecRegion::Ram => &mut self.ram_blocks,
             ExecRegion::Nvm => &mut self.nvm_blocks,
         };
-        if map.is_empty() {
+        if map.untouched() {
             return;
         }
         self.generation = self.generation.wrapping_add(1);
         let lo = start.saturating_sub(MAX_BLOCK_WORDS - 1);
         let hi = end.min(map.len());
-        for (j, entry) in map.iter_mut().enumerate().take(hi).skip(lo) {
-            if *entry == BLOCK_UNKNOWN {
+        for j in lo..hi {
+            // Entries on absent pages read BLOCK_UNKNOWN and are
+            // skipped, so the scan allocates nothing.
+            let entry = map.get(j);
+            if entry == BLOCK_UNKNOWN {
                 continue;
             }
-            if *entry == BLOCK_NONE {
+            if entry == BLOCK_NONE {
                 // The written word may turn this start into a viable
                 // block — retry the build next time it is dispatched.
-                *entry = BLOCK_UNKNOWN;
+                *map.entry_mut(j) = BLOCK_UNKNOWN;
                 continue;
             }
-            let id = (*entry - BLOCK_BASE) as usize;
+            let id = (entry - BLOCK_BASE) as usize;
             if self.arena[id].as_ref().is_some_and(|b| j + b.len() > start) {
                 self.arena[id] = None;
-                self.free.push(*entry - BLOCK_BASE);
-                *entry = BLOCK_UNKNOWN;
+                self.free.push(entry - BLOCK_BASE);
+                *map.entry_mut(j) = BLOCK_UNKNOWN;
                 self.stats.block_invalidations += 1;
             }
         }
     }
 
-    /// Invalidates one word slot (no-op while the region is cold).
+    /// Invalidates one word slot (no-op while the slot is cold, so a
+    /// store never allocates a slot page).
     fn invalidate_word_slot(&mut self, region: ExecRegion, idx: usize) {
-        let (slots, _) = Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-        if !slots.is_empty() && slots[idx] != Slot::Unknown {
-            slots[idx] = Slot::Unknown;
+        let slots = Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
+        if !slots.untouched() && slots.get(idx) != Slot::Unknown {
+            *slots.entry_mut(idx) = Slot::Unknown;
             self.stats.invalidations += 1;
         }
     }
@@ -658,10 +658,10 @@ impl DecodeCache {
     }
 
     /// Drops every slot and block (image load replaces backing memory
-    /// wholesale).
+    /// wholesale): every page of the cache is freed.
     pub(crate) fn invalidate_all(&mut self) {
         for slots in [&mut self.rom, &mut self.ram, &mut self.nvm] {
-            if !slots.is_empty() {
+            if !slots.untouched() {
                 self.stats.invalidations += 1;
                 slots.clear();
             }
@@ -715,20 +715,27 @@ impl DecodeCache {
             let Some((region, idx)) = ExecRegion::classify(addr) else {
                 continue;
             };
-            let (slots, words) =
-                Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-            if slots.is_empty() {
-                slots.resize(words, Slot::Unknown);
-            }
-            slots[idx] = slot;
+            *Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region).entry_mut(idx) =
+                slot;
             self.stats.preloaded += 1;
         }
     }
 }
 
-fn word_at(mem: &[u8], idx: usize) -> u32 {
-    let o = idx * 4;
-    u32::from_le_bytes([mem[o], mem[o + 1], mem[o + 2], mem[o + 3]])
+#[cfg(test)]
+impl DecodeCache {
+    /// How many slot and block-map pages the cache holds.
+    pub(crate) fn resident_pages(&self) -> usize {
+        let slots: usize = [&self.rom, &self.ram, &self.nvm]
+            .iter()
+            .map(|t| t.resident_pages())
+            .sum();
+        let blocks: usize = [&self.rom_blocks, &self.ram_blocks, &self.nvm_blocks]
+            .iter()
+            .map(|t| t.resident_pages())
+            .sum();
+        slots + blocks
+    }
 }
 
 #[cfg(test)]
@@ -772,10 +779,17 @@ mod tests {
         assert_eq!(word, 0xFFFF_FF01);
     }
 
+    /// A ROM-sized memory holding `word` at offset 0.
+    fn memory(word: &Insn) -> Memory {
+        let mut mem = Memory::new(ROM_SIZE as usize, 0);
+        mem.set_word(0, encode(word));
+        mem
+    }
+
     #[test]
     fn cache_counts_hits_and_misses() {
         let mut cache = DecodeCache::default();
-        let mem = encode(&Insn::Nop).to_le_bytes().to_vec();
+        let mem = memory(&Insn::Nop);
         let (word, insn) = cache.fetch(ExecRegion::Rom, &mem, 0);
         assert_eq!(word, encode(&Insn::Nop));
         assert_eq!(insn, Some(Insn::Nop));
@@ -787,9 +801,9 @@ mod tests {
     #[test]
     fn invalidation_forces_redecode() {
         let mut cache = DecodeCache::default();
-        let mut mem = encode(&Insn::Nop).to_le_bytes().to_vec();
+        let mut mem = memory(&Insn::Nop);
         cache.fetch(ExecRegion::Ram, &mem, 0);
-        mem.copy_from_slice(&encode(&Insn::Halt { code: 7 }).to_le_bytes());
+        mem.set_word(0, encode(&Insn::Halt { code: 7 }));
         // Stale without invalidation…
         let (_, insn) = cache.fetch(ExecRegion::Ram, &mem, 0);
         assert_eq!(insn, Some(Insn::Nop));
@@ -804,7 +818,7 @@ mod tests {
     fn disabled_cache_always_decodes() {
         let mut cache = DecodeCache::default();
         cache.set_enabled(false);
-        let mem = encode(&Insn::Nop).to_le_bytes().to_vec();
+        let mem = memory(&Insn::Nop);
         cache.fetch(ExecRegion::Rom, &mem, 0);
         cache.fetch(ExecRegion::Rom, &mem, 0);
         assert_eq!(cache.stats.hits, 0);
@@ -820,7 +834,7 @@ mod tests {
         let mut cache = DecodeCache::default();
         cache.preload(&decoded);
         assert_eq!(cache.stats.preloaded, 2);
-        let mem = vec![0u8; 0x200];
+        let mem = Memory::new(ROM_SIZE as usize, 0);
         let (_, insn) = cache.fetch(ExecRegion::Rom, &mem, 0x100 / 4);
         assert_eq!(insn, Some(Insn::Nop));
         assert_eq!(cache.stats.hits, 1);

@@ -10,6 +10,8 @@
 //! * [`bus`] — memory plus derivative-placed peripherals
 //!   ([`periph`]: UART, page module, timer, interrupt controller,
 //!   watchdog, NVM controller, CRC unit, test-bench mailbox),
+//! * [`decoded`] — predecoded-instruction artifacts and the per-bus
+//!   decode cache with its superblock tier,
 //! * [`platform`] — per-platform cycle models, debug visibility, reset
 //!   behaviour and the run loop,
 //! * [`fault`] — injectable platform bugs,
@@ -19,6 +21,16 @@
 //!   ([`Platform::snapshot`]/[`Platform::restore`]/[`Platform::fork`]),
 //! * [`bisect`] — snapshot-powered binary search for the first retired
 //!   instruction at which two platforms diverge.
+//!
+//! A machine's state is sized to what its run touches. ROM, RAM, NVM
+//! and the decode cache's slot tables and superblock maps are paged
+//! tables over the whole SC88 address space: a page is allocated on its
+//! first write, and an absent page reads as its region's power-up fill
+//! (`0x00` for ROM and RAM, erased `0xFF` for NVM). Constructing a
+//! machine allocates no page, snapshots encode memories page by page
+//! (byte-identical to encoding them whole), and a pristine rewind drops
+//! every page. The derivative-dependent bus wiring — peripheral windows
+//! and page-field geometry — is built once per catalogued derivative.
 //!
 //! ```
 //! use advm_asm::{assemble_str, Image};
@@ -46,6 +58,7 @@ pub mod cpu;
 pub mod decoded;
 pub mod diverge;
 pub mod fault;
+mod paged;
 pub mod periph;
 pub mod platform;
 pub mod savestate;

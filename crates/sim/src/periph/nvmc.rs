@@ -227,6 +227,11 @@ impl NvmController {
             let tag = r.take_u8()?;
             let offset = r.take_u32()?;
             let value = r.take_u32()?;
+            // `command` only queues aligned in-range offsets; a blob
+            // holding any other would commit outside NVM.
+            if !offset.is_multiple_of(4) || offset >= self.nvm_size {
+                return Err(SaveStateError::Corrupt("NVMC op offset out of range"));
+            }
             let op = match tag {
                 0 => NvmOp::Write { offset, value },
                 1 => NvmOp::Erase { offset },

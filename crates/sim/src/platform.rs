@@ -344,11 +344,12 @@ impl Platform {
     /// Rewinds this machine to its *pristine* snapshot — one captured
     /// right after construction, before any image was loaded or
     /// instruction run. Semantically identical to [`Platform::restore`]
-    /// but the memories are reset through dirty-chunk bookkeeping
-    /// instead of a full RLE decode, so the cost is proportional to
-    /// what the machine actually touched since the snapshot. Pooled
-    /// campaign workers use this to reset a machine between from-reset
-    /// jobs faster than either a full restore or reconstruction.
+    /// but, once the snapshot's memories are checked to be the
+    /// constructor fills, every memory and decode page is dropped
+    /// instead of decoding them: the cost is what the machine touched
+    /// since the snapshot, the same as building a fresh machine and
+    /// dropping this one. Pooled campaign workers use it to reset a
+    /// machine between from-reset jobs.
     ///
     /// # Errors
     ///
@@ -669,7 +670,7 @@ sub:
             assert_eq!(
                 machine.snapshot().as_bytes(),
                 pristine.as_bytes(),
-                "{id}: dirty-chunk rewind must be byte-identical to the pristine state"
+                "{id}: pristine rewind must be byte-identical to the pristine state"
             );
         }
     }
@@ -707,6 +708,60 @@ sub:
         ));
         // The generic restore still accepts it.
         machine.restore(&dirty).unwrap();
+    }
+
+    #[test]
+    fn a_machine_holds_only_the_pages_its_image_and_stack_cover() {
+        use std::collections::BTreeSet;
+
+        use advm_soc::memmap::STACK_TOP;
+
+        use crate::paged::PAGE_BYTES;
+
+        // Code in the first ROM page, a data store in the first RAM page
+        // and a CALL whose return address lands in the last RAM page.
+        let img = image(
+            "\
+_main:
+    LOAD d1, #0xDEAD0000
+    STORE [0x40100], d1
+    CALL sub
+    LOAD d2, #0x600D0000
+    STORE [0xEFF00], d2
+    STORE [0xEFF08], d2
+    HALT #0
+sub:
+    RETURN
+",
+        );
+        let page = |addr: u32| addr as usize / PAGE_BYTES;
+        let image_pages: BTreeSet<usize> = img.iter().map(|(addr, _)| page(addr)).collect();
+        let data_pages: BTreeSet<usize> = [0x4_0100, STACK_TOP - 4].into_iter().map(page).collect();
+        assert_eq!((image_pages.len(), data_pages.len()), (1, 2));
+        let decoded = DecodedProgram::from_image(&img);
+        for id in PlatformId::ALL {
+            for prebuilt in [false, true] {
+                let mut machine = Platform::new(id, &Derivative::sc88a());
+                assert_eq!(machine.bus().resident_pages(), (0, 0), "{id}: construction");
+                let pristine = machine.snapshot();
+                if prebuilt {
+                    machine.load_prebuilt(&img, &decoded);
+                } else {
+                    machine.load_image(&img);
+                }
+                // Preloading fills the image page's slots.
+                let slots = usize::from(prebuilt);
+                let loaded = (image_pages.len(), slots);
+                assert_eq!(machine.bus().resident_pages(), loaded, "{id}: load");
+                assert!(machine.run().passed(), "{id}");
+                // The run adds the data and stack pages, and the code
+                // page's slots and block map.
+                let ran = (image_pages.len() + data_pages.len(), 2);
+                assert_eq!(machine.bus().resident_pages(), ran, "{id}: run");
+                machine.restore_pristine(&pristine).unwrap();
+                assert_eq!(machine.bus().resident_pages(), (0, 0), "{id}: rewind");
+            }
+        }
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //! [`SaveStateError::UnsupportedVersion`] rather than misread.
 
 use std::fmt;
+use std::ops::Range;
 
 use advm_soc::testbench::PlatformId;
 
 use crate::fault::PlatformFault;
+use crate::paged::Paged;
 
 /// Magic bytes at the start of every snapshot blob.
 pub const SAVESTATE_MAGIC: [u8; 4] = *b"ADVM";
@@ -142,8 +144,11 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Run-length encodes a memory array: decoded length, then
-/// `(byte, run)` pairs. Mostly-blank ROM/RAM/NVM images compress to a
-/// few dozen bytes, keeping committed golden blobs reviewable.
+/// `(byte, run)` pairs of maximal runs. Mostly-blank ROM/RAM/NVM images
+/// compress to a few dozen bytes, keeping committed golden blobs
+/// reviewable. Machines encode their paged memories with
+/// [`put_rle_paged`]; this dense form is its reference.
+#[cfg(test)]
 pub(crate) fn put_rle(out: &mut Vec<u8>, data: &[u8]) {
     put_u32(out, data.len() as u32);
     let mut rest = data;
@@ -152,6 +157,44 @@ pub(crate) fn put_rle(out: &mut Vec<u8>, data: &[u8]) {
         put_u8(out, byte);
         put_u32(out, run as u32);
         rest = &rest[run..];
+    }
+}
+
+/// `put_rle` over a paged memory, byte for byte: runs merge across
+/// page boundaries, and an absent page adds a run of the fill without
+/// being scanned.
+pub(crate) fn put_rle_paged<const N: usize>(out: &mut Vec<u8>, mem: &Paged<u8, N>) {
+    put_u32(out, mem.len() as u32);
+    let mut run = None;
+    for page in mem.pages() {
+        let Some(bytes) = page else {
+            extend_run(out, &mut run, mem.fill(), N);
+            continue;
+        };
+        let mut rest = &bytes[..];
+        while let Some(&byte) = rest.first() {
+            let n = run_length(rest, byte);
+            extend_run(out, &mut run, byte, n);
+            rest = &rest[n..];
+        }
+    }
+    if let Some((byte, n)) = run {
+        put_u8(out, byte);
+        put_u32(out, n as u32);
+    }
+}
+
+/// Adds `n` copies of `byte` to the pending run, first writing out the
+/// pending run if it holds a different byte.
+fn extend_run(out: &mut Vec<u8>, run: &mut Option<(u8, usize)>, byte: u8, n: usize) {
+    match run {
+        Some((pending, len)) if *pending == byte => *len += n,
+        _ => {
+            if let Some((pending, len)) = run.replace((byte, n)) {
+                put_u8(out, pending);
+                put_u32(out, len as u32);
+            }
+        }
     }
 }
 
@@ -239,35 +282,14 @@ impl<'a> SaveReader<'a> {
         self.take(len)
     }
 
-    /// Decodes a run-length-encoded memory image into `dst`, whose
-    /// length must equal the encoded length (memory sizes are fixed by
-    /// the SC88 map, not by the blob).
-    pub(crate) fn take_rle_into(&mut self, dst: &mut [u8]) -> Result<(), SaveStateError> {
-        let total = self.take_u32()? as usize;
-        if total != dst.len() {
-            return Err(SaveStateError::Corrupt("memory size mismatch"));
-        }
-        let mut filled = 0usize;
-        while filled < total {
-            let byte = self.take_u8()?;
-            let run = self.take_u32()? as usize;
-            if run == 0 || run > total - filled {
-                return Err(SaveStateError::Corrupt("bad run length"));
-            }
-            dst[filled..filled + run].fill(byte);
-            filled += run;
-        }
-        Ok(())
-    }
-
-    /// Consumes an RLE section, verifying it decodes to exactly `len`
-    /// bytes all equal to `fill` — without writing a destination. The
-    /// pristine-rewind fast path uses this to check that a snapshot's
-    /// memory payload matches the constructor values (so the memories
-    /// can be reset through dirty-chunk fills instead of a full
-    /// decode), while still consuming the reader exactly like
-    /// [`SaveReader::take_rle_into`].
-    pub(crate) fn take_rle_uniform(&mut self, len: usize, fill: u8) -> Result<(), SaveStateError> {
+    /// Reads an RLE section's header and runs, checking that it decodes
+    /// to exactly `len` bytes, and hands each run to `each` as its byte
+    /// range and value.
+    fn take_runs(
+        &mut self,
+        len: usize,
+        mut each: impl FnMut(Range<usize>, u8) -> Result<(), SaveStateError>,
+    ) -> Result<(), SaveStateError> {
         let total = self.take_u32()? as usize;
         if total != len {
             return Err(SaveStateError::Corrupt("memory size mismatch"));
@@ -279,12 +301,52 @@ impl<'a> SaveReader<'a> {
             if run == 0 || run > total - filled {
                 return Err(SaveStateError::Corrupt("bad run length"));
             }
-            if byte != fill {
-                return Err(SaveStateError::Corrupt("snapshot memory is not pristine"));
-            }
+            each(filled..filled + run, byte)?;
             filled += run;
         }
         Ok(())
+    }
+
+    /// Decodes a run-length-encoded memory image into `dst`, whose
+    /// length must equal the encoded length (memory sizes are fixed by
+    /// the SC88 map, not by the blob). The dense reference for
+    /// [`SaveReader::take_rle_paged`].
+    #[cfg(test)]
+    pub(crate) fn take_rle_into(&mut self, dst: &mut [u8]) -> Result<(), SaveStateError> {
+        self.take_runs(dst.len(), |range, byte| {
+            dst[range].fill(byte);
+            Ok(())
+        })
+    }
+
+    /// Decodes a run-length-encoded memory image into a paged memory,
+    /// replacing its contents. Runs of the memory's fill allocate
+    /// nothing, so only pages holding other bytes end up resident.
+    pub(crate) fn take_rle_paged<const N: usize>(
+        &mut self,
+        dst: &mut Paged<u8, N>,
+    ) -> Result<(), SaveStateError> {
+        dst.clear();
+        self.take_runs(dst.len(), |range, byte| {
+            dst.fill_range(range, byte);
+            Ok(())
+        })
+    }
+
+    /// Consumes an RLE section, verifying it decodes to exactly `len`
+    /// bytes all equal to `fill` — without writing a destination. The
+    /// pristine rewind uses this to check that a snapshot's memory
+    /// payload is the constructor fill before dropping every page,
+    /// while still consuming the reader exactly like
+    /// [`SaveReader::take_rle_paged`].
+    pub(crate) fn take_rle_uniform(&mut self, len: usize, fill: u8) -> Result<(), SaveStateError> {
+        self.take_runs(len, |_, byte| {
+            if byte == fill {
+                Ok(())
+            } else {
+                Err(SaveStateError::Corrupt("snapshot memory is not pristine"))
+            }
+        })
     }
 
     /// Asserts the whole blob was consumed.
@@ -336,7 +398,10 @@ pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::paged::PAGE_BYTES;
 
     #[test]
     fn rle_roundtrips_arbitrary_data() {
@@ -366,6 +431,89 @@ mod tests {
             r.take_rle_into(&mut dst),
             Err(SaveStateError::Corrupt("memory size mismatch"))
         );
+    }
+
+    /// One generated page: absent (`kind == 0`) or held, its contents a
+    /// sequence of `(random byte, selector, length)` runs. Selectors 0–2
+    /// pick the fill, the other erase value or `0x5A`, so runs of the
+    /// fill meet page boundaries often; selector 3 keeps the random byte.
+    type PageSpec = (u8, Vec<(u8, u8, usize)>);
+
+    fn page_specs() -> impl Strategy<Value = Vec<PageSpec>> {
+        proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec((any::<u8>(), 0u8..4, 1usize..24), 0..12),
+            ),
+            0..6,
+        )
+    }
+
+    /// Builds the paged memory a page spec describes, plus its dense
+    /// contents and how many of its pages hold a byte other than `fill`.
+    fn build<const N: usize>(specs: &[PageSpec], fill: u8) -> (Paged<u8, N>, Vec<u8>, usize) {
+        let mut mem = Paged::<u8, N>::new(specs.len() * N, fill);
+        let mut dense = Vec::new();
+        let mut non_blank = 0;
+        for (p, (kind, runs)) in specs.iter().enumerate() {
+            let mut bytes: Vec<u8> = runs
+                .iter()
+                .flat_map(|&(random, sel, n)| {
+                    let byte = [fill, !fill, 0x5A, random][usize::from(sel)];
+                    std::iter::repeat_n(byte, n)
+                })
+                .collect();
+            bytes.resize(N, fill);
+            if *kind == 0 {
+                bytes.fill(fill);
+            } else {
+                mem.write_slice(p * N, &bytes);
+            }
+            non_blank += usize::from(bytes.iter().any(|&b| b != fill));
+            dense.extend_from_slice(&bytes);
+        }
+        (mem, dense, non_blank)
+    }
+
+    fn check_paged_rle<const N: usize>(specs: &[PageSpec], fill: u8) {
+        let (mem, dense, non_blank) = build::<N>(specs, fill);
+        let mut paged = Vec::new();
+        put_rle_paged(&mut paged, &mem);
+        let mut reference = Vec::new();
+        put_rle(&mut reference, &dense);
+        assert_eq!(paged, reference, "paged RLE must equal the dense encoding");
+
+        let mut back = Paged::<u8, N>::new(dense.len(), fill);
+        back.write_slice(0, &vec![!fill; dense.len()]);
+        let mut r = SaveReader::new(&paged);
+        r.take_rle_paged(&mut back).unwrap();
+        r.expect_end().unwrap();
+        let mut contents = Vec::new();
+        back.extend_into(&mut contents);
+        assert_eq!(contents, dense);
+        assert_eq!(
+            back.resident_pages(),
+            non_blank,
+            "decoding allocates exactly the pages holding non-fill bytes"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The page-by-page encoder writes the dense encoder's bytes
+        /// for arbitrary page contents, and the page-by-page decoder
+        /// reads them back allocating only pages that differ from the
+        /// fill — at a page size small enough for runs to span many
+        /// pages, and at the machines' own page size.
+        #[test]
+        fn paged_rle_matches_dense_encoding(
+            specs in page_specs(),
+            fill in prop_oneof![Just(0x00u8), Just(0xFFu8)],
+        ) {
+            check_paged_rle::<8>(&specs, fill);
+            check_paged_rle::<PAGE_BYTES>(&specs, fill);
+        }
     }
 
     #[test]

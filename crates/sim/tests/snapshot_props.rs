@@ -3,7 +3,7 @@
 //! one that never stopped.
 
 use advm_asm::{assemble_str, Image};
-use advm_sim::{Platform, PlatformFault, SaveStateError};
+use advm_sim::{Platform, PlatformFault, SaveState, SaveStateError};
 use advm_soc::testbench::PlatformId;
 use advm_soc::Derivative;
 use proptest::prelude::*;
@@ -39,6 +39,57 @@ loop:
     STORE [0xEFF00], d5
     STORE [0xEFF08], d5
     HALT #0
+",
+    )
+}
+
+/// Touches all three memories: code in ROM, data stores in RAM and an
+/// image word in NVM, then an NVM program and a page erase through the
+/// controller (the erase wipes the image's NVM words), then passes.
+fn nvm_test() -> Image {
+    image(
+        "\
+NVMC .EQU 0xE0500
+_main:
+    LOAD d1, #0xDEADBEEF
+    STORE [0x40100], d1
+    LOAD d4, [0x80100]
+    STORE [0x5F000], d4
+    CALL unlock
+    LOAD d2, #0x20
+    LOAD d3, #0x600DF00D
+    STORE [NVMC + 0x08], d2
+    STORE [NVMC + 0x0C], d3
+    LOAD d3, #1              ; CMD_WRITE
+    STORE [NVMC + 0x14], d3
+    CALL wait
+    CALL unlock
+    LOAD d2, #0x100
+    STORE [NVMC + 0x08], d2
+    LOAD d3, #2              ; CMD_ERASE
+    STORE [NVMC + 0x14], d3
+    CALL wait
+    LOAD d5, [0x80020]
+    LOAD d6, [0x80100]
+    LOAD d7, #0x600D0000
+    STORE [0xEFF00], d7
+    STORE [0xEFF08], d7
+    HALT #0
+unlock:
+    LOAD d3, #0x55
+    STORE [NVMC], d3
+    LOAD d3, #0xAA
+    STORE [NVMC], d3
+    RETURN
+wait:
+    LOAD d3, [NVMC + 0x10]   ; STATUS
+    ANDI d3, d3, #1          ; BUSY
+    CMP d3, #0
+    JNE wait
+    RETURN
+.ORG 0x80100
+    .WORD 0x12345678
+    .WORD 0x9ABCDEF0
 ",
     )
 }
@@ -128,6 +179,102 @@ fn fork_safety_tracks_mmio_coverage() {
     assert!(p.fork_safe(PlatformFault::UartDropsBytes));
     assert!(p.fork_safe(PlatformFault::TimerNeverExpires));
     assert!(p.fork_safe(PlatformFault::None));
+}
+
+#[test]
+fn snapshot_round_trips_after_nvm_program_and_erase() {
+    let deriv = Derivative::sc88a();
+    let mut p = Platform::new(PlatformId::RtlSim, &deriv);
+    p.load_image(&nvm_test());
+    let result = p.run();
+    assert!(result.passed(), "{result}");
+    assert_eq!(p.bus().nvm_word(0x20), 0x600D_F00D, "programmed");
+    assert_eq!(p.bus().nvm_word(0x100), 0xFFFF_FFFF, "erased");
+    assert_eq!(p.bus().nvm_word(0x104), 0xFFFF_FFFF, "erased");
+    assert_eq!(
+        p.cpu().d(advm_isa::DataReg::D4),
+        0x1234_5678,
+        "read before erase"
+    );
+    assert_eq!(
+        p.cpu().d(advm_isa::DataReg::D6),
+        0xFFFF_FFFF,
+        "read after erase"
+    );
+
+    let snap = p.snapshot();
+    let mut q = Platform::new(PlatformId::RtlSim, &deriv);
+    q.restore(&snap).unwrap();
+    assert_eq!(q.snapshot().as_bytes(), snap.as_bytes());
+    assert_eq!(q.state_digest(), p.state_digest());
+    let forked = Platform::from_snapshot(&snap, &deriv, PlatformFault::None).unwrap();
+    assert_eq!(forked.snapshot().as_bytes(), snap.as_bytes());
+    assert_eq!(forked.state_digest(), p.state_digest());
+}
+
+/// The snapshot the decoder proptest mutates: taken mid-run with the
+/// trace armed, so it carries a trace ring, ROM code, RAM data, the NVM
+/// image word and an NVM program in flight.
+fn live_snapshot() -> Vec<u8> {
+    let mut p = Platform::new(PlatformId::RtlSim, &Derivative::sc88a());
+    p.enable_trace(8);
+    p.load_image(&nvm_test());
+    p.set_fuel(22);
+    p.run();
+    let snap = p.snapshot().into_bytes();
+    let busy = p.bus().read32(0xE_0510).unwrap() & 1;
+    assert_eq!(busy, 1, "the snapshot must catch the NVM program in flight");
+    snap
+}
+
+/// Restores a decoded snapshot every way a caller can and runs what
+/// results for a bounded number of further instructions: whatever the
+/// blob held, nothing here may panic.
+fn exercise(state: &SaveState) {
+    let deriv = Derivative::sc88a();
+    let run_bounded = |p: &mut Platform| {
+        p.set_fuel(p.cpu().retired().saturating_add(2_000));
+        p.run();
+        let _ = (p.snapshot(), p.state_digest());
+    };
+    let mut restored = Platform::new(PlatformId::RtlSim, &deriv);
+    restored.enable_trace(8);
+    if restored.restore(state).is_ok() {
+        run_bounded(&mut restored);
+    }
+    if let Ok(mut forked) = Platform::from_snapshot(state, &deriv, PlatformFault::None) {
+        run_bounded(&mut forked);
+    }
+}
+
+proptest! {
+    // 2048 edited snapshots per run: enough to reach the offset of the
+    // in-flight NVM operation, which the decoder must reject when it
+    // points outside NVM.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Hostile snapshot bytes: a real snapshot with one byte flipped or
+    /// its tail cut off either fails to decode with a typed error or
+    /// decodes to a machine that restores, runs and snapshots again —
+    /// never a panic.
+    #[test]
+    fn mutated_snapshots_never_panic(
+        edits in proptest::collection::vec((any::<u32>(), 1u8..=255, any::<bool>()), 16),
+    ) {
+        let blob = live_snapshot();
+        for (at, flip, truncate) in edits {
+            let at = at as usize % blob.len();
+            let mut bytes = blob.clone();
+            if truncate {
+                bytes.truncate(at);
+            } else {
+                bytes[at] ^= flip;
+            }
+            if let Ok(state) = SaveState::from_bytes(&bytes) {
+                exercise(&state);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -281,6 +281,66 @@ mod socket {
         assert_eq!(strip_perf(report_slice(&done)), strip_perf(&reference));
     }
 
+    /// Request lines are read with a bound: a line longer than the cap
+    /// gets one error line and the connection closes, a line that is
+    /// not UTF-8 gets an error line and the connection keeps serving,
+    /// and neither stops the daemon from serving new connections.
+    #[test]
+    fn overlong_and_non_utf8_request_lines_get_error_replies() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixStream;
+
+        let server = RunningServer::start(DaemonConfig {
+            workers: 1,
+            cache_capacity: 8,
+        });
+        let connect = || {
+            let stream = UnixStream::connect(&server.path).expect("connecting");
+            // A server that never answers fails the test instead of
+            // hanging it.
+            let timeout = std::time::Duration::from_secs(30);
+            stream.set_read_timeout(Some(timeout)).unwrap();
+            let reader = BufReader::new(stream.try_clone().expect("cloning stream"));
+            (stream, reader)
+        };
+        let error_of = |line: &str| {
+            let value = JsonValue::parse(line.trim_end()).expect("reply is JSON");
+            assert!(!value.bool_field("ok").unwrap(), "{line}");
+            value.str_field("error").unwrap().to_owned()
+        };
+
+        let (mut writer, mut reader) = connect();
+        writer
+            .write_all(b"{\"cmd\":\"stat\xFFus\"}\n{\"cmd\":\"status\"}\n")
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(error_of(&line).contains("UTF-8"), "{line}");
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let status = JsonValue::parse(line.trim_end()).unwrap();
+        assert!(status.bool_field("ok").unwrap(), "{line}");
+
+        // 2 MiB with no newline. The server stops reading at the cap and
+        // hangs up, so the tail of this write may be refused.
+        let (mut writer, reader) = connect();
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+        let replies: Vec<String> = reader.lines().map_while(Result::ok).collect();
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        let error = error_of(&replies[0]);
+        let cap = advm_serve::server::MAX_REQUEST_LINE;
+        assert!(
+            error.contains(&format!("longer than {cap} bytes")),
+            "{error}"
+        );
+
+        let status = server
+            .client()
+            .status()
+            .expect("status on a new connection");
+        assert!(JsonValue::parse(&status).unwrap().bool_field("ok").unwrap());
+    }
+
     /// Two clients submit and watch concurrently; each stream is
     /// complete, correctly labelled, in order, and verdict-identical to
     /// the in-process equivalent.
