@@ -12,9 +12,8 @@
 //! records the cold runs/sec measured on the pre-optimisation parent
 //! commit into the emitted JSON, so the committed document carries its
 //! own speedup evidence. `--check` compares the fresh measurement
-//! against a committed baseline and exits nonzero when the pooled cold
-//! session regresses beyond the tolerance (default 0.8 = 20% slower) or
-//! when machine pooling / the parallel front-end regress throughput.
+//! against a committed baseline and exits nonzero when the cold session
+//! regresses beyond the tolerance (default 0.8 = 20% slower).
 
 use std::process::ExitCode;
 
@@ -43,12 +42,7 @@ fn main() -> ExitCode {
     };
 
     let report = run(reps, baseline_cold);
-    for sample in [
-        &report.cold_pooled,
-        &report.warm_pooled,
-        &report.cold_fresh,
-        &report.cold_serial,
-    ] {
+    for sample in [&report.cold, &report.warm] {
         eprintln!(
             "{:>20}: {:>8.0} runs/s ({} runs; build {:.1}ms exec {:.1}ms report {:.2}ms)",
             sample.mode,
@@ -60,9 +54,7 @@ fn main() -> ExitCode {
         );
     }
     eprintln!(
-        "pooled-vs-fresh {:.2}x, parallel-vs-serial {:.2}x, vs recorded baseline {:.2}x ({} reps)",
-        report.pooled_vs_fresh(),
-        report.parallel_vs_serial(),
+        "vs recorded baseline {:.2}x ({} reps)",
         report.speedup_vs_baseline(),
         reps
     );

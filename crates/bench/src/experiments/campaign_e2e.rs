@@ -11,11 +11,8 @@
 //! *warm* runs the same session against one pre-populated shared store,
 //! so only machine setup and execution repeat.
 //!
-//! Alongside the headline pooled+parallel configuration the harness
-//! measures machine pooling off ([`Campaign::machine_pool`]) and the
-//! parallel assembly front-end off ([`Campaign::parallel_frontend`]);
-//! CI gates both ratios at no-regression, and gates the pooled cold
-//! number against the committed `BENCH_campaign_e2e.json`.
+//! CI gates the cold number against the committed
+//! `BENCH_campaign_e2e.json`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -122,72 +119,36 @@ impl SessionSample {
 /// The sealed measurement.
 #[derive(Debug, Clone)]
 pub struct CampaignE2eReport {
-    /// Cold session, machine pool + parallel front-end (the default).
-    pub cold_pooled: SessionSample,
-    /// Warm re-run of the pooled session over the populated store.
-    pub warm_pooled: SessionSample,
-    /// Cold session with fresh machine construction per job.
-    pub cold_fresh: SessionSample,
-    /// Cold session with the serial assembly front-end.
-    pub cold_serial: SessionSample,
+    /// Cold session: every campaign on its own empty store.
+    pub cold: SessionSample,
+    /// Warm re-run of the session over the populated store.
+    pub warm: SessionSample,
     /// Cold runs/sec of the pre-optimisation baseline this was measured
     /// against (same workload on the parent commit; 0 when unknown).
     pub baseline_cold: f64,
 }
 
 impl CampaignE2eReport {
-    /// Pooled-vs-fresh cold throughput ratio.
-    pub fn pooled_vs_fresh(&self) -> f64 {
-        ratio(
-            self.cold_pooled.runs_per_sec(),
-            self.cold_fresh.runs_per_sec(),
-        )
-    }
-
-    /// Parallel-vs-serial front-end cold throughput ratio.
-    pub fn parallel_vs_serial(&self) -> f64 {
-        ratio(
-            self.cold_pooled.runs_per_sec(),
-            self.cold_serial.runs_per_sec(),
-        )
-    }
-
     /// Cold speedup against the recorded pre-optimisation baseline.
     pub fn speedup_vs_baseline(&self) -> f64 {
-        ratio(self.cold_pooled.runs_per_sec(), self.baseline_cold)
+        if self.baseline_cold <= 0.0 {
+            0.0
+        } else {
+            self.cold.runs_per_sec() / self.baseline_cold
+        }
     }
 
     /// Renders the committed-baseline JSON document.
     pub fn to_json(&self) -> String {
-        let samples = [
-            &self.cold_pooled,
-            &self.warm_pooled,
-            &self.cold_fresh,
-            &self.cold_serial,
-        ]
-        .iter()
-        .map(|s| s.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
         format!(
-            "{{\"samples\":[{samples}],\
+            "{{\"samples\":[{},{}],\
              \"baseline_cold_runs_per_sec\":{:.0},\
-             \"speedup_vs_baseline\":{:.2},\
-             \"pooled_vs_fresh\":{:.2},\
-             \"parallel_vs_serial\":{:.2}}}",
+             \"speedup_vs_baseline\":{:.2}}}",
+            self.cold.to_json(),
+            self.warm.to_json(),
             self.baseline_cold,
             self.speedup_vs_baseline(),
-            self.pooled_vs_fresh(),
-            self.parallel_vs_serial(),
         )
-    }
-}
-
-fn ratio(numerator: f64, denominator: f64) -> f64 {
-    if denominator <= 0.0 {
-        0.0
-    } else {
-        numerator / denominator
     }
 }
 
@@ -198,8 +159,6 @@ fn ratio(numerator: f64, denominator: f64) -> f64 {
 fn session(
     envs: &[ModuleTestEnv],
     shared: Option<&Arc<ArtifactStore>>,
-    pool: bool,
-    parallel: bool,
 ) -> (u64, Duration, Duration, Duration) {
     let mut runs = 0u64;
     let mut build = Duration::ZERO;
@@ -212,9 +171,7 @@ fn session(
             .unwrap_or_else(|| Arc::new(ArtifactStore::new(256)));
         let mut campaign = Campaign::new()
             .envs(envs.iter().cloned())
-            .artifact_store(store)
-            .machine_pool(pool)
-            .parallel_frontend(parallel);
+            .artifact_store(store);
         if let Some((platform, fault)) = fault {
             campaign = campaign.fault(platform, fault);
         }
@@ -227,39 +184,34 @@ fn session(
     (runs, build, exec, sealing)
 }
 
-/// Measures all four configurations over `reps` sessions each (after a
+/// Measures the cold and warm sessions `reps` times each (after a
 /// warm-up session) and seals the report. Each sample keeps its
 /// *fastest* session — best-of-N is robust against scheduler noise on
 /// shared machines, which dwarfs the run-to-run variance of this
-/// deterministic workload. `baseline_cold` is the cold pooled runs/sec
-/// recorded for the pre-optimisation baseline (pass 0.0 when not
-/// re-measuring against a parent commit).
+/// deterministic workload. `baseline_cold` is the cold runs/sec recorded
+/// for the pre-optimisation baseline (pass 0.0 when not re-measuring
+/// against a parent commit).
 pub fn run(reps: usize, baseline_cold: f64) -> CampaignE2eReport {
     let envs = workload();
     // Warm up allocator, caches and code paths once.
-    session(&envs, None, true, true);
+    session(&envs, None);
 
-    // (mode, pool, parallel, warm) — measured round-robin, one session
-    // per mode per repetition, so a slow scheduling episode degrades
-    // every mode of that round equally instead of biasing whichever
-    // mode it happened to land on.
-    let modes: [(&'static str, bool, bool, bool); 4] = [
-        ("cold_pooled", true, true, false),
-        ("warm_pooled", true, true, true),
-        ("cold_fresh", false, true, false),
-        ("cold_serial_frontend", true, false, false),
-    ];
-    let mut best: [Option<SessionSample>; 4] = [None, None, None, None];
+    // (mode, warm) — measured round-robin, one session per mode per
+    // repetition, so a slow scheduling episode degrades both modes of
+    // that round equally instead of biasing whichever mode it happened
+    // to land on.
+    let modes: [(&'static str, bool); 2] = [("cold", false), ("warm", true)];
+    let mut best: [Option<SessionSample>; 2] = [None, None];
     for _ in 0..reps.max(1) {
-        for (slot, &(mode, pool, parallel, warm)) in modes.iter().enumerate() {
+        for (slot, &(mode, warm)) in modes.iter().enumerate() {
             let store = Arc::new(ArtifactStore::new(256));
             let shared = warm.then_some(&store);
             if warm {
                 // Populate the store; the measured pass below is warm.
-                session(&envs, shared, pool, parallel);
+                session(&envs, shared);
             }
             let started = Instant::now();
-            let (runs, build, exec, sealing) = session(&envs, shared, pool, parallel);
+            let (runs, build, exec, sealing) = session(&envs, shared);
             let wall = started.elapsed();
             if best[slot].as_ref().is_none_or(|b| wall < b.wall) {
                 best[slot] = Some(SessionSample {
@@ -273,14 +225,11 @@ pub fn run(reps: usize, baseline_cold: f64) -> CampaignE2eReport {
             }
         }
     }
-    let [cold_pooled, warm_pooled, cold_fresh, cold_serial] =
-        best.map(|b| b.expect("at least one session measured"));
+    let [cold, warm] = best.map(|b| b.expect("at least one session measured"));
 
     CampaignE2eReport {
-        cold_pooled,
-        warm_pooled,
-        cold_fresh,
-        cold_serial,
+        cold,
+        warm,
         baseline_cold,
     }
 }
@@ -304,15 +253,8 @@ pub fn baseline_runs_per_sec(json: &str, mode: &str) -> Option<f64> {
     json_number(&json[at..], "runs_per_sec")
 }
 
-/// Gates a fresh measurement against the committed baseline:
-///
-/// * the pooled cold session must be within `tolerance` of the
-///   committed `cold_pooled` runs/sec,
-/// * machine pooling must not regress throughput
-///   (`pooled_vs_fresh >= tolerance`), and
-/// * the parallel front-end must not regress throughput
-///   (`parallel_vs_serial >= tolerance`; the two paths are identical at
-///   one worker, so this guards overhead, not a speedup).
+/// Gates a fresh measurement against the committed baseline: the cold
+/// session must be within `tolerance` of the committed `cold` runs/sec.
 ///
 /// # Errors
 ///
@@ -322,28 +264,14 @@ pub fn check_against(
     baseline_json: &str,
     tolerance: f64,
 ) -> Result<(), String> {
-    let measured = report.cold_pooled.runs_per_sec();
-    let committed = baseline_runs_per_sec(baseline_json, "cold_pooled")
-        .ok_or("baseline JSON lacks a cold_pooled runs_per_sec entry")?;
+    let measured = report.cold.runs_per_sec();
+    let committed = baseline_runs_per_sec(baseline_json, "cold")
+        .ok_or("baseline JSON lacks a cold runs_per_sec entry")?;
     if measured < committed * tolerance {
         return Err(format!(
             "cold-campaign regression: {measured:.0} runs/s vs committed {committed:.0} \
              (allowed floor {:.0})",
             committed * tolerance
-        ));
-    }
-    let pooled = report.pooled_vs_fresh();
-    if pooled < tolerance {
-        return Err(format!(
-            "machine pooling regresses throughput: pooled-vs-fresh ratio {pooled:.2} \
-             (floor {tolerance:.2})"
-        ));
-    }
-    let parallel = report.parallel_vs_serial();
-    if parallel < tolerance {
-        return Err(format!(
-            "parallel front-end regresses throughput: parallel-vs-serial ratio {parallel:.2} \
-             (floor {tolerance:.2})"
         ));
     }
     Ok(())
@@ -357,10 +285,8 @@ mod tests {
     fn all_modes_run_the_same_workload() {
         let report = run(1, 0.0);
         let per_session = (CELLS * PlatformId::ALL.len() * (1 + FAULT_SWEEPS.len())) as u64;
-        assert_eq!(report.cold_pooled.runs, per_session);
-        assert_eq!(report.warm_pooled.runs, per_session);
-        assert_eq!(report.cold_fresh.runs, per_session);
-        assert_eq!(report.cold_serial.runs, per_session);
+        assert_eq!(report.cold.runs, per_session);
+        assert_eq!(report.warm.runs, per_session);
         assert!(report.speedup_vs_baseline() == 0.0, "no baseline recorded");
     }
 
@@ -368,14 +294,12 @@ mod tests {
     fn json_roundtrips_through_the_baseline_reader() {
         let report = run(1, 1000.0);
         let json = report.to_json();
-        let read = baseline_runs_per_sec(&json, "cold_pooled").unwrap();
-        let actual = report.cold_pooled.runs_per_sec();
+        let read = baseline_runs_per_sec(&json, "cold").unwrap();
+        let actual = report.cold.runs_per_sec();
         assert!((read - actual).abs() <= 1.0, "{read} vs {actual}");
         for key in [
             "baseline_cold_runs_per_sec",
             "speedup_vs_baseline",
-            "pooled_vs_fresh",
-            "parallel_vs_serial",
             "build_ms",
             "exec_ms",
             "report_ms",
@@ -389,15 +313,14 @@ mod tests {
         let report = run(1, 0.0);
         assert!(check_against(&report, &report.to_json(), 0.5).is_ok());
         let fast = format!(
-            "{{\"samples\":[{{\"mode\":\"cold_pooled\",\"runs_per_sec\":{:.0}}}]}}",
-            report.cold_pooled.runs_per_sec() * 100.0
+            "{{\"samples\":[{{\"mode\":\"cold\",\"runs_per_sec\":{:.0}}}]}}",
+            report.cold.runs_per_sec() * 100.0
         );
         assert!(check_against(&report, &fast, 0.5).is_err());
         assert!(check_against(&report, "{}", 0.5).is_err(), "missing key");
 
         let mut slow = report.clone();
-        slow.cold_fresh.wall = Duration::from_secs(0);
-        slow.cold_pooled.wall = Duration::from_secs(3600);
+        slow.cold.wall = Duration::from_secs(3600);
         let err = check_against(&slow, &report.to_json(), 0.5).unwrap_err();
         assert!(err.contains("regression"), "{err}");
     }

@@ -405,8 +405,6 @@ pub struct FaultAudit {
     seed: u64,
     workers: usize,
     fuel: u64,
-    decode: bool,
-    machine_pool: bool,
     fork_prefix: bool,
     prefix_budget: u64,
     checkers: Vec<TraceAssertion>,
@@ -426,8 +424,6 @@ impl std::fmt::Debug for FaultAudit {
             .field("seed", &self.seed)
             .field("workers", &self.workers)
             .field("fuel", &self.fuel)
-            .field("decode", &self.decode)
-            .field("machine_pool", &self.machine_pool)
             .field("fork_prefix", &self.fork_prefix)
             .field("prefix_budget", &self.prefix_budget)
             .field("checkers", &self.checkers.len())
@@ -457,8 +453,6 @@ impl FaultAudit {
             seed: 0xFA017,
             workers: default_workers(),
             fuel: advm_sim::DEFAULT_FUEL,
-            decode: true,
-            machine_pool: true,
             fork_prefix: true,
             prefix_budget: DEFAULT_PREFIX_BUDGET,
             checkers: Vec::new(),
@@ -530,26 +524,6 @@ impl FaultAudit {
     /// platform, so audits over large suites may want a smaller one.
     pub fn fuel(mut self, fuel: u64) -> Self {
         self.fuel = fuel;
-        self
-    }
-
-    /// Enables or disables the predecoded-instruction cache in every
-    /// campaign the sweep runs (default: enabled). The detection matrix
-    /// is identical either way; disabling recovers the pre-refactor
-    /// simulation baseline.
-    pub fn decode_cache(mut self, enabled: bool) -> Self {
-        self.decode = enabled;
-        self
-    }
-
-    /// Enables or disables worker-local machine pooling in every
-    /// campaign the sweep runs (default: enabled). Pooling neither
-    /// changes results nor saves work — see [`Campaign::machine_pool`],
-    /// which measures pooled-vs-fresh at 0.82–1.07× (median 0.92×):
-    /// detection matrices, kill counts and report JSON are
-    /// byte-identical either way.
-    pub fn machine_pool(mut self, enabled: bool) -> Self {
-        self.machine_pool = enabled;
         self
     }
 
@@ -631,9 +605,7 @@ impl FaultAudit {
             .envs(envs.iter().cloned())
             .scenarios(scenarios.iter().cloned())
             .workers(workers)
-            .fuel(self.fuel)
-            .decode_cache(self.decode)
-            .machine_pool(self.machine_pool);
+            .fuel(self.fuel);
         campaign = match cell {
             None => campaign.platform(self.reference),
             Some((fault, platform)) => campaign.platform(platform).fault(platform, fault),
@@ -976,6 +948,7 @@ impl FaultAudit {
 mod tests {
     use crate::campaign::CampaignEvent;
     use crate::env::EnvConfig;
+    use crate::wire::JsonValue;
 
     use super::*;
 
@@ -1012,6 +985,39 @@ mod tests {
         assert!(report.killed(PlatformFault::PageActiveOffByOne));
         assert!((report.kill_rate() - 1.0).abs() < 1e-9);
         assert!(!report.kill_counts().is_empty());
+    }
+
+    /// Arrays and objects open at the deepest point of `value`.
+    fn nesting(value: &JsonValue) -> usize {
+        match value {
+            JsonValue::Array(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+            JsonValue::Object(pairs) => {
+                1 + pairs.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0)
+            }
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn deepest_report_parses_under_the_wire_nesting_cap() {
+        // An audit report with a detection nests deepest of all the
+        // workspace's reports: matrix → cell → killed_by. The daemon's
+        // `done` line wraps it one level further.
+        let report = FaultAudit::new()
+            .suite(tiny_suite())
+            .faults([PlatformFault::PageActiveOffByOne])
+            .platforms([PlatformId::RtlSim])
+            .escape_rounds(0)
+            .workers(1)
+            .run()
+            .unwrap();
+        let done = format!(
+            "{{\"job\":0,\"done\":true,\"ok\":true,\"report\":{}}}",
+            report.to_json()
+        );
+        let value = JsonValue::parse(&done).unwrap();
+        assert_eq!(nesting(&value), 7, "{done}");
+        assert!(nesting(&value) < crate::wire::MAX_DEPTH);
     }
 
     #[test]

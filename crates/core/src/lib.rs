@@ -15,7 +15,7 @@
 //! | Figure 5 — system directory structure | [`system`], [`runtime`] |
 //! | Figure 6 — globals-controlled bit-field test | [`presets::page_env`], [`basefuncs`] |
 //! | Figure 7 — wrapped ES function | [`basefuncs`], [`presets::es_env`] |
-//! | §2/§3 — releases and regressions | [`release`], [`regression`] |
+//! | §2/§3 — releases and regressions | [`release`], [`campaign`] |
 //! | the porting claim | [`porting`] |
 //!
 //! ```
@@ -54,7 +54,6 @@ pub mod layer;
 pub mod porting;
 pub mod prefix;
 pub mod presets;
-pub mod regression;
 pub mod release;
 pub mod runtime;
 pub mod stimulus;
@@ -79,9 +78,6 @@ pub use fuzz::{
 pub use layer::{classify_path, Layer};
 pub use porting::{port_env, PortOutcome};
 pub use prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
-#[allow(deprecated)]
-pub use regression::run_regression;
-pub use regression::{RegressionConfig, RegressionReport};
 pub use release::{Release, ReleaseError, ReleaseStore, SystemRelease};
 pub use stimulus::{
     coverage_feedback, directed_source, fault_hunter_cells, scenario_env, Exploration,

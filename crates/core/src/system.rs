@@ -11,9 +11,8 @@ use std::fmt;
 use advm_soc::{Derivative, EsRom};
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{Campaign, CampaignError, CampaignReport};
+use crate::campaign::Campaign;
 use crate::env::{validate_layout, LayoutIssue, ModuleTestEnv};
-use crate::regression::RegressionConfig;
 use crate::release::{ReleaseError, ReleaseStore, SystemRelease};
 use crate::runtime::{trap_handlers, vector_table, TRAP_HANDLERS_FILE, VECTOR_TABLE_FILE};
 
@@ -223,18 +222,6 @@ impl SystemVerificationEnv {
         Campaign::new().envs(self.envs.iter().cloned())
     }
 
-    /// Runs the full system regression through the campaign pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build errors from any component environment.
-    pub fn run_regression(
-        &self,
-        config: &RegressionConfig,
-    ) -> Result<CampaignReport, CampaignError> {
-        Campaign::from_config(&self.envs, config).run()
-    }
-
     /// Freezes every component under `<label>/<env>` sub-labels and
     /// composes the system release (the paper's "label composed of
     /// sub-labels for each environment").
@@ -363,7 +350,10 @@ _main:
     #[test]
     fn system_regression_runs_all_envs() {
         let report = system()
-            .run_regression(&RegressionConfig::smoke(PlatformId::GoldenModel))
+            .campaign()
+            .platform(PlatformId::GoldenModel)
+            .workers(1)
+            .run()
             .unwrap();
         assert_eq!(report.total(), 3);
         assert_eq!(report.passed(), 3);

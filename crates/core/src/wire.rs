@@ -14,7 +14,9 @@
 //! The model is deliberately minimal: objects preserve key order (they
 //! are association lists, not maps), numbers are `f64` with checked
 //! integer accessors, and parsing rejects trailing garbage — a protocol
-//! line is one value, not a prefix of one.
+//! line is one value, not a prefix of one. Nesting is capped at
+//! [`MAX_DEPTH`], so a hostile line of brackets gets an error instead of
+//! overflowing the parsing thread's stack.
 //!
 //! ```
 //! use advm::wire::JsonValue;
@@ -29,6 +31,11 @@
 //! ```
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`JsonValue::parse`]
+/// accepts. Requests nest 3 deep and the deepest report the workspace
+/// emits (a fault audit's, wrapped in the daemon's `done` line) 7 deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A structured wire-format failure: what went wrong and the byte
 /// offset in the input where it was noticed.
@@ -90,11 +97,12 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parses one complete JSON value; trailing non-whitespace is an
-    /// error.
+    /// error, and so is nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Self, WireError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -261,10 +269,12 @@ pub fn json_string(text: &str) -> String {
     out
 }
 
-/// The recursive-descent parser state: a byte cursor over the input.
+/// The recursive-descent parser state: a byte cursor over the input and
+/// the number of arrays and objects open at it.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -301,8 +311,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, WireError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -314,6 +324,24 @@ impl Parser<'_> {
             )),
             None => Err(WireError::new("unexpected end of input", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, WireError>,
+    ) -> Result<JsonValue, WireError> {
+        if self.depth == MAX_DEPTH {
+            return Err(WireError::new(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, WireError> {
@@ -540,6 +568,29 @@ mod tests {
         let v = JsonValue::parse(text).unwrap();
         assert_eq!(JsonValue::parse(&v.to_json()).unwrap(), v);
         assert_eq!(v.to_json(), text, "integer-valued numbers render bare");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nest = |depth: usize| {
+                let mut text = open.repeat(depth);
+                text.push('1');
+                text.push_str(&close.repeat(depth));
+                text
+            };
+            assert!(
+                JsonValue::parse(&nest(MAX_DEPTH)).is_ok(),
+                "{open} at the cap"
+            );
+            let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            let message = format!("nesting deeper than {MAX_DEPTH} levels");
+            assert!(err.to_string().contains(&message), "{err}");
+            assert_eq!(err.offset(), MAX_DEPTH * open.len());
+            // Far past the cap, unterminated: an error, not a stack
+            // overflow.
+            assert!(JsonValue::parse(&open.repeat(1 << 20)).is_err(), "{open}");
+        }
     }
 
     #[test]

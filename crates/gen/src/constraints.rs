@@ -121,9 +121,9 @@ impl GlobalsConstraints {
         self.validate()?;
         let legal = self.legal_pages();
         // This draw order is a compatibility contract: pages first, then
-        // knobs in declaration order, all from one SplitMix64 stream —
-        // the deprecated `generate()` shim promises byte-identical output
-        // for the old `(constraints, seed)` signature.
+        // knobs in declaration order, all from one SplitMix64 stream, so
+        // a `(constraints, seed)` pair draws the same file as it always
+        // has (a test pins it against a hand-written reference).
         let mut rng = StdRng::seed_from_u64(seed);
         let pages: Vec<u32> = (0..self.test_page_count)
             .map(|_| legal[rng.gen_range(0..legal.len())])
@@ -217,28 +217,6 @@ impl fmt::Display for ConstraintError {
 
 impl std::error::Error for ConstraintError {}
 
-/// Draws one seeded globals instance.
-///
-/// Deprecated shim over [`GlobalsConstraints::instantiate`]; output is
-/// byte-identical for the old `(constraints, seed)` call signature. New
-/// code should build a [`crate::ScenarioEngine`] (which batches draws,
-/// tracks provenance and can chase coverage holes) or call
-/// `constraints.instantiate(seed)` for a bare one-off instance.
-///
-/// # Errors
-///
-/// Fails if the constraints leave no legal page or a knob range is empty.
-#[deprecated(
-    since = "0.1.0",
-    note = "use GlobalsConstraints::instantiate or ScenarioEngine"
-)]
-pub fn generate(
-    constraints: &GlobalsConstraints,
-    seed: u64,
-) -> Result<GlobalsFile, ConstraintError> {
-    constraints.instantiate(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,11 +303,10 @@ mod tests {
         assert_eq!(c.legal_pages().len(), 64);
     }
 
-    /// The deprecated shim must return byte-identical output for the old
-    /// `(constraints, seed)` call signature: same RNG, same draw order,
-    /// same rendering.
+    /// A `(constraints, seed)` pair draws the same file it always has:
+    /// same RNG, same draw order, same rendering.
     #[test]
-    fn deprecated_generate_matches_legacy_algorithm() {
+    fn instantiate_matches_legacy_algorithm() {
         let c = constraints()
             .with_test_page_count(4)
             .with_forbidden_pages(vec![3])
@@ -352,9 +329,8 @@ mod tests {
             }
             let legacy = spec.render();
 
-            #[allow(deprecated)]
-            let shimmed = generate(&c, seed).unwrap();
-            assert_eq!(shimmed.text(), legacy.text(), "seed {seed}");
+            let drawn = c.instantiate(seed).unwrap();
+            assert_eq!(drawn.text(), legacy.text(), "seed {seed}");
         }
     }
 }

@@ -19,9 +19,6 @@
 //! * A [`ScenarioEngine`] batches sources into a deterministic
 //!   [`StimulusPlan`]; [`PageCoverage`] measures what a batch exercised.
 //!
-//! The old free function [`generate`] remains as a deprecated shim with
-//! byte-identical output.
-//!
 //! ```
 //! use advm_gen::{ConstrainedRandom, CoverageDirected, CoverageFeedback,
 //!                GlobalsConstraints, PageCoverage, ScenarioEngine};
@@ -64,8 +61,6 @@ mod engine;
 mod scenario;
 mod source;
 
-#[allow(deprecated)]
-pub use constraints::generate;
 pub use constraints::{ConstraintError, GlobalsConstraints};
 pub use coverage::{CoverageFeedback, PageCoverage};
 pub use engine::{derive_seed, ScenarioEngine, StimulusPlan};

@@ -148,8 +148,8 @@ impl ScenarioSource for Directed {
     }
 }
 
-/// Uniform constrained-random scenarios — subsumes the old bare
-/// `generate()` free function, one scenario per draw.
+/// Uniform constrained-random scenarios: one
+/// [`GlobalsConstraints::instantiate`] draw per scenario.
 #[derive(Debug, Clone)]
 pub struct ConstrainedRandom {
     constraints: GlobalsConstraints,

@@ -8,9 +8,27 @@
 //! value: what `advm-cli submit` sends over the socket is exactly what
 //! a worker thread later executes. Field names mirror the CLI's flag
 //! surfaces (`--workers`, `--fuel`, `--all-platforms`, …).
+//!
+//! A job's size fields are capped on the wire ([`MAX_PROGRAMS`],
+//! [`MAX_SCENARIOS`], [`MAX_BATCH`], [`MAX_ROUNDS`]): a job sized past
+//! what memory holds would abort the whole daemon, which no job-level
+//! error handling can catch.
 
 use advm::wire::{json_string, JsonValue, WireError};
 use advm_soc::{DerivativeId, PlatformId};
+
+/// The most programs one fuzz job generates (`programs`). A fuzz run
+/// builds every program up front.
+pub const MAX_PROGRAMS: u64 = 1024;
+
+/// The most scenarios one audit job's escape round draws (`scenarios`).
+pub const MAX_SCENARIOS: u64 = 256;
+
+/// The most scenarios one exploration round draws (`batch`).
+pub const MAX_BATCH: u64 = 256;
+
+/// The most rounds one exploration job runs (`rounds`).
+pub const MAX_ROUNDS: u64 = 32;
 
 /// Looks up a platform by its wire name (`golden`, `rtl`, …).
 fn platform_by_name(name: &str) -> Result<PlatformId, WireError> {
@@ -25,6 +43,17 @@ fn opt_u64(value: &JsonValue, key: &str) -> Result<Option<u64>, WireError> {
     match value.get(key) {
         None | Some(JsonValue::Null) => Ok(None),
         Some(_) => value.u64_field(key).map(Some),
+    }
+}
+
+/// Reads an optional `u64` size field, rejecting a value above `cap`.
+fn opt_size(value: &JsonValue, key: &str, cap: u64) -> Result<Option<u64>, WireError> {
+    let size = opt_u64(value, key)?;
+    match size {
+        Some(n) if n > cap => Err(WireError::shape(format!(
+            "`{key}` is {n}, above the cap of {cap}"
+        ))),
+        _ => Ok(size),
     }
 }
 
@@ -241,6 +270,11 @@ impl JobSpec {
     }
 
     /// Parses a spec from its wire object.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] for a missing or mistyped field, an unknown kind,
+    /// platform or derivative, or a size field above its cap.
     pub fn from_value(value: &JsonValue) -> Result<Self, WireError> {
         match value.str_field("kind")? {
             "regress" => Ok(JobSpec::Regress {
@@ -254,15 +288,15 @@ impl JobSpec {
             "audit" => Ok(JobSpec::Audit {
                 platforms: opt_platforms(value, "platforms")?,
                 all_platforms: opt_bool(value, "all_platforms")?,
-                scenarios: opt_u64(value, "scenarios")?,
+                scenarios: opt_size(value, "scenarios", MAX_SCENARIOS)?,
                 seed: opt_u64(value, "seed")?,
                 workers: opt_u64(value, "workers")?,
                 fuel: opt_u64(value, "fuel")?,
             }),
             "explore" => Ok(JobSpec::Explore {
-                rounds: opt_u64(value, "rounds")?,
+                rounds: opt_size(value, "rounds", MAX_ROUNDS)?,
                 seed: opt_u64(value, "seed")?,
-                batch: opt_u64(value, "batch")?,
+                batch: opt_size(value, "batch", MAX_BATCH)?,
                 workers: opt_u64(value, "workers")?,
                 derivative: match value.get("derivative") {
                     None | Some(JsonValue::Null) => None,
@@ -281,7 +315,7 @@ impl JobSpec {
                 all_platforms: opt_bool(value, "all_platforms")?,
             }),
             "fuzz" => Ok(JobSpec::Fuzz {
-                programs: opt_u64(value, "programs")?,
+                programs: opt_size(value, "programs", MAX_PROGRAMS)?,
                 seed: opt_u64(value, "seed")?,
                 mine: opt_bool(value, "mine")?,
                 platforms: opt_platforms(value, "platforms")?,
@@ -415,5 +449,25 @@ mod tests {
         ] {
             assert!(JobSpec::from_json(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn size_fields_are_accepted_at_their_cap_and_rejected_above_it() {
+        for (kind, field, cap) in [
+            ("fuzz", "programs", MAX_PROGRAMS),
+            ("audit", "scenarios", MAX_SCENARIOS),
+            ("explore", "batch", MAX_BATCH),
+            ("explore", "rounds", MAX_ROUNDS),
+        ] {
+            let spec = |n: u64| format!(r#"{{"kind":"{kind}","{field}":{n}}}"#);
+            let at_cap = JobSpec::from_json(&spec(cap)).unwrap_or_else(|e| panic!("{e}"));
+            assert!(at_cap.to_json().contains(&format!("\"{field}\":{cap}")));
+            let err = JobSpec::from_json(&spec(cap + 1)).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{field}`")), "{err}");
+            assert!(err.contains(&format!("cap of {cap}")), "{err}");
+        }
+        // The size that once aborted the daemon.
+        let huge = JobSpec::from_json(r#"{"kind":"fuzz","programs":1000000000}"#);
+        assert!(huge.is_err());
     }
 }

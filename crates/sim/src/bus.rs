@@ -172,7 +172,7 @@ impl Wiring {
 /// Construction allocates no memory page: ROM and RAM read as `0x00`
 /// and NVM as erased `0xFF` until written, and each memory and decode
 /// table holds only the pages its run wrote. Snapshots encode the
-/// memories page by page, and a pristine rewind drops every page.
+/// memories page by page.
 #[derive(Debug, Clone)]
 pub struct SocBus {
     rom: Memory,
@@ -564,33 +564,6 @@ impl SocBus {
         r.take_rle_paged(&mut self.rom)?;
         r.take_rle_paged(&mut self.ram)?;
         r.take_rle_paged(&mut self.nvm)?;
-        self.apply_state_tail(r)
-    }
-
-    /// [`SocBus::apply_state`] specialized for a *pristine* snapshot —
-    /// one captured right after construction. The memory sections are
-    /// verified to hold the constructor fills (and rejected otherwise,
-    /// leaving the memories untouched), then every memory page is
-    /// dropped: the rewind frees what the last run touched instead of
-    /// decoding the blob's memories.
-    pub(crate) fn apply_pristine_state(
-        &mut self,
-        r: &mut SaveReader<'_>,
-    ) -> Result<(), SaveStateError> {
-        self.now = r.take_u64()?;
-        self.watchdog_bite = r.take_bool()?;
-        r.take_rle_uniform(self.rom.len(), self.rom.fill())?;
-        r.take_rle_uniform(self.ram.len(), self.ram.fill())?;
-        r.take_rle_uniform(self.nvm.len(), self.nvm.fill())?;
-        self.rom.clear();
-        self.ram.clear();
-        self.nvm.clear();
-        self.apply_state_tail(r)
-    }
-
-    /// The shared non-memory tail of [`SocBus::apply_state`] and
-    /// [`SocBus::apply_pristine_state`].
-    fn apply_state_tail(&mut self, r: &mut SaveReader<'_>) -> Result<(), SaveStateError> {
         self.mmio_touched.clear();
         for _ in 0..r.take_u32()? {
             self.mmio_touched.insert(r.take_u32()?);

@@ -27,9 +27,9 @@
 //! tables over the whole SC88 address space: a page is allocated on its
 //! first write, and an absent page reads as its region's power-up fill
 //! (`0x00` for ROM and RAM, erased `0xFF` for NVM). Constructing a
-//! machine allocates no page, snapshots encode memories page by page
-//! (byte-identical to encoding them whole), and a pristine rewind drops
-//! every page. The derivative-dependent bus wiring — peripheral windows
+//! machine allocates no page, so every run builds a fresh one, and
+//! snapshots encode memories page by page (byte-identical to encoding
+//! them whole). The derivative-dependent bus wiring — peripheral windows
 //! and page-field geometry — is built once per catalogued derivative.
 //!
 //! ```

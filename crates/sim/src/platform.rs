@@ -341,44 +341,6 @@ impl Platform {
         self.apply_body(&mut r)
     }
 
-    /// Rewinds this machine to its *pristine* snapshot — one captured
-    /// right after construction, before any image was loaded or
-    /// instruction run. Semantically identical to [`Platform::restore`]
-    /// but, once the snapshot's memories are checked to be the
-    /// constructor fills, every memory and decode page is dropped
-    /// instead of decoding them: the cost is what the machine touched
-    /// since the snapshot, the same as building a fresh machine and
-    /// dropping this one. Pooled campaign workers use it to reset a
-    /// machine between from-reset jobs.
-    ///
-    /// # Errors
-    ///
-    /// The same failures as [`Platform::restore`], plus
-    /// [`SaveStateError::Corrupt`] when the snapshot's memory payload
-    /// is not the constructor fill (i.e. it is not pristine); the
-    /// machine's memories are untouched in that case, so the caller can
-    /// fall back to [`Platform::restore`].
-    pub fn restore_pristine(&mut self, state: &SaveState) -> Result<(), SaveStateError> {
-        let mut r = SaveReader::new(state.as_bytes());
-        r.expect_header()?;
-        if r.take_u32()? != self.id.code() {
-            return Err(SaveStateError::PlatformMismatch);
-        }
-        if fault_from_tag(r.take_u8()?) != Some(self.fault) {
-            return Err(SaveStateError::FaultMismatch);
-        }
-        self.fuel = r.take_u64()?;
-        self.reset_done = r.take_bool()?;
-        self.cpu.apply_state(&mut r)?;
-        self.bus.apply_pristine_state(&mut r)?;
-        self.trace = if r.take_bool()? {
-            Some(ExecTrace::from_save(&mut r)?)
-        } else {
-            None
-        };
-        r.expect_end()
-    }
-
     /// Builds a fresh machine from a snapshot, carrying `fault` — the
     /// fork primitive. The snapshot supplies the platform identity and
     /// all dynamic state; the derivative and the (possibly different)
@@ -645,72 +607,6 @@ fail:
     }
 
     #[test]
-    fn pristine_rewind_restores_construction_snapshot_exactly() {
-        // A workload that dirties RAM data, the stack (CALL pushes a
-        // return address at STACK_TOP) and MMIO peripherals.
-        let img = image(
-            "\
-_main:
-    LOAD d1, #0xDEAD0000
-    STORE [0x40100], d1
-    STORE [0x5F000], d1
-    CALL sub
-    HALT #0
-sub:
-    STORE [0x40200], d1
-    RETURN
-",
-        );
-        for id in PlatformId::ALL {
-            let mut machine = Platform::new(id, &Derivative::sc88a());
-            let pristine = machine.snapshot();
-            machine.load_image(&img);
-            machine.run();
-            machine.restore_pristine(&pristine).unwrap();
-            assert_eq!(
-                machine.snapshot().as_bytes(),
-                pristine.as_bytes(),
-                "{id}: pristine rewind must be byte-identical to the pristine state"
-            );
-        }
-    }
-
-    #[test]
-    fn pristine_rewind_then_rerun_matches_fresh_machine() {
-        let img = passing_test();
-        let mut pooled = Platform::new(PlatformId::GoldenModel, &Derivative::sc88a());
-        let pristine = pooled.snapshot();
-        // Dirty the machine with a different program first.
-        pooled.load_image(&image("_main:\n    STORE [0x41000], d1\n    HALT #1\n"));
-        pooled.run();
-        pooled.restore_pristine(&pristine).unwrap();
-        pooled.load_image(&img);
-        let rerun = pooled.run();
-
-        let mut fresh = Platform::new(PlatformId::GoldenModel, &Derivative::sc88a());
-        fresh.load_image(&img);
-        let baseline = fresh.run();
-        assert_eq!(rerun.end, baseline.end);
-        assert_eq!(rerun.insns, baseline.insns);
-        assert_eq!(rerun.cycles, baseline.cycles);
-        assert_eq!(pooled.snapshot().as_bytes(), fresh.snapshot().as_bytes());
-    }
-
-    #[test]
-    fn pristine_rewind_rejects_non_pristine_snapshots() {
-        let mut machine = Platform::new(PlatformId::GoldenModel, &Derivative::sc88a());
-        machine.load_image(&passing_test());
-        machine.run();
-        let dirty = machine.snapshot();
-        assert!(matches!(
-            machine.restore_pristine(&dirty),
-            Err(SaveStateError::Corrupt(_))
-        ));
-        // The generic restore still accepts it.
-        machine.restore(&dirty).unwrap();
-    }
-
-    #[test]
     fn a_machine_holds_only_the_pages_its_image_and_stack_cover() {
         use std::collections::BTreeSet;
 
@@ -743,7 +639,6 @@ sub:
             for prebuilt in [false, true] {
                 let mut machine = Platform::new(id, &Derivative::sc88a());
                 assert_eq!(machine.bus().resident_pages(), (0, 0), "{id}: construction");
-                let pristine = machine.snapshot();
                 if prebuilt {
                     machine.load_prebuilt(&img, &decoded);
                 } else {
@@ -758,8 +653,6 @@ sub:
                 // page's slots and block map.
                 let ran = (image_pages.len() + data_pages.len(), 2);
                 assert_eq!(machine.bus().resident_pages(), ran, "{id}: run");
-                machine.restore_pristine(&pristine).unwrap();
-                assert_eq!(machine.bus().resident_pages(), (0, 0), "{id}: rewind");
             }
         }
     }

@@ -333,22 +333,6 @@ impl<'a> SaveReader<'a> {
         })
     }
 
-    /// Consumes an RLE section, verifying it decodes to exactly `len`
-    /// bytes all equal to `fill` — without writing a destination. The
-    /// pristine rewind uses this to check that a snapshot's memory
-    /// payload is the constructor fill before dropping every page,
-    /// while still consuming the reader exactly like
-    /// [`SaveReader::take_rle_paged`].
-    pub(crate) fn take_rle_uniform(&mut self, len: usize, fill: u8) -> Result<(), SaveStateError> {
-        self.take_runs(len, |_, byte| {
-            if byte == fill {
-                Ok(())
-            } else {
-                Err(SaveStateError::Corrupt("snapshot memory is not pristine"))
-            }
-        })
-    }
-
     /// Asserts the whole blob was consumed.
     pub(crate) fn expect_end(&self) -> Result<(), SaveStateError> {
         if self.pos == self.bytes.len() {

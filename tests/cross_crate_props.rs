@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use advm::artifacts::ArtifactStore;
 use advm::audit::{CellOutcome, FaultAudit};
+use advm::build::build_cell;
 use advm::campaign::{Campaign, CampaignEvent, CampaignObserver, EventLog};
 use advm::env::{EnvConfig, ModuleTestEnv, TestCell};
 use advm::porting::{port_env, test_files_touched};
@@ -15,7 +16,7 @@ use advm_gen::{
     ConstrainedRandom, CoverageDirected, CoverageFeedback, GlobalsConstraints, ScenarioEngine,
     ScenarioSource, StimulusPlan,
 };
-use advm_sim::PlatformFault;
+use advm_sim::{DecodedProgram, Platform, PlatformFault, RunResult};
 use advm_soc::{DerivativeId, GlobalsSpec, PlatformId};
 use proptest::prelude::*;
 
@@ -213,9 +214,8 @@ proptest! {
 }
 
 /// Strips the measured `"perf":{...}` object out of a report JSON: wall
-/// time and the derived steps/sec vary run to run (and decode counters
-/// vary with the decode-cache mode), while everything else must be
-/// byte-identical across schedules and cache modes.
+/// time and the derived steps/sec vary run to run, while everything else
+/// must be byte-identical across schedules.
 fn strip_perf(json: &str) -> String {
     let mut out = json.to_owned();
     while let Some(start) = out.find("\"perf\":{") {
@@ -246,113 +246,64 @@ fn strip_perf(json: &str) -> String {
     out
 }
 
+/// The suite, faults, audited platforms and fuel of
+/// `fault_audit_matrix_independent_of_worker_count`.
+fn audit_suite() -> [ModuleTestEnv; 2] {
+    [page_env(default_config(), 1), uart_env(default_config())]
+}
+const AUDIT_FAULTS: [PlatformFault; 3] = [
+    PlatformFault::PageActiveOffByOne,
+    PlatformFault::PageMapWriteIgnored,
+    PlatformFault::UartDropsBytes,
+];
+const AUDIT_PLATFORMS: [PlatformId; 2] = [PlatformId::RtlSim, PlatformId::GateSim];
+const AUDIT_FUEL: u64 = 200_000;
+
 proptest! {
     // Each case sweeps several fault campaigns; a handful of cases keeps
     // the property meaningful without dominating the suite's runtime.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// A fault audit is scheduling- and decode-cache-independent: serial
-    /// (workers=1) and parallel (workers=8) sweeps of the same
-    /// (fault × platform) matrix produce identical classifications, kill
-    /// counts and (perf-stripped) JSON, and running the whole sweep with
-    /// the predecoded-instruction cache disabled changes nothing either
-    /// — the determinism the suite-strength numbers rely on.
+    /// A fault audit is scheduling-independent: serial (workers=1) and
+    /// parallel (workers=8) sweeps of the same (fault × platform) matrix
+    /// produce identical classifications, kill counts and
+    /// (perf-stripped) JSON — the determinism the suite-strength numbers
+    /// rely on. [`decode_cache_off_matches_prebuilt_runs`] checks the
+    /// same suite's images with the decode cache off.
     #[test]
     fn fault_audit_matrix_independent_of_worker_count(seed in 0u64..1_000) {
-        let audit = |workers: usize, decode: bool| {
+        let audit = |workers: usize| {
             FaultAudit::new()
-                .suite([page_env(default_config(), 1), uart_env(default_config())])
-                .faults([
-                    PlatformFault::PageActiveOffByOne,
-                    PlatformFault::PageMapWriteIgnored,
-                    PlatformFault::UartDropsBytes,
-                ])
-                .platforms([advm_soc::PlatformId::RtlSim, advm_soc::PlatformId::GateSim])
+                .suite(audit_suite())
+                .faults(AUDIT_FAULTS)
+                .platforms(AUDIT_PLATFORMS)
                 .scenarios(2)
                 .seed(seed)
-                .fuel(200_000)
+                .fuel(AUDIT_FUEL)
                 .workers(workers)
-                .decode_cache(decode)
                 .run()
                 .expect("audit runs")
         };
-        let serial = audit(1, true);
-        let parallel = audit(8, true);
-        let undecoded = audit(8, false);
-        for other in [&parallel, &undecoded] {
-            prop_assert_eq!(serial.cells().len(), other.cells().len());
-            for (a, b) in serial.cells().iter().zip(other.cells()) {
-                prop_assert_eq!(a.fault, b.fault);
-                prop_assert_eq!(a.platform, b.platform);
-                prop_assert_eq!(&a.outcome, &b.outcome);
-            }
-            prop_assert_eq!(serial.kill_counts(), other.kill_counts());
-            prop_assert_eq!(strip_perf(&serial.to_json()), strip_perf(&other.to_json()));
-            // The simulated-instruction total is deterministic even
-            // though wall time is not — and the decode cache must not
-            // change how many instructions retire.
-            prop_assert_eq!(serial.perf().instructions, other.perf().instructions);
+        let serial = audit(1);
+        let parallel = audit(8);
+        prop_assert_eq!(serial.cells().len(), parallel.cells().len());
+        for (a, b) in serial.cells().iter().zip(parallel.cells()) {
+            prop_assert_eq!(a.fault, b.fault);
+            prop_assert_eq!(a.platform, b.platform);
+            prop_assert_eq!(&a.outcome, &b.outcome);
         }
-        // The cached sweep shares predecoded artifacts; the uncached one
-        // must never hit.
+        prop_assert_eq!(serial.kill_counts(), parallel.kill_counts());
+        prop_assert_eq!(strip_perf(&serial.to_json()), strip_perf(&parallel.to_json()));
+        // The simulated-instruction total is deterministic even though
+        // wall time is not.
+        prop_assert_eq!(serial.perf().instructions, parallel.perf().instructions);
+        // The sweep shares predecoded artifacts.
         prop_assert!(serial.perf().decode_hits > 0);
-        prop_assert_eq!(undecoded.perf().decode_hits, 0);
         // The audited suite is strong enough to kill the read-path fault
         // everywhere, and PAGE_MAP's dead write-enable dies only to the
         // escape-driven round.
         prop_assert!(serial.killed(PlatformFault::PageActiveOffByOne));
         prop_assert!(serial.killed(PlatformFault::PageMapWriteIgnored));
-    }
-
-    /// Worker-local machine pooling is perf-only: pooled and
-    /// fresh-construction runs produce byte-identical (perf-stripped)
-    /// campaign and audit JSON — same verdicts, matrices, kill counts
-    /// and divergences — at workers 1 and 8, across all six platforms.
-    #[test]
-    fn machine_pool_json_is_byte_identical_to_fresh_construction(seed in 0u64..1_000) {
-        let envs = [page_env(default_config(), 2), uart_env(default_config())];
-        let campaign = |workers: usize, pooled: bool| {
-            Campaign::new()
-                .envs(envs.iter().cloned())
-                .platforms(PlatformId::ALL)
-                .fault(PlatformId::RtlSim, PlatformFault::PageActiveOffByOne)
-                .workers(workers)
-                .machine_pool(pooled)
-                .run()
-                .expect("suite builds")
-        };
-        let reference = strip_perf(&campaign(1, false).to_json());
-        for workers in [1usize, 8] {
-            prop_assert_eq!(
-                &reference,
-                &strip_perf(&campaign(workers, true).to_json()),
-                "pooled campaign, workers={}", workers
-            );
-        }
-        prop_assert_eq!(&reference, &strip_perf(&campaign(8, false).to_json()));
-
-        let audit = |workers: usize, pooled: bool| {
-            FaultAudit::new()
-                .suite(envs.iter().cloned())
-                .faults([PlatformFault::PageActiveOffByOne])
-                .platforms(PlatformId::ALL)
-                .scenarios(2)
-                .seed(seed)
-                .fuel(200_000)
-                .workers(workers)
-                .machine_pool(pooled)
-                .run()
-                .expect("audit runs")
-        };
-        let reference = strip_perf(&audit(1, false).to_json());
-        for workers in [1usize, 8] {
-            prop_assert_eq!(
-                &reference,
-                &strip_perf(&audit(workers, true).to_json()),
-                "pooled audit, workers={}", workers
-            );
-        }
-        prop_assert_eq!(&reference, &strip_perf(&audit(8, false).to_json()));
     }
 
     /// Snapshot-based prefix forking is perf-only: a fault audit whose
@@ -395,6 +346,56 @@ proptest! {
                 "workers={}", workers
             );
             prop_assert_eq!(reference.perf().instructions, forked.perf().instructions);
+        }
+    }
+}
+
+/// The decode cache is perf-only, checked on the platform, where its
+/// reference path lives. Every image of the audit suite, built with the
+/// public `advm::build` helpers and run on each audited platform both
+/// fault-free and under each audited fault, gives the same `RunResult`
+/// with the decode cache off as loaded with its shared predecode
+/// artifact: every field but the `decode` counters.
+#[test]
+fn decode_cache_off_matches_prebuilt_runs() {
+    for env in audit_suite() {
+        let derivative = advm_soc::Derivative::from_id(env.config().derivative);
+        for platform in AUDIT_PLATFORMS {
+            let mut ported = env.clone();
+            ported.reconfigure(EnvConfig {
+                platform,
+                ..env.config()
+            });
+            for cell in ported.cells() {
+                let image = build_cell(&ported, cell.id()).expect("suite builds");
+                let decoded = DecodedProgram::from_image(&image);
+                for fault in std::iter::once(PlatformFault::None).chain(AUDIT_FAULTS) {
+                    let run = |prebuilt: bool| {
+                        let mut machine = Platform::with_fault(platform, &derivative, fault);
+                        machine.set_fuel(AUDIT_FUEL);
+                        if prebuilt {
+                            machine.load_prebuilt(&image, &decoded);
+                        } else {
+                            machine.set_decode_cache(false);
+                            machine.load_image(&image);
+                        }
+                        machine.run()
+                    };
+                    let (off, on) = (run(false), run(true));
+                    let label =
+                        format!("{}/{} on {platform} under {fault:?}", env.name(), cell.id());
+                    assert_eq!(off.decode.hits, 0, "{label}");
+                    assert!(on.decode.hits > 0, "{label}");
+                    assert_eq!(
+                        RunResult {
+                            decode: on.decode,
+                            ..off
+                        },
+                        on,
+                        "{label}"
+                    );
+                }
+            }
         }
     }
 }
@@ -579,18 +580,17 @@ fn forked_campaign_json_is_byte_identical_to_from_reset() {
     );
 }
 
-/// The parallel assembly front-end is perf-only. For a well-formed
-/// suite the perf-stripped report JSON — which pins every
-/// image-dependent observable: verdicts, instruction and cycle counts,
-/// console and UART bytes — is byte-identical whatever the worker
-/// count or front-end mode, so the built images are too. For a
-/// malformed source the campaign fails with the identical
-/// `CampaignError`, attributed to the first failing job in plan order,
-/// never to whichever worker happened to parse first.
+/// The build stage is schedule-independent. For a well-formed suite the
+/// perf-stripped report JSON — which pins every image-dependent
+/// observable: verdicts, instruction and cycle counts, console and UART
+/// bytes — is byte-identical at 1, 2 and 8 workers, so the built images
+/// are too. For a malformed source the campaign fails with the
+/// identical `CampaignError`, attributed to the first failing job in
+/// plan order, never to whichever worker happened to parse first.
 #[test]
-fn parallel_frontend_is_schedule_independent() {
+fn build_stage_is_worker_count_independent() {
     let good = [page_env(default_config(), 2), uart_env(default_config())];
-    let run = |workers: usize, parallel: bool| {
+    let run = |workers: usize| {
         Campaign::new()
             .envs(good.iter().cloned())
             .platforms([
@@ -599,16 +599,15 @@ fn parallel_frontend_is_schedule_independent() {
                 PlatformId::GateSim,
             ])
             .workers(workers)
-            .parallel_frontend(parallel)
             .run()
             .expect("suite builds")
     };
-    let reference = strip_perf(&run(1, false).to_json());
-    for workers in [1usize, 8] {
+    let reference = strip_perf(&run(1).to_json());
+    for workers in [2usize, 8] {
         assert_eq!(
             reference,
-            strip_perf(&run(workers, true).to_json()),
-            "parallel front-end, workers={workers}"
+            strip_perf(&run(workers).to_json()),
+            "workers={workers}"
         );
     }
 
@@ -634,12 +633,11 @@ fn parallel_frontend_is_schedule_independent() {
             )
         })
         .collect();
-    let fail = |workers: usize, parallel: bool| {
+    let fail = |workers: usize| {
         let error = Campaign::new()
             .envs(broken.iter().cloned())
             .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
             .workers(workers)
-            .parallel_frontend(parallel)
             .run()
             .expect_err("malformed source must not build");
         match error {
@@ -652,8 +650,8 @@ fn parallel_frontend_is_schedule_independent() {
             other => panic!("expected a build error, got {other}"),
         }
     };
-    let reference = fail(1, false);
-    for workers in [1usize, 8] {
-        assert_eq!(reference, fail(workers, true), "workers={workers}");
+    let reference = fail(1);
+    for workers in [2usize, 8] {
+        assert_eq!(reference, fail(workers), "workers={workers}");
     }
 }

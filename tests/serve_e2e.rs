@@ -341,6 +341,56 @@ mod socket {
         assert!(JsonValue::parse(&status).unwrap().bool_field("ok").unwrap());
     }
 
+    /// Hostile requests get error lines, not a dead daemon: a request
+    /// line of 1 MiB of `[` (nested past the wire layer's depth cap) and
+    /// a fuzz job sized past its program cap are each answered with an
+    /// error on the same connection, and the daemon still answers
+    /// `status` on a new one.
+    #[test]
+    fn deep_nesting_and_oversized_jobs_get_error_replies() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixStream;
+
+        let server = RunningServer::start(DaemonConfig {
+            workers: 1,
+            cache_capacity: 8,
+        });
+        let stream = UnixStream::connect(&server.path).expect("connecting");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().expect("cloning stream"));
+        let mut writer = stream;
+        let mut error_reply = |request: &[u8]| {
+            writer.write_all(request).unwrap();
+            writer.write_all(b"\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("a reply line");
+            let value = JsonValue::parse(line.trim_end()).expect("reply is JSON");
+            assert!(!value.bool_field("ok").unwrap(), "{line}");
+            value.str_field("error").unwrap().to_owned()
+        };
+
+        let deep = vec![b'['; advm_serve::server::MAX_REQUEST_LINE];
+        let error = error_reply(&deep);
+        assert!(error.contains("nesting deeper than"), "{error}");
+
+        let huge = br#"{"cmd":"submit","job":{"kind":"fuzz","programs":1000000000}}"#;
+        let error = error_reply(huge);
+        let cap = advm_serve::job::MAX_PROGRAMS;
+        assert!(error.contains(&format!("cap of {cap}")), "{error}");
+
+        let status = server
+            .client()
+            .status()
+            .expect("status on a new connection");
+        let status = JsonValue::parse(&status).unwrap();
+        assert!(status.bool_field("ok").unwrap());
+        for state in ["queued", "running", "done", "failed"] {
+            assert_eq!(status.u64_field(state).unwrap(), 0, "no job was accepted");
+        }
+    }
+
     /// Two clients submit and watch concurrently; each stream is
     /// complete, correctly labelled, in order, and verdict-identical to
     /// the in-process equivalent.
