@@ -76,6 +76,9 @@ use crate::env::ModuleTestEnv;
 use crate::prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
 use crate::presets;
 
+/// The platform every audit compares against, and never faults.
+const REFERENCE: PlatformId = PlatformId::GoldenModel;
+
 /// A structured audit failure.
 #[derive(Debug)]
 pub enum AuditError {
@@ -161,7 +164,6 @@ pub struct AuditCell {
 /// The sealed result of a fault-matrix sweep.
 #[derive(Debug, Clone)]
 pub struct FaultAuditReport {
-    reference: PlatformId,
     platforms: Vec<PlatformId>,
     faults: Vec<PlatformFault>,
     cells: Vec<AuditCell>,
@@ -172,9 +174,10 @@ pub struct FaultAuditReport {
 }
 
 impl FaultAuditReport {
-    /// The reference platform every campaign compared against.
+    /// The reference platform every campaign compared against: the
+    /// golden model.
     pub fn reference(&self) -> PlatformId {
-        self.reference
+        REFERENCE
     }
 
     /// The audited (faulted) platforms, in matrix column order.
@@ -298,7 +301,7 @@ impl FaultAuditReport {
         let mut s = String::from("{");
         s.push_str(&format!(
             "\"reference\":\"{}\",\"suite_tests\":{},\"scenarios\":{},",
-            self.reference.name(),
+            REFERENCE.name(),
             self.suite_tests,
             self.scenarios_generated
         ));
@@ -399,14 +402,12 @@ pub struct FaultAudit {
     suite: Vec<ModuleTestEnv>,
     faults: Vec<PlatformFault>,
     platforms: Vec<PlatformId>,
-    reference: PlatformId,
     scenarios: usize,
     escape_rounds: usize,
     seed: u64,
     workers: usize,
     fuel: u64,
     fork_prefix: bool,
-    prefix_budget: u64,
     checkers: Vec<TraceAssertion>,
     artifact_store: Option<Arc<ArtifactStore>>,
     observer_factory: Option<ObserverFactory>,
@@ -418,14 +419,12 @@ impl std::fmt::Debug for FaultAudit {
             .field("suite", &self.suite.len())
             .field("faults", &self.faults)
             .field("platforms", &self.platforms)
-            .field("reference", &self.reference)
             .field("scenarios", &self.scenarios)
             .field("escape_rounds", &self.escape_rounds)
             .field("seed", &self.seed)
             .field("workers", &self.workers)
             .field("fuel", &self.fuel)
             .field("fork_prefix", &self.fork_prefix)
-            .field("prefix_budget", &self.prefix_budget)
             .field("checkers", &self.checkers.len())
             .field("artifact_store", &self.artifact_store.is_some())
             .field("observer_factory", &self.observer_factory.is_some())
@@ -447,14 +446,12 @@ impl FaultAudit {
             suite: presets::standard_system(presets::default_config()),
             faults: PlatformFault::ALL.to_vec(),
             platforms: vec![PlatformId::RtlSim],
-            reference: PlatformId::GoldenModel,
             scenarios: 8,
             escape_rounds: 1,
             seed: 0xFA017,
             workers: default_workers(),
             fuel: advm_sim::DEFAULT_FUEL,
             fork_prefix: true,
-            prefix_budget: DEFAULT_PREFIX_BUDGET,
             checkers: Vec::new(),
             artifact_store: None,
             observer_factory: None,
@@ -477,12 +474,6 @@ impl FaultAudit {
     /// faulted; it is filtered out if listed.
     pub fn platforms(mut self, platforms: impl IntoIterator<Item = PlatformId>) -> Self {
         self.platforms = platforms.into_iter().collect();
-        self
-    }
-
-    /// Sets the reference platform campaigns compare against.
-    pub fn reference(mut self, reference: PlatformId) -> Self {
-        self.reference = reference;
         self
     }
 
@@ -528,7 +519,8 @@ impl FaultAudit {
     }
 
     /// Enables or disables snapshot-based prefix forking (default:
-    /// enabled). When enabled, one [`PrefixPool`] is shared by every
+    /// enabled). When enabled, one [`PrefixPool`] of
+    /// [`DEFAULT_PREFIX_BUDGET`] instructions is shared by every
     /// faulted campaign of the sweep: each deduplicated image's shared
     /// fault-free prefix executes once per platform and every matrix
     /// cell forks from the snapshot when that is provably
@@ -537,13 +529,6 @@ impl FaultAudit {
     /// `prefix_saved`/`forked_runs` perf counters and wall time change.
     pub fn fork_prefix(mut self, enabled: bool) -> Self {
         self.fork_prefix = enabled;
-        self
-    }
-
-    /// Sets the instruction budget of the shared prefix (default
-    /// [`DEFAULT_PREFIX_BUDGET`]); ignored when forking is disabled.
-    pub fn prefix_budget(mut self, budget: u64) -> Self {
-        self.prefix_budget = budget;
         self
     }
 
@@ -566,10 +551,9 @@ impl FaultAudit {
     /// Attaches a shared [`ArtifactStore`] to every campaign the sweep
     /// runs: builds, predecode artifacts and prefix snapshots are
     /// reused across the whole matrix *and* across audits sharing the
-    /// store. With a store attached its prefix pool replaces the
-    /// sweep-local one ([`FaultAudit::prefix_budget`] is superseded by
-    /// the store's). Detection matrices and kill counts are identical
-    /// with or without a store.
+    /// store. With a store attached its prefix pool, and that pool's
+    /// prefix budget, replace the sweep-local one. Detection matrices
+    /// and kill counts are identical with or without a store.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.artifact_store = Some(store);
         self
@@ -607,7 +591,7 @@ impl FaultAudit {
             .workers(workers)
             .fuel(self.fuel);
         campaign = match cell {
-            None => campaign.platform(self.reference),
+            None => campaign.platform(REFERENCE),
             Some((fault, platform)) => campaign.platform(platform).fault(platform, fault),
         };
         if let Some(pool) = pool {
@@ -748,7 +732,7 @@ impl FaultAudit {
             let Some(f) = faulted.run_of(env, test, platform) else {
                 continue;
             };
-            let Some(g) = baseline.run_of(env, test, self.reference) else {
+            let Some(g) = baseline.run_of(env, test, REFERENCE) else {
                 missing += 1;
                 continue;
             };
@@ -814,7 +798,7 @@ impl FaultAudit {
         // duplicates would double matrix cells and kill counts.
         let mut platforms: Vec<PlatformId> = Vec::new();
         for &p in &self.platforms {
-            if p != self.reference && !platforms.contains(&p) {
+            if p != REFERENCE && !platforms.contains(&p) {
                 platforms.push(p);
             }
         }
@@ -844,7 +828,7 @@ impl FaultAudit {
         // With a shared store attached, its own pool plays this role
         // (and outlives the sweep); a sweep-local pool would shadow it.
         let pool = (self.fork_prefix && self.artifact_store.is_none())
-            .then(|| Arc::new(PrefixPool::new(self.prefix_budget)));
+            .then(|| Arc::new(PrefixPool::new(DEFAULT_PREFIX_BUDGET)));
         let mut perf = CampaignPerf::default();
         let suite_baseline = self.baseline(&self.suite, &[])?;
         perf.absorb(suite_baseline.perf());
@@ -896,7 +880,7 @@ impl FaultAudit {
                 .map(|e| e.config().derivative)
                 .unwrap_or(DerivativeId::Sc88A);
             let constraints =
-                GlobalsConstraints::new(derivative, self.reference).with_test_page_count(2);
+                GlobalsConstraints::new(derivative, REFERENCE).with_test_page_count(2);
             let feedback = CoverageFeedback::new().with_weak_modules(weak.iter().copied());
             let plan = ScenarioEngine::new(self.seed.wrapping_add(round as u64))
                 .source(CoverageDirected::new(constraints, feedback))
@@ -932,7 +916,6 @@ impl FaultAudit {
         let mut kill_counts: Vec<(String, usize)> = kill_counts.into_iter().collect();
         kill_counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         Ok(FaultAuditReport {
-            reference: self.reference,
             platforms,
             faults: self.faults.clone(),
             cells,

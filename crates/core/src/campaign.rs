@@ -1489,9 +1489,15 @@ impl Campaign {
         self
     }
 
-    /// Replaces the target platforms (default: all six).
+    /// Replaces the target platforms (default: all six). A platform
+    /// listed twice runs once, in its first position.
     pub fn platforms(mut self, platforms: impl IntoIterator<Item = PlatformId>) -> Self {
-        self.platforms = platforms.into_iter().collect();
+        self.platforms.clear();
+        for platform in platforms {
+            if !self.platforms.contains(&platform) {
+                self.platforms.push(platform);
+            }
+        }
         self
     }
 

@@ -433,6 +433,9 @@ impl fmt::Display for ExplorationReport {
     }
 }
 
+/// The page targets every exploration scenario draws.
+const SCENARIO_PAGES: usize = 2;
+
 /// Builder for a closed-loop coverage exploration: round 1 draws
 /// constrained-random stimulus, every later round draws
 /// coverage-directed stimulus biased toward the holes measured so far.
@@ -447,10 +450,8 @@ pub struct Exploration {
     platforms: Vec<PlatformId>,
     rounds: usize,
     batch: usize,
-    scenario_pages: usize,
     master_seed: u64,
     workers: usize,
-    fuel: u64,
     artifact_store: Option<Arc<crate::artifacts::ArtifactStore>>,
     observer_factory: Option<crate::campaign::ObserverFactory>,
 }
@@ -462,10 +463,8 @@ impl std::fmt::Debug for Exploration {
             .field("platforms", &self.platforms)
             .field("rounds", &self.rounds)
             .field("batch", &self.batch)
-            .field("scenario_pages", &self.scenario_pages)
             .field("master_seed", &self.master_seed)
             .field("workers", &self.workers)
-            .field("fuel", &self.fuel)
             .field("artifact_store", &self.artifact_store.is_some())
             .field("observer_factory", &self.observer_factory.is_some())
             .finish()
@@ -480,17 +479,17 @@ impl Default for Exploration {
 
 impl Exploration {
     /// Defaults: SC88-A, the golden-model + RTL multi-platform preset,
-    /// 3 rounds of 4 scenarios × 2 pages, machine-derived workers.
+    /// 3 rounds of 4 scenarios, machine-derived workers. Every scenario
+    /// draws 2 pages, and every run has the default instruction budget
+    /// ([`advm_sim::DEFAULT_FUEL`]).
     pub fn new() -> Self {
         Self {
             derivative: DerivativeId::Sc88A,
             platforms: vec![PlatformId::GoldenModel, PlatformId::RtlSim],
             rounds: 3,
             batch: 4,
-            scenario_pages: 2,
             master_seed: 0x5EED,
             workers: default_workers(),
-            fuel: advm_sim::DEFAULT_FUEL,
             artifact_store: None,
             observer_factory: None,
         }
@@ -520,12 +519,6 @@ impl Exploration {
         self
     }
 
-    /// Sets the page targets drawn per scenario (minimum 1).
-    pub fn scenario_pages(mut self, pages: usize) -> Self {
-        self.scenario_pages = pages.max(1);
-        self
-    }
-
     /// Sets the master seed every round's plan derives from.
     pub fn master_seed(mut self, seed: u64) -> Self {
         self.master_seed = seed;
@@ -535,12 +528,6 @@ impl Exploration {
     /// Sets the campaign worker count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the per-run instruction budget.
-    pub fn fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
         self
     }
 
@@ -575,7 +562,7 @@ impl Exploration {
             .copied()
             .unwrap_or(PlatformId::GoldenModel);
         let constraints = GlobalsConstraints::new(self.derivative, base_platform)
-            .with_test_page_count(self.scenario_pages);
+            .with_test_page_count(SCENARIO_PAGES);
         let derivative = Derivative::from_id(self.derivative);
         let mut pages = PageCoverage::new(&constraints);
         let mut touched: BTreeSet<u32> = BTreeSet::new();
@@ -603,8 +590,7 @@ impl Exploration {
             let mut campaign = Campaign::new()
                 .scenarios(plan.scenarios().iter().cloned())
                 .platforms(self.platforms.iter().copied())
-                .workers(self.workers)
-                .fuel(self.fuel);
+                .workers(self.workers);
             if let Some(store) = &self.artifact_store {
                 campaign = campaign.artifact_store(Arc::clone(store));
             }

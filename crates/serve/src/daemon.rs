@@ -1,5 +1,6 @@
 //! The resident verification daemon: a shared job queue, a worker pool
-//! executing [`JobSpec`]s, and per-job event streams.
+//! running [`JobSpec`]s through [`JobSpec::run`], and per-job event
+//! streams.
 //!
 //! The daemon is deliberately transport-free — it is driven either
 //! in-process (tests, doctests, embedding) or by the Unix-socket
@@ -13,21 +14,15 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use advm::artifacts::{ArtifactStore, DEFAULT_ARTIFACT_CAPACITY};
-use advm::audit::FaultAudit;
-use advm::campaign::{Campaign, CampaignEvent, CampaignObserver, CampaignPerf, ObserverFactory};
-use advm::env::ModuleTestEnv;
-use advm::fuzz::Fuzz;
-use advm::stimulus::Exploration;
-use advm_soc::PlatformId;
+use advm::campaign::{CampaignEvent, CampaignObserver, CampaignPerf, ObserverFactory};
 
-use crate::job::{JobSpec, JobState};
+use crate::job::{JobReport, JobSpec, JobState};
 
 /// Daemon construction knobs.
 #[derive(Debug, Clone)]
@@ -107,8 +102,42 @@ impl JobRecord {
         self.state.lock().expect("job state poisoned").clone()
     }
 
-    fn set_state(&self, state: JobState) {
-        *self.state.lock().expect("job state poisoned") = state;
+    /// Moves a queued job to `Running` in one step under the state
+    /// lock. False when the job already left the queue (a cancel won
+    /// the race), so the worker must not run it.
+    fn start(&self) -> bool {
+        self.leave_queue(JobState::Running)
+    }
+
+    /// Cancels the job if it is still queued, sealing its stream with a
+    /// `cancelled` done line, and returns the reply line. A job that
+    /// already started runs to completion (`"cancelled":false`).
+    fn cancel(&self) -> String {
+        let cancelled = self.leave_queue(JobState::Cancelled);
+        if cancelled {
+            self.finish(
+                JobState::Cancelled,
+                format!(
+                    "{{\"job\":{},\"done\":true,\"ok\":false,\"cancelled\":true}}",
+                    self.id
+                ),
+            );
+        }
+        format!(
+            "{{\"ok\":true,\"job\":{},\"cancelled\":{cancelled}}}",
+            self.id
+        )
+    }
+
+    /// Moves a `Queued` job to `next`; false, with the state unchanged,
+    /// for a job in any other state.
+    fn leave_queue(&self, next: JobState) -> bool {
+        let mut state = self.state.lock().expect("job state poisoned");
+        let queued = *state == JobState::Queued;
+        if queued {
+            *state = next;
+        }
+        queued
     }
 
     /// Appends one line and fans it out to live subscribers.
@@ -180,9 +209,9 @@ impl JobRecord {
         );
     }
 
-    /// Seals the job with its final line.
+    /// Seals the job with its final state and line.
     fn finish(&self, state: JobState, line: String) {
-        self.set_state(state);
+        *self.state.lock().expect("job state poisoned") = state;
         let _ = self.result.set(line.clone());
         self.push_line(line, true);
     }
@@ -290,22 +319,10 @@ impl Daemon {
     /// Cancels a queued job. Running jobs are not interrupted — the
     /// reply says whether the cancel took effect.
     pub fn cancel(&self, id: u64) -> String {
-        let Some(record) = self.job(id) else {
-            return crate::protocol::error_line(&format!("no such job {id}"));
-        };
-        let mut job_state = record.state.lock().expect("job state poisoned");
-        let cancelled = matches!(*job_state, JobState::Queued);
-        if cancelled {
-            *job_state = JobState::Cancelled;
+        match self.job(id) {
+            Some(record) => record.cancel(),
+            None => crate::protocol::error_line(&format!("no such job {id}")),
         }
-        drop(job_state);
-        if cancelled {
-            record.finish(
-                JobState::Cancelled,
-                format!("{{\"job\":{id},\"done\":true,\"ok\":false,\"cancelled\":true}}"),
-            );
-        }
-        format!("{{\"ok\":true,\"job\":{id},\"cancelled\":{cancelled}}}")
     }
 
     /// One-line daemon summary: job counts by state, worker count, the
@@ -377,12 +394,10 @@ impl Daemon {
         self.shared.cv.notify_all();
     }
 
-    /// Shuts down and joins the worker pool.
-    pub fn join(mut self) {
-        self.shutdown();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
+    /// Shuts down and joins the worker pool (what dropping the daemon
+    /// does).
+    pub fn join(self) {
+        drop(self);
     }
 }
 
@@ -409,10 +424,9 @@ fn phases_json(perf: &CampaignPerf) -> String {
     )
 }
 
-/// What a job body yields: the run-level verdict, the report JSON and
-/// the job's aggregated campaign perf (all internal campaigns
-/// absorbed), or the error that ended the job.
-type JobOutcome = Result<(bool, String, CampaignPerf), String>;
+/// What a job body yields: the run's report, or the error that ended
+/// the job.
+type JobOutcome = Result<JobReport, String>;
 
 /// A job body; the daemon runs [`execute`].
 type Executor = fn(&JobSpec, &Arc<ArtifactStore>, &Arc<JobRecord>) -> JobOutcome;
@@ -433,10 +447,9 @@ fn worker_loop(shared: &Shared, execute: Executor) {
             }
         };
         // A cancel may have landed between enqueue and pickup.
-        if record.state().is_terminal() {
+        if !record.start() {
             continue;
         }
-        record.set_state(JobState::Running);
         seal(&record, || execute(record.spec(), &shared.store, &record));
     }
 }
@@ -449,13 +462,15 @@ fn seal(record: &JobRecord, body: impl FnOnce() -> JobOutcome) {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(body))
         .unwrap_or_else(|payload| Err(format!("panic: {}", panic_message(payload.as_ref()))));
     match outcome {
-        Ok((ok, report, perf)) => {
-            let _ = record.perf.set(perf);
+        Ok(report) => {
+            let ok = report.ok();
+            let _ = record.perf.set(report.perf());
             record.finish(
                 JobState::Done { ok },
                 format!(
-                    "{{\"job\":{},\"done\":true,\"ok\":{ok},\"report\":{report}}}",
-                    record.id()
+                    "{{\"job\":{},\"done\":true,\"ok\":{ok},\"report\":{}}}",
+                    record.id(),
+                    report.to_json()
                 ),
             );
         }
@@ -488,147 +503,10 @@ fn streamer_factory(record: &Arc<JobRecord>) -> ObserverFactory {
     Arc::new(move || Box::new(EventStreamer(Arc::clone(&record))) as Box<dyn CampaignObserver>)
 }
 
-/// Executes one job spec against the shared store, streaming events to
+/// Runs one job spec against the shared store, streaming its events to
 /// the record.
 fn execute(spec: &JobSpec, store: &Arc<ArtifactStore>, record: &Arc<JobRecord>) -> JobOutcome {
-    match spec {
-        JobSpec::Regress {
-            dir,
-            env,
-            platforms,
-            all_platforms,
-            workers,
-            fuel,
-        } => {
-            let tree = advm::fsio::read_tree(Path::new(dir))
-                .map_err(|e| format!("reading `{dir}`: {e}"))?;
-            let env = ModuleTestEnv::from_tree(env, &tree)
-                .map_err(|e| format!("environment `{env}` in `{dir}`: {e}"))?;
-            // Mirrors `advm-cli regress`: bisection on, the
-            // environment's own platform when none is requested.
-            let mut campaign = Campaign::new()
-                .env(env.clone())
-                .bisect(true)
-                .artifact_store(Arc::clone(store))
-                .observe(EventStreamer(Arc::clone(record)));
-            campaign = if *all_platforms {
-                campaign.platforms(PlatformId::ALL)
-            } else if platforms.is_empty() {
-                campaign.platform(env.config().platform)
-            } else {
-                campaign.platforms(platforms.iter().copied())
-            };
-            if let Some(workers) = workers {
-                campaign = campaign.workers(*workers as usize);
-            }
-            if let Some(fuel) = fuel {
-                campaign = campaign.fuel(*fuel);
-            }
-            let report = campaign.run().map_err(|e| e.to_string())?;
-            Ok((report.failed() == 0, report.to_json(), *report.perf()))
-        }
-        JobSpec::Audit {
-            platforms,
-            all_platforms,
-            scenarios,
-            seed,
-            workers,
-            fuel,
-        } => {
-            let mut audit = FaultAudit::new()
-                .artifact_store(Arc::clone(store))
-                .observe_with(streamer_factory(record));
-            if *all_platforms {
-                audit = audit.platforms(PlatformId::ALL);
-            } else if !platforms.is_empty() {
-                audit = audit.platforms(platforms.iter().copied());
-            }
-            if let Some(scenarios) = scenarios {
-                audit = audit.scenarios(*scenarios as usize);
-            }
-            if let Some(seed) = seed {
-                audit = audit.seed(*seed);
-            }
-            if let Some(workers) = workers {
-                audit = audit.workers(*workers as usize);
-            }
-            if let Some(fuel) = fuel {
-                audit = audit.fuel(*fuel);
-            }
-            let report = audit.run().map_err(|e| e.to_string())?;
-            Ok((report.broken() == 0, report.to_json(), *report.perf()))
-        }
-        JobSpec::Explore {
-            rounds,
-            seed,
-            batch,
-            workers,
-            derivative,
-            all_platforms,
-        } => {
-            let mut exploration = Exploration::new()
-                .artifact_store(Arc::clone(store))
-                .observe_with(streamer_factory(record));
-            if let Some(rounds) = rounds {
-                exploration = exploration.rounds(*rounds as usize);
-            }
-            if let Some(seed) = seed {
-                exploration = exploration.master_seed(*seed);
-            }
-            if let Some(batch) = batch {
-                exploration = exploration.batch(*batch as usize);
-            }
-            if let Some(workers) = workers {
-                exploration = exploration.workers(*workers as usize);
-            }
-            if let Some(derivative) = derivative {
-                exploration = exploration.derivative(*derivative);
-            }
-            if *all_platforms {
-                exploration = exploration.platforms(PlatformId::ALL);
-            }
-            let report = exploration.run().map_err(|e| e.to_string())?;
-            let mut perf = CampaignPerf::default();
-            for round in report.rounds() {
-                perf.absorb(round.campaign.perf());
-            }
-            Ok((report.failed() == 0, report.to_json(), perf))
-        }
-        JobSpec::Fuzz {
-            programs,
-            seed,
-            mine,
-            platforms,
-            all_platforms,
-            workers,
-            fuel,
-        } => {
-            let mut fuzz = Fuzz::new()
-                .mine(*mine)
-                .artifact_store(Arc::clone(store))
-                .observe_with(streamer_factory(record));
-            if let Some(programs) = programs {
-                fuzz = fuzz.programs(*programs as usize);
-            }
-            if let Some(seed) = seed {
-                fuzz = fuzz.seed(*seed);
-            }
-            if *all_platforms {
-                fuzz = fuzz.platforms(PlatformId::ALL);
-            } else if !platforms.is_empty() {
-                fuzz = fuzz.platforms(platforms.iter().copied());
-            }
-            if let Some(workers) = workers {
-                fuzz = fuzz.workers(*workers as usize);
-            }
-            if let Some(fuel) = fuel {
-                fuzz = fuzz.fuel(*fuel);
-            }
-            let report = fuzz.run().map_err(|e| e.to_string())?;
-            let perf = *report.campaign().perf();
-            Ok((report.ok(), report.to_json(), perf))
-        }
-    }
+    spec.run(Some(Arc::clone(store)), Some(streamer_factory(record)))
 }
 
 #[cfg(test)]
@@ -768,6 +646,43 @@ mod tests {
         let missing = daemon.cancel(99);
         assert!(missing.contains("no such job"), "{missing}");
         daemon.join();
+    }
+
+    #[test]
+    fn a_job_is_either_started_or_cancelled_never_both() {
+        let spec = || JobSpec::Explore {
+            rounds: None,
+            seed: None,
+            batch: None,
+            workers: None,
+            derivative: None,
+            all_platforms: false,
+        };
+        // Cancel first: the worker's start is refused, so the stream
+        // ends with the one `cancelled` done line and nothing after it.
+        let record = JobRecord::new(0, spec());
+        let reply = record.cancel();
+        assert!(reply.contains("\"cancelled\":true"), "{reply}");
+        assert!(!record.start(), "a cancelled job must not start");
+        assert_eq!(record.state(), JobState::Cancelled);
+        let (lines, live) = record.subscribe();
+        assert!(live.is_none(), "the stream is finished");
+        assert_eq!(
+            lines,
+            ["{\"job\":0,\"done\":true,\"ok\":false,\"cancelled\":true}"]
+        );
+        // A second cancel finds the job gone from the queue.
+        assert!(record.cancel().contains("\"cancelled\":false"));
+
+        // Start first: the cancel is refused and the job stays running.
+        let record = JobRecord::new(1, spec());
+        assert!(record.start());
+        let reply = record.cancel();
+        assert_eq!(reply, "{\"ok\":true,\"job\":1,\"cancelled\":false}");
+        assert_eq!(record.state(), JobState::Running);
+        let (lines, live) = record.subscribe();
+        assert!(lines.is_empty() && live.is_some(), "{lines:?}");
+        assert!(!record.start(), "a job starts once");
     }
 
     #[test]

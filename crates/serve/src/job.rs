@@ -1,19 +1,28 @@
-//! Job specifications — the daemon's unit of work.
+//! Job specifications — the one description of a run.
 //!
 //! A [`JobSpec`] abstracts over the four run types the engine exposes
-//! ([`Campaign`](advm::campaign::Campaign),
-//! [`FaultAudit`](advm::audit::FaultAudit),
-//! [`Exploration`](advm::stimulus::Exploration),
-//! [`Fuzz`](advm::fuzz::Fuzz)) as one serializable
-//! value: what `advm-cli submit` sends over the socket is exactly what
-//! a worker thread later executes. Field names mirror the CLI's flag
-//! surfaces (`--workers`, `--fuel`, `--all-platforms`, …).
+//! ([`Campaign`], [`FaultAudit`], [`Exploration`], [`Fuzz`]) as one
+//! serializable value, and [`JobSpec::run`] is the one mapping from that
+//! value onto the drivers: what `advm-cli submit` sends over the socket
+//! is exactly what a daemon worker later runs, and `advm-cli
+//! regress|audit|explore|fuzz` parse the same flags into the same spec
+//! and run it in process. Field names mirror the CLI's flag surfaces
+//! (`--workers`, `--fuel`, `--all-platforms`, …).
 //!
 //! A job's size fields are capped on the wire ([`MAX_PROGRAMS`],
 //! [`MAX_SCENARIOS`], [`MAX_BATCH`], [`MAX_ROUNDS`]): a job sized past
 //! what memory holds would abort the whole daemon, which no job-level
 //! error handling can catch.
 
+use std::path::Path;
+use std::sync::Arc;
+
+use advm::artifacts::ArtifactStore;
+use advm::audit::{FaultAudit, FaultAuditReport};
+use advm::campaign::{Campaign, CampaignPerf, CampaignReport, ObserverFactory};
+use advm::env::ModuleTestEnv;
+use advm::fuzz::{Fuzz, FuzzReport};
+use advm::stimulus::{Exploration, ExplorationReport};
 use advm::wire::{json_string, JsonValue, WireError};
 use advm_soc::{DerivativeId, PlatformId};
 
@@ -89,13 +98,15 @@ fn push_opt_u64(out: &mut String, key: &str, value: Option<u64>) {
     }
 }
 
-/// One executable verification job, as submitted over the wire.
+/// One executable verification job: a local CLI run or one submitted
+/// over the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobSpec {
-    /// A regression campaign over one on-disk environment — the daemon
-    /// side of `advm-cli regress`.
+    /// A regression campaign over one on-disk environment:
+    /// `advm-cli regress`.
     Regress {
-        /// Directory holding the environment tree (daemon-side path).
+        /// Directory holding the environment tree, as the running
+        /// process resolves it (`submit` sends an absolute path).
         dir: String,
         /// Environment name inside the tree.
         env: String,
@@ -109,8 +120,7 @@ pub enum JobSpec {
         /// Per-run instruction budget override.
         fuel: Option<u64>,
     },
-    /// A suite-strength fault audit — the daemon side of
-    /// `advm-cli audit`.
+    /// A suite-strength fault audit: `advm-cli audit`.
     Audit {
         /// Audited platforms; empty keeps the audit default (rtl).
         platforms: Vec<PlatformId>,
@@ -125,8 +135,7 @@ pub enum JobSpec {
         /// Per-run instruction budget override.
         fuel: Option<u64>,
     },
-    /// A closed-loop coverage exploration — the daemon side of
-    /// `advm-cli explore`.
+    /// A closed-loop coverage exploration: `advm-cli explore`.
     Explore {
         /// Closed-loop round count.
         rounds: Option<u64>,
@@ -141,8 +150,8 @@ pub enum JobSpec {
         /// Explore the full six-platform matrix.
         all_platforms: bool,
     },
-    /// A program-fuzzing campaign with optional assertion mining — the
-    /// daemon side of `advm-cli fuzz`.
+    /// A program-fuzzing campaign with optional assertion mining:
+    /// `advm-cli fuzz`.
     Fuzz {
         /// Generated program count override.
         programs: Option<u64>,
@@ -331,6 +340,203 @@ impl JobSpec {
     pub fn from_json(text: &str) -> Result<Self, WireError> {
         Self::from_value(&JsonValue::parse(text)?)
     }
+
+    /// Runs the spec on the driver its kind names. Every internal
+    /// campaign looks its builds up in `store` when one is given, and
+    /// streams its events to a fresh observer from `observe`. The
+    /// daemon passes its shared store and a job's event streamer; the
+    /// CLI passes no store, and its progress printer for `regress` and
+    /// `fuzz`. Reports are identical with or without either, but for
+    /// the `perf` block.
+    ///
+    /// A regress run reads its environment from `dir`, bisects every
+    /// divergence, and targets the environment's own platform when the
+    /// spec names none.
+    ///
+    /// # Errors
+    ///
+    /// The cause, as text: an unreadable directory or environment, or
+    /// the driver's own error.
+    pub fn run(
+        &self,
+        store: Option<Arc<ArtifactStore>>,
+        observe: Option<ObserverFactory>,
+    ) -> Result<JobReport, String> {
+        match self {
+            JobSpec::Regress {
+                dir,
+                env,
+                platforms,
+                all_platforms,
+                workers,
+                fuel,
+            } => {
+                let tree = advm::fsio::read_tree(Path::new(dir))
+                    .map_err(|e| format!("reading `{dir}`: {e}"))?;
+                let env = ModuleTestEnv::from_tree(env, &tree)
+                    .map_err(|e| format!("environment `{env}` in `{dir}`: {e}"))?;
+                let targets = targets(*all_platforms, platforms)
+                    .unwrap_or_else(|| vec![env.config().platform]);
+                let campaign = Campaign::new().env(env).bisect(true).platforms(targets);
+                let campaign = set(campaign, workers.map(|n| n as usize), Campaign::workers);
+                let campaign = set(campaign, *fuel, Campaign::fuel);
+                let campaign = set(campaign, store, Campaign::artifact_store);
+                let campaign = set(
+                    campaign,
+                    observe.map(|factory| factory()),
+                    Campaign::observe,
+                );
+                campaign
+                    .run()
+                    .map(JobReport::Regress)
+                    .map_err(|e| e.to_string())
+            }
+            JobSpec::Audit {
+                platforms,
+                all_platforms,
+                scenarios,
+                seed,
+                workers,
+                fuel,
+            } => {
+                let audit = FaultAudit::new();
+                let audit = set(
+                    audit,
+                    targets(*all_platforms, platforms),
+                    FaultAudit::platforms,
+                );
+                let audit = set(audit, scenarios.map(|n| n as usize), FaultAudit::scenarios);
+                let audit = set(audit, *seed, FaultAudit::seed);
+                let audit = set(audit, workers.map(|n| n as usize), FaultAudit::workers);
+                let audit = set(audit, *fuel, FaultAudit::fuel);
+                let audit = set(audit, store, FaultAudit::artifact_store);
+                let audit = set(audit, observe, FaultAudit::observe_with);
+                audit.run().map(JobReport::Audit).map_err(|e| e.to_string())
+            }
+            JobSpec::Explore {
+                rounds,
+                seed,
+                batch,
+                workers,
+                derivative,
+                all_platforms,
+            } => {
+                let explore = Exploration::new();
+                let explore = set(
+                    explore,
+                    targets(*all_platforms, &[]),
+                    Exploration::platforms,
+                );
+                let explore = set(explore, rounds.map(|n| n as usize), Exploration::rounds);
+                let explore = set(explore, *seed, Exploration::master_seed);
+                let explore = set(explore, batch.map(|n| n as usize), Exploration::batch);
+                let explore = set(explore, workers.map(|n| n as usize), Exploration::workers);
+                let explore = set(explore, *derivative, Exploration::derivative);
+                let explore = set(explore, store, Exploration::artifact_store);
+                let explore = set(explore, observe, Exploration::observe_with);
+                explore
+                    .run()
+                    .map(JobReport::Explore)
+                    .map_err(|e| e.to_string())
+            }
+            JobSpec::Fuzz {
+                programs,
+                seed,
+                mine,
+                platforms,
+                all_platforms,
+                workers,
+                fuel,
+            } => {
+                let fuzz = Fuzz::new().mine(*mine);
+                let fuzz = set(fuzz, targets(*all_platforms, platforms), Fuzz::platforms);
+                let fuzz = set(fuzz, programs.map(|n| n as usize), Fuzz::programs);
+                let fuzz = set(fuzz, *seed, Fuzz::seed);
+                let fuzz = set(fuzz, workers.map(|n| n as usize), Fuzz::workers);
+                let fuzz = set(fuzz, *fuel, Fuzz::fuel);
+                let fuzz = set(fuzz, store, Fuzz::artifact_store);
+                let fuzz = set(fuzz, observe, Fuzz::observe_with);
+                fuzz.run().map(JobReport::Fuzz).map_err(|e| e.to_string())
+            }
+        }
+    }
+}
+
+/// Applies one builder setter when the spec gives its value; with
+/// `None` the builder keeps its own default.
+fn set<B, T>(builder: B, value: Option<T>, setter: impl FnOnce(B, T) -> B) -> B {
+    match value {
+        Some(value) => setter(builder, value),
+        None => builder,
+    }
+}
+
+/// The platforms a spec asks for: all six with `all`, else the listed
+/// ones, else `None` for the driver's own default.
+fn targets(all: bool, listed: &[PlatformId]) -> Option<Vec<PlatformId>> {
+    if all {
+        Some(PlatformId::ALL.to_vec())
+    } else if listed.is_empty() {
+        None
+    } else {
+        Some(listed.to_vec())
+    }
+}
+
+/// The typed report of a finished run, one variant per [`JobSpec`]
+/// kind.
+#[derive(Debug, Clone)]
+pub enum JobReport {
+    /// A regression campaign's report.
+    Regress(CampaignReport),
+    /// A fault audit's report.
+    Audit(FaultAuditReport),
+    /// A coverage exploration's report.
+    Explore(ExplorationReport),
+    /// A fuzz run's report.
+    Fuzz(FuzzReport),
+}
+
+impl JobReport {
+    /// The run-level verdict: every test passed (regress), no audit
+    /// cell is broken (audit), no exploration run failed (explore), or
+    /// no failure, divergence or checker violation (fuzz).
+    pub fn ok(&self) -> bool {
+        match self {
+            JobReport::Regress(report) => report.failed() == 0,
+            JobReport::Audit(report) => report.broken() == 0,
+            JobReport::Explore(report) => report.failed() == 0,
+            JobReport::Fuzz(report) => report.ok(),
+        }
+    }
+
+    /// The report as one JSON object: what `advm-cli <kind> --json`
+    /// prints and a daemon job's `done` line carries.
+    pub fn to_json(&self) -> String {
+        match self {
+            JobReport::Regress(report) => report.to_json(),
+            JobReport::Audit(report) => report.to_json(),
+            JobReport::Explore(report) => report.to_json(),
+            JobReport::Fuzz(report) => report.to_json(),
+        }
+    }
+
+    /// The run's campaign perf with every internal campaign absorbed
+    /// (an exploration sums its rounds).
+    pub fn perf(&self) -> CampaignPerf {
+        match self {
+            JobReport::Regress(report) => *report.perf(),
+            JobReport::Audit(report) => *report.perf(),
+            JobReport::Explore(report) => {
+                let mut perf = CampaignPerf::default();
+                for round in report.rounds() {
+                    perf.absorb(round.campaign.perf());
+                }
+                perf
+            }
+            JobReport::Fuzz(report) => *report.campaign().perf(),
+        }
+    }
 }
 
 /// The lifecycle of one submitted job.
@@ -365,14 +571,6 @@ impl JobState {
             JobState::Failed { .. } => "failed",
             JobState::Cancelled => "cancelled",
         }
-    }
-
-    /// Whether the job will never run (again).
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done { .. } | JobState::Failed { .. } | JobState::Cancelled
-        )
     }
 }
 

@@ -1,6 +1,6 @@
 //! Campaign-as-a-service: a resident ADVM verification daemon.
 //!
-//! The batch tools (`advm-cli regress/audit/explore`) pay the full
+//! The batch tools (`advm-cli regress/audit/explore/fuzz`) pay the full
 //! assemble-and-decode cost on every invocation. This crate keeps one
 //! verification engine resident instead: a [`Daemon`] owns a job queue,
 //! a worker pool, and — the point of the exercise — one shared
@@ -16,6 +16,10 @@
 //!
 //! - [`job`] / [`protocol`] — the serializable vocabulary: [`JobSpec`],
 //!   [`JobState`], [`Request`], all as newline-delimited JSON.
+//!   [`JobSpec::run`] maps a spec onto its driver and returns a
+//!   [`JobReport`]; daemon workers run jobs through it, and it is also
+//!   the CLI's local runner, so a run started with `advm-cli regress`
+//!   and the same run served by the daemon give one report.
 //! - [`daemon`] — the transport-free engine: queue, workers, per-job
 //!   event streams ([`JobRecord::subscribe`]).
 //! - [`server`] / [`client`] — the Unix-domain-socket skin (Unix only;
@@ -34,7 +38,7 @@ pub mod client;
 pub mod server;
 
 pub use daemon::{Daemon, DaemonConfig, JobRecord};
-pub use job::{JobSpec, JobState};
+pub use job::{JobReport, JobSpec, JobState};
 pub use protocol::Request;
 
 #[cfg(unix)]

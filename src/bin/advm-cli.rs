@@ -16,10 +16,7 @@
 //! advm-cli port <dir> <env-name> --derivative D [--platform P]
 //! advm-cli asm <file.asm>                      # assemble + listing
 //! advm-cli serve --socket <path> [--workers N] [--cache N]
-//! advm-cli submit --socket <path> [--watch] regress <dir> <env-name> [...]
-//! advm-cli submit --socket <path> [--watch] audit [...]
-//! advm-cli submit --socket <path> [--watch] explore [...]
-//! advm-cli submit --socket <path> [--watch] fuzz [...]
+//! advm-cli submit --socket <path> [--watch] regress|audit|explore|fuzz [...]
 //! advm-cli watch --socket <path> <job>
 //! advm-cli status --socket <path>
 //! advm-cli list --socket <path>
@@ -28,23 +25,26 @@
 //! ```
 //!
 //! Environments on disk use exactly the paper's Figure 3 layout; `port`
-//! rewrites only the abstraction layer and prints the change-set. The
-//! `serve` family talks to the resident daemon (`advm-serve`): `submit`
-//! reuses the `regress`/`audit`/`explore` flag surfaces verbatim, and
+//! rewrites only the abstraction layer and prints the change-set.
+//!
+//! `regress`, `audit`, `explore` and `fuzz` share one flag surface and
+//! one runner with the daemon: their arguments parse into a
+//! [`JobSpec`], which runs in process through [`JobSpec::run`], and
+//! `submit` sends the same spec, parsed by the same code, to a daemon
+//! whose workers run it through the same function. `serve` is the
+//! server: it starts the resident daemon on a Unix-domain socket, and
 //! `watch` streams a job's NDJSON events to stdout.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use advm::audit::FaultAudit;
-use advm::campaign::{Campaign, ProgressObserver};
+use advm::campaign::{ObserverFactory, ProgressObserver};
 use advm::env::{EnvConfig, ModuleTestEnv};
 use advm::fsio::{read_tree, write_tree};
-use advm::fuzz::Fuzz;
 use advm::porting::port_env;
-use advm::stimulus::Exploration;
-use advm_serve::JobSpec;
+use advm_serve::{JobReport, JobSpec};
 use advm_soc::{DerivativeId, PlatformId};
 
 /// One CLI failure: what went wrong, which token caused it (when a
@@ -121,10 +121,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         Some("validate") => validate(&args[1..]),
         Some("check") => check(&args[1..]),
         Some("run") => run(&args[1..]),
-        Some("regress") => regress(&args[1..]),
-        Some("explore") => explore(&args[1..]),
-        Some("audit") => audit(&args[1..]),
-        Some("fuzz") => fuzz(&args[1..]),
+        Some("regress" | "audit" | "explore" | "fuzz") => run_job(args),
         Some("port") => port(&args[1..]),
         Some("asm") => asm(&args[1..]),
         Some("serve") => serve(&args[1..]),
@@ -160,16 +157,7 @@ usage:
   advm-cli port <dir> <env-name> --derivative D [--platform P]
   advm-cli asm <file.asm>
   advm-cli serve --socket <path> [--workers N] [--cache N]
-  advm-cli submit --socket <path> [--watch] regress <dir> <env-name>
-                  [--platform P | --all-platforms] [--workers N] [--fuel N]
-  advm-cli submit --socket <path> [--watch] audit
-                  [--platforms P1,P2 | --all-platforms] [--workers N]
-                  [--scenarios N] [--seed S] [--fuel N]
-  advm-cli submit --socket <path> [--watch] explore [--rounds N] [--seed S]
-                  [--batch N] [--workers N] [--derivative D] [--all-platforms]
-  advm-cli submit --socket <path> [--watch] fuzz [--programs N] [--seed S]
-                  [--mine] [--workers N] [--fuel N]
-                  [--platforms P1,P2 | --all-platforms]
+  advm-cli submit --socket <path> [--watch] regress|audit|explore|fuzz [...]
   advm-cli watch --socket <path> <job>
   advm-cli status --socket <path>
   advm-cli list --socket <path>
@@ -195,11 +183,14 @@ first runs fault-free with the MMIO monitor armed, trace assertions are
 mined from the captured traces, and the verification campaign re-checks
 them on every run — catching faults the differential verdict cannot see.
 
-serve starts the resident verification daemon on a Unix-domain socket;
-submit/watch/status/list/cancel/shutdown talk to it. The daemon keeps
-built images, predecoded programs and prefix snapshots warm across
-jobs, so a resubmitted suite skips its builds (see the `artifact_hits`
-perf counter in job reports and the `artifacts` block of `status`).
+serve is the verification server: it starts the resident daemon on a
+Unix-domain socket, and submit/watch/status/list/cancel/shutdown talk
+to it. submit takes the arguments of regress, audit, explore or fuzz
+and runs the same job on the daemon, with the same report. The daemon
+keeps built images, predecoded programs and prefix snapshots warm
+across jobs, so a resubmitted suite skips its builds (see the
+`artifact_hits` perf counter in job reports and the `artifacts` block
+of `status`).
 
 derivatives: SC88-A SC88-B SC88-C SC88-D
 platforms:   golden rtl gate accel bondout silicon
@@ -343,56 +334,125 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn regress(args: &[String]) -> Result<(), CliError> {
-    let dir = positional(args, 0, "directory")?;
-    let name = positional(args, 1, "environment name")?;
-    let env = load_env(&dir, &name)?;
+/// Runs `regress`, `audit`, `explore` or `fuzz` in process: the
+/// arguments parse into the [`JobSpec`] `submit` would send, and
+/// [`JobSpec::run`] runs it as a daemon worker does, without a store.
+fn run_job(args: &[String]) -> Result<(), CliError> {
+    let spec = job_spec(args)?;
     let json = args.iter().any(|a| a == "--json");
-
-    // Bisection pinpoints the first divergent retired instruction of
-    // every divergence the regression surfaces.
-    let mut campaign = Campaign::new().env(env.clone()).bisect(true);
-    campaign = if args.iter().any(|a| a == "--all-platforms") {
-        campaign.platforms(PlatformId::ALL)
-    } else {
-        let platform = flag_value(args, "--platform")?
-            .map(parse_platform)
-            .transpose()?
-            .unwrap_or(env.config().platform);
-        campaign.platform(platform)
+    // Live progress streams to stderr; verdicts stay on stdout.
+    let progress: Option<ObserverFactory> = match spec {
+        JobSpec::Regress { .. } | JobSpec::Fuzz { .. } if !json => {
+            Some(Arc::new(|| Box::new(ProgressObserver::new())))
+        }
+        _ => None,
     };
-    if let Some(workers) = int_flag(args, "--workers")? {
-        campaign = campaign.workers(workers);
-    }
-    if let Some(fuel) = int_flag(args, "--fuel")? {
-        campaign = campaign.fuel(fuel);
-    }
-    if !json {
-        // Live progress streams to stderr; verdicts stay on stdout.
-        campaign = campaign.observe(ProgressObserver::new());
-    }
-
-    let report = campaign.run().map_err(|e| e.to_string())?;
+    let report = spec.run(None, progress)?;
     if json {
         println!("{}", report.to_json());
     } else {
-        println!("{}", report.matrix());
-        println!(
-            "{}/{} passed ({} cache hits, {} builds)",
-            report.passed(),
-            report.total(),
-            report.cache_hits(),
-            report.unique_builds()
-        );
-        println!("{}", perf_line(report.perf()));
-        for (test, divergence) in report.divergences() {
-            println!("divergence in {test}:\n{divergence}");
-        }
+        print_summary(&report);
     }
-    if report.failed() == 0 {
+    if report.ok() {
         Ok(())
     } else {
-        Err(format!("{} failure(s)", report.failed()).into())
+        Err(failure(&report).into())
+    }
+}
+
+/// Prints a finished run's human-readable summary.
+fn print_summary(report: &JobReport) {
+    match report {
+        JobReport::Regress(report) => {
+            println!("{}", report.matrix());
+            println!(
+                "{}/{} passed ({} cache hits, {} builds)",
+                report.passed(),
+                report.total(),
+                report.cache_hits(),
+                report.unique_builds()
+            );
+            println!("{}", perf_line(report.perf()));
+            for (test, divergence) in report.divergences() {
+                println!("divergence in {test}:\n{divergence}");
+            }
+        }
+        JobReport::Audit(report) => {
+            println!("{}", report.matrix());
+            let killed = report
+                .faults()
+                .iter()
+                .filter(|&&f| report.killed(f))
+                .count();
+            println!(
+                "kill rate: {killed}/{} faults ({:.1}%) across {} platform(s), {} suite tests, {} generated scenarios",
+                report.faults().len(),
+                100.0 * report.kill_rate(),
+                report.platforms().len(),
+                report.suite_tests(),
+                report.scenarios_generated(),
+            );
+            println!("{}", perf_line(report.perf()));
+            for cell in report.escapes() {
+                println!("ESCAPE: {} on {}", cell.fault, cell.platform);
+            }
+            println!("strongest killers:");
+            for (test, kills) in report.kill_counts().iter().take(5) {
+                println!("  {kills:>3}  {test}");
+            }
+        }
+        JobReport::Explore(report) => {
+            println!("{report}");
+            let last = report.rounds().last().expect("at least one round");
+            println!(
+                "final: {}/{} pages ({:.1}%), {:.1}% registers after {} rounds",
+                last.pages_hit,
+                report.page_space(),
+                100.0 * last.page_coverage,
+                100.0 * last.register_coverage,
+                report.rounds().len(),
+            );
+        }
+        JobReport::Fuzz(report) => {
+            println!("{}", report.campaign().matrix());
+            println!(
+                "{} program(s) from seed {}, {} mined checker(s), {} violation(s)",
+                report.programs(),
+                report.seed(),
+                report.mined().len(),
+                report.violations().len(),
+            );
+            for checker in report.mined() {
+                println!("  armed {}", checker.name());
+            }
+            let perf = report.campaign().perf();
+            println!(
+                "{}, mining {:.1}ms",
+                perf_line(perf),
+                perf.mine_wall.as_secs_f64() * 1e3
+            );
+            for v in report.violations() {
+                println!(
+                    "VIOLATION: {}/{} @ {} {}: {}",
+                    v.env, v.test_id, v.platform, v.checker, v.detail
+                );
+            }
+        }
+    }
+}
+
+/// The error a run whose verdict is not ok exits with.
+fn failure(report: &JobReport) -> String {
+    match report {
+        JobReport::Regress(report) => format!("{} failure(s)", report.failed()),
+        JobReport::Audit(report) => format!("{} broken audit cell(s)", report.broken()),
+        JobReport::Explore(report) => format!("{} failing run(s)", report.failed()),
+        JobReport::Fuzz(report) => format!(
+            "{} failure(s), {} divergence(s), {} checker violation(s)",
+            report.campaign().failed(),
+            report.campaign().divergences().len(),
+            report.violations().len(),
+        ),
     }
 }
 
@@ -415,181 +475,6 @@ fn int_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<
                 .map_err(|_| CliError::bad_token(&format!("bad {flag} value"), v))
         })
         .transpose()
-}
-
-fn explore(args: &[String]) -> Result<(), CliError> {
-    let json = args.iter().any(|a| a == "--json");
-    let mut exploration = Exploration::new();
-    if let Some(rounds) = int_flag(args, "--rounds")? {
-        exploration = exploration.rounds(rounds);
-    }
-    if let Some(seed) = int_flag(args, "--seed")? {
-        exploration = exploration.master_seed(seed);
-    }
-    if let Some(batch) = int_flag(args, "--batch")? {
-        exploration = exploration.batch(batch);
-    }
-    if let Some(workers) = int_flag(args, "--workers")? {
-        exploration = exploration.workers(workers);
-    }
-    if let Some(derivative) = flag_value(args, "--derivative")? {
-        exploration = exploration.derivative(parse_derivative(derivative)?);
-    }
-    if args.iter().any(|a| a == "--all-platforms") {
-        exploration = exploration.platforms(PlatformId::ALL);
-    }
-
-    let report = exploration.run().map_err(|e| e.to_string())?;
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        println!("{report}");
-        let last = report.rounds().last().expect("at least one round");
-        println!(
-            "final: {}/{} pages ({:.1}%), {:.1}% registers after {} rounds",
-            last.pages_hit,
-            report.page_space(),
-            100.0 * last.page_coverage,
-            100.0 * last.register_coverage,
-            report.rounds().len(),
-        );
-    }
-    if report.failed() == 0 {
-        Ok(())
-    } else {
-        Err(format!("{} failing run(s)", report.failed()).into())
-    }
-}
-
-fn audit(args: &[String]) -> Result<(), CliError> {
-    let json = args.iter().any(|a| a == "--json");
-    let mut audit = FaultAudit::new();
-    if args.iter().any(|a| a == "--all-platforms") {
-        audit = audit.platforms(PlatformId::ALL);
-    } else if let Some(list) = flag_value(args, "--platforms")? {
-        let platforms: Vec<PlatformId> = list
-            .split(',')
-            .map(parse_platform)
-            .collect::<Result<_, _>>()?;
-        audit = audit.platforms(platforms);
-    }
-    if let Some(workers) = int_flag(args, "--workers")? {
-        audit = audit.workers(workers);
-    }
-    if let Some(scenarios) = int_flag(args, "--scenarios")? {
-        audit = audit.scenarios(scenarios);
-    }
-    if let Some(seed) = int_flag(args, "--seed")? {
-        audit = audit.seed(seed);
-    }
-    if let Some(fuel) = int_flag(args, "--fuel")? {
-        audit = audit.fuel(fuel);
-    }
-
-    let report = audit.run().map_err(|e| e.to_string())?;
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        println!("{}", report.matrix());
-        let killed = report
-            .faults()
-            .iter()
-            .filter(|&&f| report.killed(f))
-            .count();
-        println!(
-            "kill rate: {killed}/{} faults ({:.1}%) across {} platform(s), {} suite tests, {} generated scenarios",
-            report.faults().len(),
-            100.0 * report.kill_rate(),
-            report.platforms().len(),
-            report.suite_tests(),
-            report.scenarios_generated(),
-        );
-        println!("{}", perf_line(report.perf()));
-        for cell in report.escapes() {
-            println!("ESCAPE: {} on {}", cell.fault, cell.platform);
-        }
-        println!("strongest killers:");
-        for (test, kills) in report.kill_counts().iter().take(5) {
-            println!("  {kills:>3}  {test}");
-        }
-    }
-    if report.broken() == 0 {
-        Ok(())
-    } else {
-        Err(format!("{} broken audit cell(s)", report.broken()).into())
-    }
-}
-
-fn fuzz(args: &[String]) -> Result<(), CliError> {
-    let json = args.iter().any(|a| a == "--json");
-    let mut fuzz = Fuzz::new();
-    if let Some(programs) = int_flag(args, "--programs")? {
-        fuzz = fuzz.programs(programs);
-    }
-    if let Some(seed) = int_flag(args, "--seed")? {
-        fuzz = fuzz.seed(seed);
-    }
-    if args.iter().any(|a| a == "--mine") {
-        fuzz = fuzz.mine(true);
-    }
-    if let Some(workers) = int_flag(args, "--workers")? {
-        fuzz = fuzz.workers(workers);
-    }
-    if let Some(fuel) = int_flag(args, "--fuel")? {
-        fuzz = fuzz.fuel(fuel);
-    }
-    if args.iter().any(|a| a == "--all-platforms") {
-        fuzz = fuzz.platforms(PlatformId::ALL);
-    } else if let Some(list) = flag_value(args, "--platforms")? {
-        let platforms: Vec<PlatformId> = list
-            .split(',')
-            .map(parse_platform)
-            .collect::<Result<_, _>>()?;
-        fuzz = fuzz.platforms(platforms);
-    }
-    if !json {
-        fuzz = fuzz.observe_with(std::sync::Arc::new(|| Box::new(ProgressObserver::new())));
-    }
-
-    let report = fuzz.run().map_err(|e| e.to_string())?;
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        println!("{}", report.campaign().matrix());
-        println!(
-            "{} program(s) from seed {}, {} mined checker(s), {} violation(s)",
-            report.programs(),
-            report.seed(),
-            report.mined().len(),
-            report.violations().len(),
-        );
-        for checker in report.mined() {
-            println!("  armed {}", checker.name());
-        }
-        let perf = report.campaign().perf();
-        println!(
-            "{}, mining {:.1}ms",
-            perf_line(perf),
-            perf.mine_wall.as_secs_f64() * 1e3
-        );
-        for v in report.violations() {
-            println!(
-                "VIOLATION: {}/{} @ {} {}: {}",
-                v.env, v.test_id, v.platform, v.checker, v.detail
-            );
-        }
-    }
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} failure(s), {} divergence(s), {} checker violation(s)",
-            report.campaign().failed(),
-            report.campaign().divergences().len(),
-            report.violations().len(),
-        )
-        .into())
-    }
 }
 
 fn port(args: &[String]) -> Result<(), CliError> {
@@ -641,32 +526,25 @@ fn socket_path(args: &[String]) -> Result<PathBuf, CliError> {
         .ok_or_else(|| CliError::usage("missing required flag --socket"))
 }
 
-/// Builds the [`JobSpec`] a `submit` argument list describes. The flag
-/// surface is the local `regress`/`audit`/`explore` one, verbatim.
-fn submit_spec(args: &[String]) -> Result<JobSpec, CliError> {
+/// Builds the [`JobSpec`] an argument list describes: its first
+/// positional is the job kind, the rest are that command's arguments.
+/// `regress`/`audit`/`explore`/`fuzz` and `submit` share this one flag
+/// surface.
+fn job_spec(args: &[String]) -> Result<JobSpec, CliError> {
     let all_platforms = args.iter().any(|a| a == "--all-platforms");
     match positional(args, 0, "job kind (regress|audit|explore|fuzz)")?.as_str() {
-        "regress" => {
-            let dir = positional(args, 1, "directory")?;
-            // The daemon resolves the path from its own working
-            // directory; submit an absolute one when the tree exists
-            // locally so both sides mean the same files.
-            let dir = std::fs::canonicalize(&dir)
-                .map(|p| p.display().to_string())
-                .unwrap_or(dir);
-            Ok(JobSpec::Regress {
-                dir,
-                env: positional(args, 2, "environment name")?,
-                platforms: flag_value(args, "--platform")?
-                    .map(parse_platform)
-                    .transpose()?
-                    .into_iter()
-                    .collect(),
-                all_platforms,
-                workers: int_flag(args, "--workers")?,
-                fuel: int_flag(args, "--fuel")?,
-            })
-        }
+        "regress" => Ok(JobSpec::Regress {
+            dir: positional(args, 1, "directory")?,
+            env: positional(args, 2, "environment name")?,
+            platforms: flag_value(args, "--platform")?
+                .map(parse_platform)
+                .transpose()?
+                .into_iter()
+                .collect(),
+            all_platforms,
+            workers: int_flag(args, "--workers")?,
+            fuel: int_flag(args, "--fuel")?,
+        }),
         "audit" => Ok(JobSpec::Audit {
             platforms: flag_value(args, "--platforms")?
                 .map(|list| list.split(',').map(parse_platform).collect())
@@ -752,7 +630,15 @@ fn serve(args: &[String]) -> Result<(), CliError> {
 
 #[cfg(unix)]
 fn submit(args: &[String]) -> Result<(), CliError> {
-    let spec = submit_spec(args)?;
+    let mut spec = job_spec(args)?;
+    // The daemon resolves the path from its own working directory;
+    // submit an absolute one when the tree exists locally so both sides
+    // mean the same files.
+    if let JobSpec::Regress { dir, .. } = &mut spec {
+        if let Ok(path) = std::fs::canonicalize(&*dir) {
+            *dir = path.display().to_string();
+        }
+    }
     let mut client = connect(args)?;
     let job = client
         .submit(spec)
@@ -963,7 +849,7 @@ mod tests {
 
     #[test]
     fn submit_spec_mirrors_the_regress_flag_surface() {
-        // A nonexistent dir stays as given (no canonicalization).
+        // The dir stays as given: only `submit` canonicalizes it.
         let a = args(&[
             "regress",
             "no-such-envs",
@@ -975,7 +861,7 @@ mod tests {
             "--socket",
             "/tmp/advm.sock",
         ]);
-        let spec = submit_spec(&a).unwrap();
+        let spec = job_spec(&a).unwrap();
         assert_eq!(
             spec,
             JobSpec::Regress {
@@ -1006,7 +892,7 @@ mod tests {
             "/tmp/advm.sock",
         ]);
         assert_eq!(
-            submit_spec(&a).unwrap(),
+            job_spec(&a).unwrap(),
             JobSpec::Fuzz {
                 programs: Some(8),
                 seed: Some(11),
@@ -1021,16 +907,35 @@ mod tests {
 
     #[test]
     fn submit_spec_rejects_unknown_kinds() {
-        let err = submit_spec(&args(&["deploy"])).unwrap_err();
+        let err = job_spec(&args(&["deploy"])).unwrap_err();
         assert_eq!(err.token.as_deref(), Some("deploy"));
         assert!(err.show_usage);
     }
 
     #[test]
     fn submit_spec_builds_audit_and_explore_jobs() {
-        let audit = submit_spec(&args(&["audit", "--platforms", "rtl,gate", "--seed", "9"]));
+        // The local command's arguments and `submit`'s give one spec.
+        let local = job_spec(&args(&[
+            "audit",
+            "--platforms",
+            "rtl,gate",
+            "--seed",
+            "9",
+            "--json",
+        ]));
+        let submitted = job_spec(&args(&[
+            "--socket",
+            "/tmp/advm.sock",
+            "--watch",
+            "audit",
+            "--platforms",
+            "rtl,gate",
+            "--seed",
+            "9",
+        ]));
+        assert_eq!(local, submitted);
         assert_eq!(
-            audit.unwrap(),
+            local.unwrap(),
             JobSpec::Audit {
                 platforms: vec![PlatformId::RtlSim, PlatformId::GateSim],
                 all_platforms: false,
@@ -1040,7 +945,7 @@ mod tests {
                 fuel: None,
             }
         );
-        let explore = submit_spec(&args(&["explore", "--rounds", "2", "--all-platforms"]));
+        let explore = job_spec(&args(&["explore", "--rounds", "2", "--all-platforms"]));
         assert_eq!(
             explore.unwrap(),
             JobSpec::Explore {

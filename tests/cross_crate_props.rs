@@ -1,6 +1,9 @@
 //! Cross-crate property tests: invariants that hold over randomised
 //! inputs spanning assembler, SoC model, simulator and methodology.
 
+mod common;
+use common::strip_perf;
+
 use std::sync::Arc;
 
 use advm::artifacts::ArtifactStore;
@@ -211,39 +214,6 @@ proptest! {
             parallel.divergences().iter().map(|(t, _)| t.as_str()).collect();
         prop_assert_eq!(serial_div, parallel_div);
     }
-}
-
-/// Strips the measured `"perf":{...}` object out of a report JSON: wall
-/// time and the derived steps/sec vary run to run, while everything else
-/// must be byte-identical across schedules.
-fn strip_perf(json: &str) -> String {
-    let mut out = json.to_owned();
-    while let Some(start) = out.find("\"perf\":{") {
-        let brace = start + "\"perf\":".len();
-        let mut depth = 0usize;
-        let mut end = brace;
-        for (i, c) in out[brace..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = brace + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Also swallow one adjacent comma so the remainder stays valid.
-        let end = if out[end..].starts_with(',') {
-            end + 1
-        } else {
-            end
-        };
-        out.replace_range(start..end, "");
-    }
-    out
 }
 
 /// The suite, faults, audited platforms and fuel of

@@ -6,6 +6,9 @@
 //! run's report is a pure function of its spec — worker count shards
 //! the work, never the verdict.
 
+mod common;
+use common::strip_perf;
+
 use advm::build::build_cell;
 use advm::campaign::{Campaign, CampaignPerf, DEFAULT_MONITOR_CAPACITY};
 use advm::env::EnvConfig;
@@ -15,38 +18,6 @@ use advm_sim::{Platform, PlatformFault, DEFAULT_FUEL};
 use advm_soc::{Derivative, PlatformId};
 
 use proptest::prelude::*;
-
-/// Strips the measured `"perf":{...}` object out of a report JSON: wall
-/// time and steps/sec vary run to run, while everything verdict-bearing
-/// must be byte-identical.
-fn strip_perf(json: &str) -> String {
-    let mut out = json.to_owned();
-    while let Some(start) = out.find("\"perf\":{") {
-        let brace = start + "\"perf\":".len();
-        let mut depth = 0usize;
-        let mut end = brace;
-        for (i, c) in out[brace..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = brace + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let end = if out[end..].starts_with(',') {
-            end + 1
-        } else {
-            end
-        };
-        out.replace_range(start..end, "");
-    }
-    out
-}
 
 /// The subsystem's acceptance run, exactly as CI drives it through the
 /// CLI: 64 generated programs, all six platforms, mining on. Zero

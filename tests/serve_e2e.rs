@@ -6,11 +6,14 @@
 //! warm submission of the same regress job against one daemon produce
 //! byte-identical (perf-stripped) reports — and the warm one's `perf`
 //! block proves it reused the cold job's artifacts (`artifact_hits`).
+//! Every kind of job the daemon serves also reports exactly what the
+//! same spec reports when run locally, as the CLI runs it.
+
+mod common;
+use common::strip_perf;
 
 use std::path::{Path, PathBuf};
 
-use advm::campaign::Campaign;
-use advm::env::ModuleTestEnv;
 use advm::wire::JsonValue;
 use advm_serve::daemon::{Daemon, DaemonConfig};
 use advm_serve::{JobSpec, JobState};
@@ -53,11 +56,6 @@ fn env_on_disk() -> TempDir {
     dir
 }
 
-fn load_env(dir: &Path) -> ModuleTestEnv {
-    let tree = advm::fsio::read_tree(dir).expect("reading env tree");
-    ModuleTestEnv::from_tree("PAGE", &tree).expect("parsing PAGE env")
-}
-
 fn regress_spec(dir: &Path, platforms: &[PlatformId], workers: u64) -> JobSpec {
     JobSpec::Regress {
         dir: dir.display().to_string(),
@@ -69,50 +67,12 @@ fn regress_spec(dir: &Path, platforms: &[PlatformId], workers: u64) -> JobSpec {
     }
 }
 
-/// The in-process run a daemon regress job must reproduce byte-for-byte
-/// (modulo the measured `perf` block).
-fn in_process_report(dir: &Path, platforms: &[PlatformId], workers: u64) -> String {
-    Campaign::new()
-        .env(load_env(dir))
-        .bisect(true)
-        .platforms(platforms.iter().copied())
-        .workers(workers as usize)
-        .run()
-        .expect("in-process campaign")
-        .to_json()
-}
-
-/// Strips the measured `"perf":{...}` object out of a report JSON: wall
-/// time, steps/sec and the cross-job `artifact_hits` counter vary run
-/// to run, while everything verdict-bearing must be byte-identical.
-fn strip_perf(json: &str) -> String {
-    let mut out = json.to_owned();
-    while let Some(start) = out.find("\"perf\":{") {
-        let brace = start + "\"perf\":".len();
-        let mut depth = 0usize;
-        let mut end = brace;
-        for (i, c) in out[brace..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = brace + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Also swallow one adjacent comma so the remainder stays valid.
-        let end = if out[end..].starts_with(',') {
-            end + 1
-        } else {
-            end
-        };
-        out.replace_range(start..end, "");
-    }
-    out
+/// The report of `spec` run locally, as `advm-cli` runs it but without
+/// its progress printer: no store, no observer. A daemon job of the same
+/// spec must reproduce it byte for byte (modulo the measured `perf`
+/// block).
+fn local_report(spec: &JobSpec) -> String {
+    spec.run(None, None).expect("local run").to_json()
 }
 
 /// Extracts the raw `"report"` object from a final `done` line, byte
@@ -184,7 +144,7 @@ mod socket {
     /// The tentpole acceptance test: cold then warm identical regress
     /// jobs over the socket. The warm job's perf JSON shows nonzero
     /// cross-job cache hits, and both verdicts are byte-identical
-    /// (perf-stripped) to a fresh in-process campaign.
+    /// (perf-stripped) to a local run of the same spec.
     #[test]
     fn warm_job_reuses_artifacts_and_matches_in_process_run() {
         let dir = env_on_disk();
@@ -198,7 +158,7 @@ mod socket {
         let spec = regress_spec(dir.path(), &platforms, 2);
         let cold_id = client.submit(spec.clone()).expect("submit cold");
         let cold_done = client.watch(cold_id, |_| {}).expect("watch cold");
-        let warm_id = client.submit(spec).expect("submit warm");
+        let warm_id = client.submit(spec.clone()).expect("submit warm");
         let warm_done = client.watch(warm_id, |_| {}).expect("watch warm");
 
         // Cross-job reuse: cold builds, warm hits.
@@ -210,17 +170,17 @@ mod socket {
         let hits = stats.get("artifacts").unwrap().u64_field("hits").unwrap();
         assert!(hits > 0, "{status}");
 
-        // Reuse is perf-only: both reports match a fresh in-process run
-        // byte for byte once the measured perf block is stripped.
-        let reference = in_process_report(dir.path(), &platforms, 2);
+        // Reuse is perf-only: both reports match a local run byte for
+        // byte once the measured perf block is stripped.
+        let reference = local_report(&spec);
         assert_eq!(strip_perf(report_slice(&cold_done)), strip_perf(&reference));
         assert_eq!(strip_perf(report_slice(&warm_done)), strip_perf(&reference));
     }
 
     /// A fuzz job over the socket: the daemon generates the programs,
     /// mines checkers, verifies them violation-free, and the final
-    /// report is byte-identical (perf-stripped) to an in-process
-    /// [`Fuzz`] run of the same spec.
+    /// report is byte-identical (perf-stripped) to a local run of the
+    /// same spec.
     #[test]
     fn fuzz_job_round_trips_with_mined_checkers() {
         let server = RunningServer::start(DaemonConfig {
@@ -228,17 +188,16 @@ mod socket {
             cache_capacity: 64,
         });
         let mut client = server.client();
-        let id = client
-            .submit(JobSpec::Fuzz {
-                programs: Some(3),
-                seed: Some(11),
-                mine: true,
-                platforms: vec![PlatformId::GoldenModel, PlatformId::RtlSim],
-                all_platforms: false,
-                workers: Some(2),
-                fuel: None,
-            })
-            .expect("submit fuzz");
+        let spec = JobSpec::Fuzz {
+            programs: Some(3),
+            seed: Some(11),
+            mine: true,
+            platforms: vec![PlatformId::GoldenModel, PlatformId::RtlSim],
+            all_platforms: false,
+            workers: Some(2),
+            fuel: None,
+        };
+        let id = client.submit(spec.clone()).expect("submit fuzz");
         let mut events = Vec::new();
         let done = client
             .watch(id, |line| events.push(line.to_owned()))
@@ -268,16 +227,8 @@ mod socket {
             "stream must carry fuzz runs"
         );
 
-        // Byte-identical to the same fuzz run in process (perf aside).
-        let reference = advm::fuzz::Fuzz::new()
-            .programs(3)
-            .seed(11)
-            .mine(true)
-            .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
-            .workers(2)
-            .run()
-            .expect("in-process fuzz")
-            .to_json();
+        // Byte-identical to the same fuzz run locally (perf aside).
+        let reference = local_report(&spec);
         assert_eq!(strip_perf(report_slice(&done)), strip_perf(&reference));
     }
 
@@ -391,9 +342,11 @@ mod socket {
         }
     }
 
-    /// Two clients submit and watch concurrently; each stream is
-    /// complete, correctly labelled, in order, and verdict-identical to
-    /// the in-process equivalent.
+    /// Four clients submit and watch concurrently: two regress jobs, an
+    /// audit and an exploration. Each stream is complete, correctly
+    /// labelled and in order, and each report equals a local run of the
+    /// same spec, so every kind of job reports the same served or local
+    /// (regress and fuzz are also checked above).
     #[test]
     fn concurrent_submitters_get_interleaved_but_intact_streams() {
         let dir = env_on_disk();
@@ -401,21 +354,38 @@ mod socket {
             workers: 2,
             cache_capacity: 64,
         });
-        let platform_sets: [&[PlatformId]; 2] = [
-            &[PlatformId::GoldenModel, PlatformId::RtlSim],
-            &[PlatformId::GateSim],
+        let specs = [
+            regress_spec(
+                dir.path(),
+                &[PlatformId::GoldenModel, PlatformId::RtlSim],
+                1,
+            ),
+            regress_spec(dir.path(), &[PlatformId::GateSim], 1),
+            JobSpec::Audit {
+                platforms: vec![PlatformId::GateSim],
+                all_platforms: false,
+                scenarios: Some(1),
+                seed: Some(5),
+                workers: Some(2),
+                fuel: Some(200_000),
+            },
+            JobSpec::Explore {
+                rounds: Some(2),
+                seed: Some(7),
+                batch: Some(2),
+                workers: Some(2),
+                derivative: Some(advm_soc::DerivativeId::Sc88B),
+                all_platforms: false,
+            },
         ];
         let results: Vec<(u64, Vec<String>, String)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = platform_sets
+            let handles: Vec<_> = specs
                 .iter()
-                .map(|platforms| {
+                .map(|spec| {
                     let server = &server;
-                    let dir = dir.path();
                     scope.spawn(move || {
                         let mut client = server.client();
-                        let id = client
-                            .submit(regress_spec(dir, platforms, 1))
-                            .expect("submit");
+                        let id = client.submit(spec.clone()).expect("submit");
                         let mut events = Vec::new();
                         let done = client
                             .watch(id, |line| events.push(line.to_owned()))
@@ -427,7 +397,7 @@ mod socket {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
 
-        for ((id, events, done), platforms) in results.iter().zip(platform_sets) {
+        for ((id, events, done), spec) in results.iter().zip(&specs) {
             // Every line belongs to the watched job and seq is dense.
             for (expected_seq, line) in events.iter().enumerate() {
                 let value = JsonValue::parse(line).unwrap();
@@ -439,10 +409,46 @@ mod socket {
                 first.get("event").unwrap().str_field("type").unwrap(),
                 "started"
             );
-            // The verdict matches a fresh in-process campaign.
-            let reference = in_process_report(dir.path(), platforms, 1);
-            assert_eq!(strip_perf(report_slice(done)), strip_perf(&reference));
+            assert_eq!(
+                strip_perf(report_slice(done)),
+                strip_perf(&local_report(spec)),
+                "{}",
+                spec.kind()
+            );
         }
+    }
+}
+
+/// A platform listed twice runs once: the report equals the one of the
+/// list without the repeat, for regress and fuzz specs alike (the CLI's
+/// `--platforms rtl,rtl` and a wire job's `platforms` array both reach
+/// the campaign's platform list).
+#[test]
+fn repeated_platforms_run_once() {
+    let dir = env_on_disk();
+    let (rtl, golden) = (PlatformId::RtlSim, PlatformId::GoldenModel);
+    let fuzz = |platforms: Vec<PlatformId>| JobSpec::Fuzz {
+        programs: Some(2),
+        seed: Some(3),
+        mine: false,
+        platforms,
+        all_platforms: false,
+        workers: Some(2),
+        fuel: None,
+    };
+    for (repeated, once) in [
+        (
+            regress_spec(dir.path(), &[rtl, rtl, golden], 2),
+            regress_spec(dir.path(), &[rtl, golden], 2),
+        ),
+        (fuzz(vec![rtl, rtl, golden]), fuzz(vec![rtl, golden])),
+    ] {
+        assert_eq!(
+            strip_perf(&local_report(&repeated)),
+            strip_perf(&local_report(&once)),
+            "{}",
+            repeated.kind()
+        );
     }
 }
 

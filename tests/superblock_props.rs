@@ -4,44 +4,15 @@
 //! or eight execute the matrix. The block tier may only ever show up in
 //! the measured `"perf"` object.
 
+mod common;
+use common::strip_perf;
+
 use advm::campaign::Campaign;
 use advm::fuzz::program_env;
 use advm_fuzz::ProgramSource;
 use advm_soc::PlatformId;
 
 use proptest::prelude::*;
-
-/// Strips the measured `"perf":{...}` object out of a report JSON (wall
-/// time, steps/sec and the block counters live there; everything
-/// verdict-bearing stays).
-fn strip_perf(json: &str) -> String {
-    let mut out = json.to_owned();
-    while let Some(start) = out.find("\"perf\":{") {
-        let brace = start + "\"perf\":".len();
-        let mut depth = 0usize;
-        let mut end = brace;
-        for (i, c) in out[brace..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = brace + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let end = if out[end..].starts_with(',') {
-            end + 1
-        } else {
-            end
-        };
-        out.replace_range(start..end, "");
-    }
-    out
-}
 
 fn campaign(seed: u64, superblocks: bool, workers: usize) -> String {
     let mut campaign = Campaign::new()
