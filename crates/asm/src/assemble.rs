@@ -20,13 +20,14 @@
 //! | `JEQ/JNE/JLT/JGE/JGT/JLE/JCS/JCC target` | conditional jumps |
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use advm_isa::{encode, AddrReg, BitSrc, Cond, DataReg, Insn, RESET_PC};
+use advm_isa::{encode, AddrReg, BitSrc, Cond, DataReg, Insn, ADDR_SPACE_BYTES, RESET_PC};
 
 use crate::diag::AsmError;
 use crate::expr::{self, Expr};
 use crate::lexer::Token;
-use crate::preprocess::{LogicalLine, Preprocessed};
+use crate::preprocess::{LogicalLine, Preprocessed, Suspended};
 use crate::program::{ListingEntry, Program, Segment};
 use crate::source::{Loc, SourceSet};
 
@@ -51,6 +52,10 @@ pub fn assemble_preprocessed(pre: &Preprocessed) -> Result<Program, AsmError> {
 /// units and keep only the cheap link step serial. `parse` followed by
 /// `encode` is byte-identical to `assemble`.
 pub struct ParsedUnit {
+    /// The leading statements a [`Checkpoint`] shares with every unit
+    /// resumed from it; `None` for a unit parsed whole.
+    frame: Option<Arc<[PStmt]>>,
+    /// The statements after `frame` (all of them for a whole unit).
     stmts: Vec<PStmt>,
     equs: BTreeMap<String, i64>,
     /// Whether `encode` builds the per-statement listing. The lean mode
@@ -82,6 +87,7 @@ impl ParsedUnit {
     fn build(entry: &str, sources: &SourceSet, listing: bool) -> Result<Self, AsmError> {
         let pre = crate::preprocess(entry, sources)?;
         Ok(Self {
+            frame: None,
             stmts: parse_statements(&pre.lines, listing)?,
             equs: pre.equs.iter().cloned().collect(),
             listing,
@@ -95,6 +101,7 @@ impl ParsedUnit {
     /// Returns the first statement-parse error.
     pub fn from_preprocessed(pre: &Preprocessed) -> Result<Self, AsmError> {
         Ok(Self {
+            frame: None,
             stmts: parse_statements(&pre.lines, true)?,
             equs: pre.equs.iter().cloned().collect(),
             listing: true,
@@ -107,68 +114,192 @@ impl ParsedUnit {
     /// # Errors
     ///
     /// Returns the first assembly error: unknown mnemonics, malformed or
-    /// out-of-range operands, duplicate labels, or unresolvable
-    /// expressions.
+    /// out-of-range operands, duplicate labels, unresolvable expressions,
+    /// or a unit that does not fit the address space.
     pub fn encode(&self) -> Result<Program, AsmError> {
-        encode_unit(&self.stmts, &self.equs, self.listing)
+        let frame = self.frame.as_deref().unwrap_or_default();
+        encode_unit(frame, &self.stmts, &self.equs, self.listing)
     }
 }
 
+/// A unit preprocessed and statement-parsed up to its first active
+/// `.INCLUDE` of one file, the *stop* file, to be resumed with each
+/// version of that file.
+///
+/// Units that differ only in one included file pay for the part they
+/// share once: in a campaign, every test of a frame (globals, runtime,
+/// base functions) differs only in `test.asm`. [`Checkpoint::new`]
+/// preprocesses and parses the frame, keeping the preprocessor's state:
+/// `.EQU`s, aliases, macros, the conditional stack, the include stack,
+/// the include-once list and the macro-expansion counter.
+/// [`Checkpoint::resume`] preprocesses and parses only the stop file and
+/// what follows it, and returns the whole unit to encode.
+///
+/// Resuming is lean: `Checkpoint::new(entry, frame_sources, stop)?
+/// .resume(sources)?.encode()` equals `ParsedUnit::parse_lean(entry,
+/// sources)?.encode()` in segments, labels, constants and errors, as
+/// long as `sources` holds the same files as `frame_sources` apart from
+/// the stop file and the files only it includes.
+///
+/// ```
+/// use advm_asm::{Checkpoint, ParsedUnit, SourceSet};
+///
+/// # fn main() -> Result<(), advm_asm::AsmError> {
+/// let frame = SourceSet::new()
+///     .with("unit.asm", ".INCLUDE g.inc\n_start:\n    CALL _main\n.INCLUDE test.asm\n")
+///     .with("g.inc", "LIMIT .EQU 7\n");
+/// let checkpoint = Checkpoint::new("unit.asm", &frame, "test.asm")?;
+/// let unit = frame.clone().with("test.asm", "_main:\n    LOAD d1, #LIMIT\n    HALT #0\n");
+/// let resumed = checkpoint.resume(&unit)?.encode()?;
+/// assert_eq!(resumed, ParsedUnit::parse_lean("unit.asm", &unit)?.encode()?);
+/// assert_eq!(resumed.label("_main"), Some(0x104));
+/// # Ok(())
+/// # }
+/// ```
+pub struct Checkpoint {
+    pre: Suspended,
+    /// The frame's statements, or its first parse error. The error waits
+    /// for [`Checkpoint::resume`]: whole-unit assembly preprocesses
+    /// everything before it parses anything, so a preprocess error in
+    /// the stop file is reported first.
+    stmts: Result<Arc<[PStmt]>, AsmError>,
+    equs: BTreeMap<String, i64>,
+}
+
+impl Checkpoint {
+    /// Preprocesses and parses `entry` up to its first active
+    /// `.INCLUDE stop`. A unit that never includes `stop` is taken
+    /// whole, and every resume returns it unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first preprocessing error before the stop, which
+    /// whole-unit assembly of any unit with this frame reports too.
+    pub fn new(entry: &str, sources: &SourceSet, stop: &str) -> Result<Self, AsmError> {
+        let (pre, frame) = Suspended::new(entry, sources, stop)?;
+        Ok(Self {
+            pre,
+            stmts: parse_statements(&frame.lines, false).map(Arc::from),
+            equs: frame.equs.into_iter().collect(),
+        })
+    }
+
+    /// Resumes the checkpoint with `sources`' version of the stop file:
+    /// preprocesses and parses it and the rest of the unit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error whole-unit preprocessing and parsing of
+    /// `sources` would return.
+    pub fn resume(&self, sources: &SourceSet) -> Result<ParsedUnit, AsmError> {
+        let rest = self.pre.resume(sources)?;
+        let frame = self.stmts.as_ref().map_err(Clone::clone)?;
+        let stmts = parse_statements(&rest.lines, false)?;
+        let mut equs = self.equs.clone();
+        equs.extend(rest.equs);
+        Ok(ParsedUnit {
+            frame: Some(Arc::clone(frame)),
+            stmts,
+            equs,
+            listing: false,
+        })
+    }
+}
+
+/// Advances the location counter `addr` over `bytes` emitted (or
+/// reserved) by the statement at `loc`, counting them in `emitted`: no
+/// byte may lie past the address space, and a unit may emit no more
+/// bytes than the address space holds (several `.ORG`s can otherwise
+/// reserve the same range again and again).
+fn advance(addr: &mut u32, emitted: &mut u64, bytes: u64, loc: &Loc) -> Result<(), AsmError> {
+    let end = u64::from(*addr) + bytes;
+    if end > u64::from(ADDR_SPACE_BYTES) {
+        return Err(AsmError::at(
+            loc.clone(),
+            format!(
+                "statement at {addr:#x} ends past the {ADDR_SPACE_BYTES:#x}-byte address space"
+            ),
+        ));
+    }
+    *emitted += bytes;
+    if *emitted > u64::from(ADDR_SPACE_BYTES) {
+        return Err(AsmError::at(
+            loc.clone(),
+            format!("unit emits more than the {ADDR_SPACE_BYTES:#x}-byte address space"),
+        ));
+    }
+    *addr = end as u32;
+    Ok(())
+}
+
 fn encode_unit(
-    stmts: &[PStmt],
+    frame: &[PStmt],
+    rest: &[PStmt],
     equs: &BTreeMap<String, i64>,
     with_listing: bool,
 ) -> Result<Program, AsmError> {
+    let stmts = || frame.iter().chain(rest);
     // Pass 1: addresses and labels.
     let mut labels: BTreeMap<String, u32> = BTreeMap::new();
     let mut addr = DEFAULT_ORG;
-    let mut addrs = Vec::with_capacity(stmts.len());
-    for pstmt in stmts {
+    let mut emitted: u64 = 0;
+    let mut addrs = Vec::with_capacity(frame.len() + rest.len());
+    for pstmt in stmts() {
         addrs.push(addr);
+        let loc = &pstmt.loc;
         match &pstmt.stmt {
             Stmt::Label(name) => {
                 if equs.contains_key(name) {
                     return Err(AsmError::at(
-                        pstmt.loc.clone(),
+                        loc.clone(),
                         format!("label `{name}` collides with an .EQU constant"),
                     ));
                 }
                 if labels.insert(name.clone(), addr).is_some() {
                     return Err(AsmError::at(
-                        pstmt.loc.clone(),
+                        loc.clone(),
                         format!("duplicate label `{name}`"),
                     ));
                 }
             }
             Stmt::Org(e) => {
-                let v = eval_early(e, &pstmt.loc, equs, &labels)?;
-                addr = to_addr(v, &pstmt.loc)?;
+                let v = eval_early(e, loc, equs, &labels)?;
+                addr = to_addr(v, loc)?;
             }
-            Stmt::Word(list) => addr += 4 * list.len() as u32,
-            Stmt::Byte(list) => addr += list.len() as u32,
+            Stmt::Word(list) => advance(&mut addr, &mut emitted, 4 * list.len() as u64, loc)?,
+            Stmt::Byte(list) => advance(&mut addr, &mut emitted, list.len() as u64, loc)?,
             Stmt::Space(e) => {
-                let v = eval_early(e, &pstmt.loc, equs, &labels)?;
+                let v = eval_early(e, loc, equs, &labels)?;
                 if !(0..=0x10_0000).contains(&v) {
                     return Err(AsmError::at(
-                        pstmt.loc.clone(),
+                        loc.clone(),
                         format!(".SPACE size {v} out of range"),
                     ));
                 }
-                addr += v as u32;
+                advance(&mut addr, &mut emitted, v as u64, loc)?;
             }
             Stmt::Align(e) => {
-                let v = eval_early(e, &pstmt.loc, equs, &labels)?;
+                let v = eval_early(e, loc, equs, &labels)?;
                 if v <= 0 || (v & (v - 1)) != 0 {
                     return Err(AsmError::at(
-                        pstmt.loc.clone(),
+                        loc.clone(),
                         format!(".ALIGN requires a power of two, got {v}"),
                     ));
                 }
-                let align = v as u32;
-                addr = addr.div_ceil(align) * align;
+                if v > i64::from(ADDR_SPACE_BYTES) {
+                    return Err(AsmError::at(
+                        loc.clone(),
+                        format!(
+                            ".ALIGN {v:#x} exceeds the {ADDR_SPACE_BYTES:#x}-byte address space"
+                        ),
+                    ));
+                }
+                let padding = addr.next_multiple_of(v as u32) - addr;
+                advance(&mut addr, &mut emitted, u64::from(padding), loc)?;
             }
             Stmt::Insn { mnemonic, operands } => {
-                addr += insn_size_bytes(mnemonic, operands);
+                let size = insn_size_bytes(mnemonic, operands);
+                advance(&mut addr, &mut emitted, u64::from(size), loc)?;
             }
         }
     }
@@ -193,7 +324,7 @@ fn encode_unit(
         *seg_base = next_base;
     };
 
-    for (pstmt, &stmt_addr) in stmts.iter().zip(&addrs) {
+    for (pstmt, &stmt_addr) in stmts().zip(&addrs) {
         let loc = &pstmt.loc;
         let mut words: Vec<u32> = Vec::new();
         match &pstmt.stmt {
@@ -234,7 +365,7 @@ fn encode_unit(
             }
             Stmt::Align(e) => {
                 let v = eval_early(e, loc, equs, &labels)? as u32;
-                let target = stmt_addr.div_ceil(v) * v;
+                let target = stmt_addr.next_multiple_of(v);
                 seg_bytes.extend(std::iter::repeat_n(0u8, (target - stmt_addr) as usize));
             }
             Stmt::Insn { mnemonic, operands } => {

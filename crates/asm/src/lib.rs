@@ -14,7 +14,17 @@
 //! 3. [`Image`] merges programs (a test unit plus the embedded-software
 //!    ROM) into one loadable memory image, rejecting overlaps.
 //!
-//! The top-level [`assemble`] runs the full pipeline.
+//! The top-level [`assemble`] runs the full pipeline; [`ParsedUnit`]
+//! splits it into parse and encode. Units that share everything but one
+//! included file (every test of a campaign shares its frame of globals,
+//! runtime and base functions) can split it along that file:
+//!
+//! 4. [`Checkpoint::new`] preprocesses and parses the shared part once,
+//!    up to the unit's `.INCLUDE` of that file, keeping the
+//!    preprocessor's state;
+//! 5. [`Checkpoint::resume`] goes on from there with one unit's version
+//!    of the file and returns the whole unit, ready to encode exactly as
+//!    if it had been parsed whole.
 //!
 //! ```
 //! use advm_asm::{assemble, SourceSet};
@@ -52,7 +62,7 @@ mod preprocess;
 mod program;
 mod source;
 
-pub use assemble::{assemble_preprocessed, ParsedUnit, DEFAULT_ORG};
+pub use assemble::{assemble_preprocessed, Checkpoint, ParsedUnit, DEFAULT_ORG};
 pub use diag::AsmError;
 pub use disasm::{disassemble_range, disassemble_word};
 pub use expr::{eval as eval_expr, free_symbols, parse_all as parse_expr, BinOp, Expr, UnaryOp};

@@ -29,19 +29,27 @@ use crate::source::{Loc, SourceSet};
 const MAX_INCLUDE_DEPTH: usize = 32;
 /// Maximum macro expansion nesting depth.
 const MAX_MACRO_DEPTH: usize = 64;
+/// Maximum macro expansions in one unit: within the depth limit, a chain
+/// of macros that each expand the next twice doubles its output per
+/// level.
+const MAX_MACRO_EXPANSIONS: u64 = 1 << 16;
 
 /// One classified line of a tokenized source file (see [`tokenized`]).
 enum CachedLine {
     /// Nothing but whitespace/comment.
     Empty,
-    /// Text-level `.INCLUDE` line — handled from the raw text.
-    Include,
+    /// Text-level `.INCLUDE` line, kept raw: a bare path like
+    /// `Globals.inc` would not survive tokenization.
+    Include(String),
     /// Tokens, exactly as `tokenize` would produce them.
     Tokens(Vec<Token>),
-    /// The line does not lex; re-tokenize on demand for a located error.
-    Bad,
+    /// The line does not lex; kept raw to re-tokenize on demand for a
+    /// located error.
+    Bad(String),
 }
 
+/// A source file as the preprocessor reads it: one classified line per
+/// source line.
 struct TokenizedFile {
     lines: Vec<CachedLine>,
 }
@@ -57,7 +65,7 @@ fn token_cache() -> &'static Mutex<TokenCache> {
     CACHE.get_or_init(Mutex::default)
 }
 
-/// Matches the text-level `.INCLUDE` detection in `process_file`
+/// Matches the text-level `.INCLUDE` detection in `Preprocessor::run`
 /// (case-insensitive prefix of the trimmed line).
 fn is_include_line(raw: &str) -> bool {
     raw.trim()
@@ -66,18 +74,26 @@ fn is_include_line(raw: &str) -> bool {
         .is_some_and(|p| p.eq_ignore_ascii_case(b".INCLUDE"))
 }
 
+/// The file an `.INCLUDE` line names: the rest of the line, without a
+/// trailing comment or quotes.
+fn include_path(raw: &str) -> &str {
+    let path = raw.trim()[".INCLUDE".len()..].trim();
+    let path = path.split(';').next().unwrap_or("").trim();
+    path.trim_matches('"').trim()
+}
+
 fn tokenize_file(text: &str) -> TokenizedFile {
     let probe = Loc::new("<cache>", 0);
     let lines = text
         .lines()
         .map(|raw| {
             if is_include_line(raw) {
-                return CachedLine::Include;
+                return CachedLine::Include(raw.to_owned());
             }
             match tokenize(raw, &probe) {
                 Ok(t) if t.is_empty() => CachedLine::Empty,
                 Ok(t) => CachedLine::Tokens(t),
-                Err(_) => CachedLine::Bad,
+                Err(_) => CachedLine::Bad(raw.to_owned()),
             }
         })
         .collect();
@@ -146,6 +162,7 @@ struct Macro {
     body: Vec<(Vec<Token>, Loc)>,
 }
 
+#[derive(Clone, Copy)]
 struct CondFrame {
     /// Whether the current branch emits lines.
     active: bool,
@@ -155,15 +172,36 @@ struct CondFrame {
     seen_else: bool,
 }
 
-struct Preprocessor<'a> {
-    sources: &'a SourceSet,
-    out: Preprocessed,
+/// The definitions preprocessing collects: `.EQU` constants, `.DEFINE`
+/// aliases and macros.
+#[derive(Default)]
+struct Symbols {
     equs: HashMap<String, i64>,
     aliases: HashMap<String, Vec<Token>>,
     macros: HashMap<String, Macro>,
+}
+
+/// A file on the include stack: its lines and the next one to read.
+#[derive(Clone)]
+struct OpenFile {
+    name: Arc<str>,
+    lines: Arc<TokenizedFile>,
+    next: usize,
+}
+
+struct Preprocessor<'a> {
+    sources: &'a SourceSet,
+    out: Preprocessed,
+    /// Definitions made before a [`Suspended`] unit was resumed: read,
+    /// never written. This run's own definitions go into `own`, which is
+    /// searched first, so a `.DEFINE` made after the suspension replaces
+    /// an earlier one as it would in one run.
+    base: &'a Symbols,
+    own: Symbols,
     conds: Vec<CondFrame>,
-    include_stack: Vec<String>,
-    completed_includes: Vec<String>,
+    /// The include stack, innermost file last.
+    files: Vec<OpenFile>,
+    completed_includes: Vec<Arc<str>>,
     expansions: u64,
 }
 
@@ -175,55 +213,149 @@ struct Preprocessor<'a> {
 /// directive, unbalanced conditionals, duplicate `.EQU`, macro problems or
 /// a triggered `.ERROR`.
 pub fn preprocess(entry: &str, sources: &SourceSet) -> Result<Preprocessed, AsmError> {
-    let mut pp = Preprocessor {
-        sources,
-        out: Preprocessed::default(),
-        equs: HashMap::new(),
-        aliases: HashMap::new(),
-        macros: HashMap::new(),
-        conds: Vec::new(),
-        include_stack: Vec::new(),
-        completed_includes: Vec::new(),
-        expansions: 0,
-    };
-    pp.process_file(entry, None)?;
-    if let Some(_frame) = pp.conds.pop() {
-        return Err(AsmError::general(format!(
-            "unterminated conditional at end of `{entry}` (missing .ENDIF)"
-        )));
-    }
+    let none = Symbols::default();
+    let mut pp = Preprocessor::new(sources, &none);
+    pp.open(entry, None)?;
+    pp.run(None)?;
+    pp.finish(entry)?;
     Ok(pp.out)
 }
 
-impl Preprocessor<'_> {
+/// A unit's preprocessing suspended at the first active `.INCLUDE` of one
+/// file, the *stop* file, holding everything needed to go on from there:
+/// the definitions made so far, the conditional stack, the include stack
+/// with each open file's position, the include-once list and the
+/// macro-expansion counter (so `LOCAL_` labels stay unique across the
+/// suspension).
+pub(crate) struct Suspended {
+    entry: String,
+    symbols: Symbols,
+    conds: Vec<CondFrame>,
+    files: Vec<OpenFile>,
+    completed_includes: Vec<Arc<str>>,
+    expansions: u64,
+    /// The stop file and the `.INCLUDE` line naming it; `None` when the
+    /// unit never includes it, so preprocessing ran to the end.
+    stop: Option<(String, Loc)>,
+}
+
+impl Suspended {
+    /// Preprocesses `entry` up to the first active `.INCLUDE stop`, and
+    /// returns the suspended state with the lines and `.EQU`s so far.
+    pub(crate) fn new(
+        entry: &str,
+        sources: &SourceSet,
+        stop: &str,
+    ) -> Result<(Self, Preprocessed), AsmError> {
+        let none = Symbols::default();
+        let mut pp = Preprocessor::new(sources, &none);
+        pp.open(entry, None)?;
+        let stop = pp.run(Some(stop))?.map(|loc| (stop.to_owned(), loc));
+        let Preprocessor {
+            out,
+            own,
+            conds,
+            files,
+            completed_includes,
+            expansions,
+            ..
+        } = pp;
+        let suspended = Self {
+            entry: entry.to_owned(),
+            symbols: own,
+            conds,
+            files,
+            completed_includes,
+            expansions,
+            stop,
+        };
+        Ok((suspended, out))
+    }
+
+    /// Goes on from the suspension: includes the stop file from
+    /// `sources` and preprocesses it and the rest of the unit. Returns
+    /// the lines and `.EQU`s that follow the suspension point.
+    ///
+    /// `sources` must hold the same files as the set the suspension was
+    /// made from, except the stop file and the files only it includes.
+    pub(crate) fn resume(&self, sources: &SourceSet) -> Result<Preprocessed, AsmError> {
+        let mut pp = Preprocessor::new(sources, &self.symbols);
+        pp.conds.clone_from(&self.conds);
+        pp.files.clone_from(&self.files);
+        pp.completed_includes.clone_from(&self.completed_includes);
+        pp.expansions = self.expansions;
+        if let Some((stop, loc)) = &self.stop {
+            pp.open(stop, Some(loc))?;
+            pp.run(None)?;
+        }
+        pp.finish(&self.entry)?;
+        Ok(pp.out)
+    }
+}
+
+impl<'a> Preprocessor<'a> {
+    fn new(sources: &'a SourceSet, base: &'a Symbols) -> Self {
+        Self {
+            sources,
+            out: Preprocessed::default(),
+            base,
+            own: Symbols::default(),
+            conds: Vec::new(),
+            files: Vec::new(),
+            completed_includes: Vec::new(),
+            expansions: 0,
+        }
+    }
+
     fn active(&self) -> bool {
         self.conds.iter().all(|c| c.active)
     }
 
-    fn process_file(&mut self, name: &str, from: Option<&Loc>) -> Result<(), AsmError> {
-        // Include-once semantics: a file that was fully processed earlier
-        // is skipped, so `Globals.inc` can be included both by the unit
-        // prologue and by each test (as the paper's listings do).
-        if self.completed_includes.iter().any(|f| f == name) {
+    fn equ(&self, name: &str) -> Option<i64> {
+        self.own
+            .equs
+            .get(name)
+            .or_else(|| self.base.equs.get(name))
+            .copied()
+    }
+
+    fn alias(&self, name: &str) -> Option<&Vec<Token>> {
+        self.own
+            .aliases
+            .get(name)
+            .or_else(|| self.base.aliases.get(name))
+    }
+
+    fn macro_def(&self, name: &str) -> Option<&Macro> {
+        self.own
+            .macros
+            .get(name)
+            .or_else(|| self.base.macros.get(name))
+    }
+
+    /// Pushes `name` on the include stack. Include-once semantics: a file
+    /// that was fully processed earlier is skipped, so `Globals.inc` can
+    /// be included both by the unit prologue and by each test (as the
+    /// paper's listings do).
+    fn open(&mut self, name: &str, from: Option<&Loc>) -> Result<(), AsmError> {
+        if self.completed_includes.iter().any(|f| &**f == name) {
             if from.is_some() && self.active() {
                 self.out.includes.push(name.to_owned());
             }
             return Ok(());
         }
-        if self.include_stack.iter().any(|f| f == name) {
+        if self.files.iter().any(|f| &*f.name == name) {
             let loc = from.cloned().unwrap_or_else(|| Loc::new(name, 0));
             return Err(AsmError::at(
                 loc,
                 format!("include cycle: `{name}` is already being processed"),
             ));
         }
-        if self.include_stack.len() >= MAX_INCLUDE_DEPTH {
+        if self.files.len() >= MAX_INCLUDE_DEPTH {
             let loc = from.cloned().unwrap_or_else(|| Loc::new(name, 0));
             return Err(AsmError::at(loc, "include depth limit exceeded"));
         }
-        // Copy the reference so borrowed lines outlive `&mut self` calls.
-        let sources = self.sources;
-        let text = sources.get(name).ok_or_else(|| match from {
+        let text = self.sources.get(name).ok_or_else(|| match from {
             Some(loc) => AsmError::at(loc.clone(), format!("include file `{name}` not found")),
             None => AsmError::general(format!("entry file `{name}` not found")),
         })?;
@@ -231,141 +363,173 @@ impl Preprocessor<'_> {
         if from.is_some() && self.active() {
             self.out.includes.push(name.to_owned());
         }
-        self.include_stack.push(name.to_owned());
-        let cached = tokenized(text);
-        let lines: Vec<&str> = text.lines().collect();
-        // One shared file-name allocation; per-line `Loc`s bump it.
-        let file: std::sync::Arc<str> = std::sync::Arc::from(name);
-        let mut i = 0usize;
-        while i < lines.len() {
-            let loc = Loc::new(file.clone(), (i + 1) as u32);
-            let raw = lines[i];
-            let line = &cached.lines[i];
-            i += 1;
-
-            let tokens = match line {
-                // `.INCLUDE path` is handled at text level: bare paths
-                // like `Globals.inc` would not survive tokenization.
-                CachedLine::Include => {
-                    if !self.active() {
-                        continue;
-                    }
-                    let path = raw.trim()[".INCLUDE".len()..].trim();
-                    let path = path.split(';').next().unwrap_or("").trim();
-                    let path = path.trim_matches('"').trim();
-                    if path.is_empty() {
-                        return Err(AsmError::at(loc, ".INCLUDE requires a file name"));
-                    }
-                    self.process_file(path, Some(&loc))?;
-                    continue;
-                }
-                CachedLine::Empty => continue,
-                // Inside an inactive conditional branch, unlexable lines
-                // are skipped: they may use another platform's syntax.
-                CachedLine::Bad => {
-                    if self.active() {
-                        return Err(
-                            tokenize(raw, &loc).expect_err("line classified Bad fails to lex")
-                        );
-                    }
-                    continue;
-                }
-                CachedLine::Tokens(t) => t.clone(),
-            };
-
-            // Conditional directives are processed even when inactive so
-            // nesting stays balanced.
-            if let Some(Token::Directive(d)) = tokens.first() {
-                match d.as_str() {
-                    ".IF" | ".IFDEF" | ".IFNDEF" => {
-                        let parent_active = self.active();
-                        let cond = if parent_active {
-                            self.eval_condition(d, &tokens[1..], &loc)?
-                        } else {
-                            false
-                        };
-                        self.conds.push(CondFrame {
-                            active: parent_active && cond,
-                            taken: cond,
-                            seen_else: false,
-                        });
-                        continue;
-                    }
-                    ".ELSE" => {
-                        let parent_active = self.conds.iter().rev().skip(1).all(|c| c.active);
-                        let frame = self.conds.last_mut().ok_or_else(|| {
-                            AsmError::at(loc.clone(), ".ELSE without matching .IF")
-                        })?;
-                        if frame.seen_else {
-                            return Err(AsmError::at(loc, "duplicate .ELSE"));
-                        }
-                        frame.seen_else = true;
-                        frame.active = parent_active && !frame.taken;
-                        frame.taken = true;
-                        continue;
-                    }
-                    ".ENDIF" => {
-                        self.conds.pop().ok_or_else(|| {
-                            AsmError::at(loc.clone(), ".ENDIF without matching .IF")
-                        })?;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-
-            if !self.active() {
-                continue;
-            }
-
-            // Macro definition.
-            if matches!(tokens.first(), Some(Token::Directive(d)) if d == ".MACRO") {
-                let (name, params) = parse_macro_header(&tokens[1..], &loc)?;
-                let mut body = Vec::new();
-                let mut closed = false;
-                while i < lines.len() {
-                    let body_loc = Loc::new(file.clone(), (i + 1) as u32);
-                    let body_tokens = match &cached.lines[i] {
-                        CachedLine::Empty => Vec::new(),
-                        CachedLine::Tokens(t) => t.clone(),
-                        // `.INCLUDE`-shaped and unlexable body lines go
-                        // through the lexer as before (for the body
-                        // tokens or the located error, respectively).
-                        _ => tokenize(lines[i], &body_loc)?,
-                    };
-                    i += 1;
-                    if matches!(body_tokens.first(), Some(Token::Directive(d)) if d == ".ENDM") {
-                        closed = true;
-                        break;
-                    }
-                    if matches!(body_tokens.first(), Some(Token::Directive(d)) if d == ".MACRO") {
-                        return Err(AsmError::at(
-                            body_loc,
-                            "nested .MACRO definitions are not supported",
-                        ));
-                    }
-                    if !body_tokens.is_empty() {
-                        body.push((body_tokens, body_loc));
-                    }
-                }
-                if !closed {
-                    return Err(AsmError::at(loc, format!("macro `{name}` has no .ENDM")));
-                }
-                if self
-                    .macros
-                    .insert(name.clone(), Macro { params, body })
-                    .is_some()
-                {
-                    return Err(AsmError::at(loc, format!("macro `{name}` redefined")));
-                }
-                continue;
-            }
-
-            self.process_line(tokens, loc, 0)?;
-        }
-        self.include_stack.pop();
-        self.completed_includes.push(name.to_owned());
+        self.files.push(OpenFile {
+            name: Arc::from(name),
+            lines: tokenized(text),
+            next: 0,
+        });
         Ok(())
+    }
+
+    /// Reads lines from the innermost open file, opening each active
+    /// `.INCLUDE` and closing each file at its end, until the include
+    /// stack is empty. An active `.INCLUDE` of `stop` is not opened: the
+    /// run ends there and returns that line's location.
+    fn run(&mut self, stop: Option<&str>) -> Result<Option<Loc>, AsmError> {
+        while let Some(top) = self.files.last() {
+            // One shared file-name allocation; per-line `Loc`s bump it.
+            let file = Arc::clone(&top.name);
+            let lines = Arc::clone(&top.lines);
+            let lines = &lines.lines;
+            let mut i = top.next;
+            let mut include = None;
+            while include.is_none() && i < lines.len() {
+                let loc = Loc::new(file.clone(), (i + 1) as u32);
+                let line = &lines[i];
+                i += 1;
+
+                let tokens = match line {
+                    // `.INCLUDE path` is handled at text level.
+                    CachedLine::Include(raw) => {
+                        if self.active() {
+                            let path = include_path(raw);
+                            if path.is_empty() {
+                                return Err(AsmError::at(loc, ".INCLUDE requires a file name"));
+                            }
+                            include = Some((path, loc));
+                        }
+                        continue;
+                    }
+                    CachedLine::Empty => continue,
+                    // Inside an inactive conditional branch, unlexable lines
+                    // are skipped: they may use another platform's syntax.
+                    CachedLine::Bad(raw) => {
+                        if self.active() {
+                            return Err(
+                                tokenize(raw, &loc).expect_err("line classified Bad fails to lex")
+                            );
+                        }
+                        continue;
+                    }
+                    CachedLine::Tokens(t) => t.clone(),
+                };
+
+                // Conditional directives are processed even when inactive so
+                // nesting stays balanced.
+                if let Some(Token::Directive(d)) = tokens.first() {
+                    match d.as_str() {
+                        ".IF" | ".IFDEF" | ".IFNDEF" => {
+                            let parent_active = self.active();
+                            let cond = if parent_active {
+                                self.eval_condition(d, &tokens[1..], &loc)?
+                            } else {
+                                false
+                            };
+                            self.conds.push(CondFrame {
+                                active: parent_active && cond,
+                                taken: cond,
+                                seen_else: false,
+                            });
+                            continue;
+                        }
+                        ".ELSE" => {
+                            let parent_active = self.conds.iter().rev().skip(1).all(|c| c.active);
+                            let frame = self.conds.last_mut().ok_or_else(|| {
+                                AsmError::at(loc.clone(), ".ELSE without matching .IF")
+                            })?;
+                            if frame.seen_else {
+                                return Err(AsmError::at(loc, "duplicate .ELSE"));
+                            }
+                            frame.seen_else = true;
+                            frame.active = parent_active && !frame.taken;
+                            frame.taken = true;
+                            continue;
+                        }
+                        ".ENDIF" => {
+                            self.conds.pop().ok_or_else(|| {
+                                AsmError::at(loc.clone(), ".ENDIF without matching .IF")
+                            })?;
+                            continue;
+                        }
+                        _ => {}
+                    }
+                }
+
+                if !self.active() {
+                    continue;
+                }
+
+                // Macro definition.
+                if matches!(tokens.first(), Some(Token::Directive(d)) if d == ".MACRO") {
+                    let (name, params) = parse_macro_header(&tokens[1..], &loc)?;
+                    let mut body = Vec::new();
+                    let mut closed = false;
+                    while i < lines.len() {
+                        let body_loc = Loc::new(file.clone(), (i + 1) as u32);
+                        let body_tokens = match &lines[i] {
+                            CachedLine::Empty => Vec::new(),
+                            CachedLine::Tokens(t) => t.clone(),
+                            // `.INCLUDE`-shaped and unlexable body lines go
+                            // through the lexer as before (for the body
+                            // tokens or the located error, respectively).
+                            CachedLine::Include(raw) | CachedLine::Bad(raw) => {
+                                tokenize(raw, &body_loc)?
+                            }
+                        };
+                        i += 1;
+                        if matches!(body_tokens.first(), Some(Token::Directive(d)) if d == ".ENDM")
+                        {
+                            closed = true;
+                            break;
+                        }
+                        if matches!(body_tokens.first(), Some(Token::Directive(d)) if d == ".MACRO")
+                        {
+                            return Err(AsmError::at(
+                                body_loc,
+                                "nested .MACRO definitions are not supported",
+                            ));
+                        }
+                        if !body_tokens.is_empty() {
+                            body.push((body_tokens, body_loc));
+                        }
+                    }
+                    if !closed {
+                        return Err(AsmError::at(loc, format!("macro `{name}` has no .ENDM")));
+                    }
+                    if self.macro_def(&name).is_some() {
+                        return Err(AsmError::at(loc, format!("macro `{name}` redefined")));
+                    }
+                    self.own.macros.insert(name, Macro { params, body });
+                    continue;
+                }
+
+                self.process_line(tokens, loc, 0)?;
+            }
+            self.files
+                .last_mut()
+                .expect("the file being read is open")
+                .next = i;
+            match include {
+                Some((path, loc)) if stop == Some(path) => return Ok(Some(loc)),
+                Some((path, loc)) => self.open(path, Some(&loc))?,
+                None => {
+                    let done = self.files.pop().expect("the file being read is open");
+                    self.completed_includes.push(done.name);
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Checks, at the end of the unit, that every conditional closed.
+    fn finish(&self, entry: &str) -> Result<(), AsmError> {
+        if self.conds.is_empty() {
+            Ok(())
+        } else {
+            Err(AsmError::general(format!(
+                "unterminated conditional at end of `{entry}` (missing .ENDIF)"
+            )))
+        }
     }
 
     /// Handles one active logical line: alias substitution, `.EQU`,
@@ -388,14 +552,14 @@ impl Preprocessor<'_> {
                     format!(".DEFINE {name} requires a replacement"),
                 ));
             }
-            if self.equs.contains_key(&name) {
+            if self.equ(&name).is_some() {
                 return Err(AsmError::at(
                     loc,
                     format!("`{name}` is already defined as an .EQU constant"),
                 ));
             }
             let replacement: Vec<Token> = tokens[2..].to_vec();
-            self.aliases.insert(name, replacement);
+            self.own.aliases.insert(name, replacement);
             return Ok(());
         }
 
@@ -419,18 +583,19 @@ impl Preprocessor<'_> {
                 [Token::Number(n)] => *n,
                 _ => self.eval_expr(&expr_tokens, &loc)?,
             };
-            if self.aliases.contains_key(&name) {
+            if self.alias(&name).is_some() {
                 return Err(AsmError::at(
                     loc,
                     format!("`{name}` is already defined as a .DEFINE alias"),
                 ));
             }
-            if let Some(old) = self.equs.insert(name.clone(), value) {
+            if let Some(old) = self.equ(&name) {
                 return Err(AsmError::at(
                     loc,
                     format!("symbol `{name}` redefined by .EQU (was {old}, now {value})"),
                 ));
             }
+            self.own.equs.insert(name.clone(), value);
             self.out.equs.push((name, value));
             return Ok(());
         }
@@ -449,7 +614,7 @@ impl Preprocessor<'_> {
         // Macro invocation: `NAME args` or `label: NAME args`.
         let (label_prefix, rest) = split_label(&tokens);
         if let Some(Token::Ident(head)) = rest.first() {
-            if self.macros.contains_key(head) {
+            if self.macro_def(head).is_some() {
                 if let Some(label) = label_prefix {
                     self.out.lines.push(LogicalLine {
                         tokens: vec![Token::Ident(label.to_owned()), Token::Punct(':')],
@@ -475,8 +640,14 @@ impl Preprocessor<'_> {
         depth: usize,
     ) -> Result<(), AsmError> {
         self.expansions += 1;
+        if self.expansions > MAX_MACRO_EXPANSIONS {
+            return Err(AsmError::at(
+                call_loc.clone(),
+                format!("macro expansion limit exceeded ({MAX_MACRO_EXPANSIONS} expansions)"),
+            ));
+        }
         let uniq = self.expansions;
-        let mac = &self.macros[name];
+        let mac = self.macro_def(name).expect("only defined macros expand");
         if args.len() != mac.params.len() {
             return Err(AsmError::at(
                 call_loc.clone(),
@@ -520,17 +691,17 @@ impl Preprocessor<'_> {
 
     fn substitute_aliases(&self, tokens: Vec<Token>) -> Vec<Token> {
         // Most lines reference no alias; skip the rebuild entirely then.
-        if self.aliases.is_empty()
+        if (self.own.aliases.is_empty() && self.base.aliases.is_empty())
             || !tokens
                 .iter()
-                .any(|t| matches!(t, Token::Ident(id) if self.aliases.contains_key(id)))
+                .any(|t| matches!(t, Token::Ident(id) if self.alias(id).is_some()))
         {
             return tokens;
         }
         let mut out = Vec::with_capacity(tokens.len());
         for t in tokens {
             match &t {
-                Token::Ident(id) => match self.aliases.get(id) {
+                Token::Ident(id) => match self.alias(id) {
                     Some(replacement) => out.extend(replacement.iter().cloned()),
                     None => out.push(t),
                 },
@@ -542,7 +713,7 @@ impl Preprocessor<'_> {
 
     fn eval_expr(&self, tokens: &[Token], loc: &Loc) -> Result<i64, AsmError> {
         let expr = expr::parse_all(tokens, loc)?;
-        expr::eval(&expr, loc, &|name| self.equs.get(name).copied())
+        expr::eval(&expr, loc, &|name| self.equ(name))
     }
 
     fn eval_condition(
@@ -562,7 +733,7 @@ impl Preprocessor<'_> {
                         ))
                     }
                 };
-                let defined = self.equs.contains_key(name) || self.aliases.contains_key(name);
+                let defined = self.equ(name).is_some() || self.alias(name).is_some();
                 Ok(if directive == ".IFDEF" {
                     defined
                 } else {
@@ -878,6 +1049,22 @@ SPIN 2
         let labels: Vec<&String> = texts.iter().filter(|t| t.contains(':')).collect();
         assert_eq!(labels.len(), 2);
         assert_ne!(labels[0], labels[1], "expansions must not share labels");
+    }
+
+    #[test]
+    fn doubling_macro_chains_hit_the_expansion_limit() {
+        // M0 expands M1 twice, M1 expands M2 twice, ...: 2^40 lines from
+        // a 40-deep chain, well within the depth limit.
+        let mut chain = ".MACRO M40\nNOP\n.ENDM\n".to_owned();
+        for level in (0..40).rev() {
+            let next = level + 1;
+            chain.push_str(&format!(".MACRO M{level}\nM{next}\nM{next}\n.ENDM\n"));
+        }
+        let err = run("t.asm", &[("t.asm", &format!("{chain}M0\n"))]).unwrap_err();
+        assert!(err.to_string().contains("expansion limit"), "{err}");
+        // A call that stays under the limit expands in full.
+        let pre = run("t.asm", &[("t.asm", &format!("{chain}M30\n"))]).unwrap();
+        assert_eq!(pre.lines.len(), 1 << 10);
     }
 
     #[test]

@@ -553,3 +553,42 @@ helper:
         .unwrap_err();
     assert_eq!(direct.to_string(), lean_err.to_string());
 }
+
+#[test]
+fn align_larger_than_the_address_space_is_rejected() {
+    // 2^32 passes the power-of-two check; as a u32 it is 0.
+    let err = assemble_str("NOP\n.ALIGN 0x100000000\nNOP\n").unwrap_err();
+    assert_eq!(err.loc().unwrap().line, 2);
+    assert!(err.to_string().contains("exceeds"), "{err}");
+    // The whole address space is the largest alignment.
+    let program = assemble_str(".ORG 0\nNOP\n.ALIGN 0x100000\n").unwrap();
+    assert_eq!(program.size_bytes(), 0x10_0000);
+}
+
+#[test]
+fn reservations_past_the_address_space_are_rejected() {
+    // Repeated from the reset PC, the location counter used to wrap.
+    let err = assemble_str(&".SPACE 0x100000\n".repeat(4096)).unwrap_err();
+    assert_eq!(err.loc().unwrap().line, 1);
+    assert!(err.to_string().contains("past"), "{err}");
+}
+
+#[test]
+fn code_past_the_address_space_is_rejected() {
+    assert!(assemble_str(".ORG 0xFFFFC\nNOP\n").is_ok());
+    let err = assemble_str(".ORG 0xFFFFC\nNOP\nNOP\n").unwrap_err();
+    assert_eq!(err.loc().unwrap().line, 3);
+    assert!(err.to_string().contains("past"), "{err}");
+    let err = assemble_str(".ORG 0xFFFFC\nLOAD d1, #1\n").unwrap_err();
+    assert_eq!(err.loc().unwrap().line, 2);
+}
+
+#[test]
+fn a_unit_emits_at_most_the_address_space() {
+    // Each `.ORG 0` reserves the whole address space again.
+    let once = ".ORG 0\n.SPACE 0x100000\n";
+    assert_eq!(assemble_str(once).unwrap().size_bytes(), 0x10_0000);
+    let err = assemble_str(&once.repeat(3)).unwrap_err();
+    assert_eq!(err.loc().unwrap().line, 4);
+    assert!(err.to_string().contains("more than"), "{err}");
+}

@@ -23,7 +23,10 @@ pub const UNIT_FILE: &str = "__unit.asm";
 ///
 /// The set uses the short file names the paper's listings use
 /// (`Globals.inc`, `Base_Functions.asm`), mapped from the environment's
-/// tree.
+/// tree. The wrapper's first line is a comment naming the cell; the
+/// names are escaped so that it stays one comment line whatever they
+/// contain, because campaigns share one build of everything else in the
+/// wrapper among an environment's cells.
 ///
 /// # Errors
 ///
@@ -47,7 +50,8 @@ pub fn unit_sources(env: &ModuleTestEnv, cell_id: &str) -> Result<SourceSet, Asm
 .INCLUDE {BASE_FUNCTIONS_FILE}
 .INCLUDE {TEST_SOURCE_FILE}
 ",
-        env_name = env.name(),
+        env_name = env.name().escape_debug(),
+        cell_id = cell_id.escape_debug(),
         stub = startup_stub(),
     );
     Ok(SourceSet::new()
@@ -243,6 +247,42 @@ t_fail:
         );
         let result = run_cell(&env, "TEST_ONE").unwrap();
         assert!(result.passed(), "{result}");
+    }
+
+    #[test]
+    fn cell_names_cannot_add_lines_to_the_unit_wrapper() {
+        let env = ModuleTestEnv::new(
+            "PAGE\n.ORG 0x4000",
+            EnvConfig::new(DerivativeId::Sc88A, PlatformId::GoldenModel),
+            vec![
+                TestCell::new("TEST_ONE", "demo", "_main:\n    RETURN\n"),
+                TestCell::new("TEST_TWO\n.ORG 0x5000", "demo", "_main:\n    RETURN\n"),
+            ],
+        );
+        let wrapper = |cell: &str| {
+            unit_sources(&env, cell)
+                .unwrap()
+                .get(UNIT_FILE)
+                .unwrap()
+                .to_owned()
+        };
+        let (one, two) = (wrapper("TEST_ONE"), wrapper("TEST_TWO\n.ORG 0x5000"));
+        assert!(
+            one.starts_with(
+                ";; __unit.asm — generated build wrapper for PAGE\\n.ORG 0x4000/TEST_ONE\n"
+            ),
+            "{one}"
+        );
+        assert_eq!(
+            one.lines().skip(1).collect::<Vec<_>>(),
+            two.lines().skip(1).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            assemble_cell(&env, "TEST_ONE").unwrap().segments(),
+            assemble_cell(&env, "TEST_TWO\n.ORG 0x5000")
+                .unwrap()
+                .segments()
+        );
     }
 
     #[test]

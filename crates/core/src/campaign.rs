@@ -27,9 +27,21 @@
 //!   size: the shared frame (library, trap handlers, vector table, unit
 //!   wrapper) is tokenised and hashed once per distinct library in the
 //!   plan, each cell's test and ES ROM once per environment, and each
-//!   re-targeted `Globals.inc` is parsed and closed over the frame's
-//!   references once per (environment, platform); a cell then adds only
-//!   its test's references and hashes the live defines.
+//!   distinct re-targeted `Globals.inc` is parsed and closed over the
+//!   frame's references once per library; a cell then adds only its
+//!   test's references and hashes the live defines.
+//! * **One frame, assembled once.** A unit is a small test layer
+//!   (`test.asm`) included last into a large shared abstraction layer
+//!   (`Globals.inc`, vector table, startup stub, trap handlers, base
+//!   functions). Jobs with the same library and `Globals.inc` share one
+//!   *frame context*, looked up by those texts: it holds the define
+//!   table above and, built by the first of its jobs that assembles an
+//!   image, an [`advm_asm::Checkpoint`] of the unit preprocessed and
+//!   parsed up to its `.INCLUDE test.asm`. Every image build resumes it
+//!   with its own test and encodes the whole unit, so the image and any
+//!   error equal whole-unit assembly of the job's sources. A context
+//!   whose images all come from the cache or an artifact store builds no
+//!   checkpoint ([`CampaignPerf::frame_checkpoints`]).
 //! * **Event streaming.** Typed [`CampaignEvent`]s (job started / built /
 //!   finished, planned cache hits, divergences) stream to pluggable
 //!   [`CampaignObserver`]s while the campaign runs.
@@ -68,11 +80,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use advm_asm::{AsmError, Image, SourceSet};
+use advm_asm::{AsmError, Checkpoint, Image, SourceSet};
 use advm_fuzz::{Miner, TraceAssertion};
 use advm_gen::{Scenario, ScenarioMeta};
 use advm_metrics::Table;
@@ -85,7 +98,7 @@ use advm_soc::{Derivative, PlatformId};
 use parking_lot::Mutex;
 
 use crate::artifacts::ArtifactStore;
-use crate::build::{es_rom_source, link_programs, unit_sources};
+use crate::build::{es_rom_source, link_programs, unit_sources, UNIT_FILE};
 use crate::env::{EnvConfig, ModuleTestEnv, BASE_FUNCTIONS_FILE, GLOBALS_FILE, TEST_SOURCE_FILE};
 use crate::prefix::{PrefixEntry, PrefixPool};
 
@@ -658,6 +671,15 @@ pub struct CampaignPerf {
     /// with) *other* campaigns. Zero without a store attached; nonzero
     /// on a warm run against a resident daemon.
     pub artifact_hits: u64,
+    /// Frame checkpoints built: at most one per distinct (base-function
+    /// library, `Globals.inc`) among the jobs whose images this campaign
+    /// assembled itself, and none when every image was a cache or store
+    /// hit (see the [module docs](self)).
+    pub frame_checkpoints: u64,
+    /// Wall-clock time of the plan stage: scenario materialisation,
+    /// source generation, content keys and build slots. Part of
+    /// [`build_wall`](CampaignPerf::build_wall).
+    pub plan_wall: Duration,
     /// Wall-clock time of the build phase: scenario materialisation,
     /// job planning and every image assembly (the front-end runs on the
     /// worker pool).
@@ -702,7 +724,7 @@ impl CampaignPerf {
     /// campaigns that ran at the same time, such as the cells a fault
     /// audit sweeps on several threads, sum thread time. A fault audit
     /// therefore sets its `wall` to its elapsed time once every
-    /// campaign is folded in, while its `build_wall_ms`,
+    /// campaign is folded in, while its `plan_wall_ms`, `build_wall_ms`,
     /// `exec_wall_ms` and `report_wall_ms` can exceed that.
     pub fn absorb(&mut self, other: &CampaignPerf) {
         self.instructions += other.instructions;
@@ -716,6 +738,8 @@ impl CampaignPerf {
         self.prefix_saved += other.prefix_saved;
         self.forked_runs += other.forked_runs;
         self.artifact_hits += other.artifact_hits;
+        self.frame_checkpoints += other.frame_checkpoints;
+        self.plan_wall += other.plan_wall;
         self.build_wall += other.build_wall;
         self.exec_wall += other.exec_wall;
         self.report_wall += other.report_wall;
@@ -729,8 +753,9 @@ impl CampaignPerf {
              \"decode_hits\":{},\"decode_misses\":{},\"decode_preloaded\":{},\
              \"decode_hit_rate\":{:.4},\"blocks_built\":{},\
              \"block_dispatches\":{},\"block_insns\":{},\"prefix_saved\":{},\
-             \"forked_runs\":{},\"artifact_hits\":{},\"build_wall_ms\":{:.3},\
-             \"exec_wall_ms\":{:.3},\"report_wall_ms\":{:.3},\"mine_wall_ms\":{:.3}}}",
+             \"forked_runs\":{},\"artifact_hits\":{},\"frame_checkpoints\":{},\
+             \"plan_wall_ms\":{:.3},\"build_wall_ms\":{:.3},\"exec_wall_ms\":{:.3},\
+             \"report_wall_ms\":{:.3},\"mine_wall_ms\":{:.3}}}",
             self.instructions,
             self.wall.as_secs_f64() * 1e3,
             self.steps_per_sec(),
@@ -744,6 +769,8 @@ impl CampaignPerf {
             self.prefix_saved,
             self.forked_runs,
             self.artifact_hits,
+            self.frame_checkpoints,
+            self.plan_wall.as_secs_f64() * 1e3,
             self.build_wall.as_secs_f64() * 1e3,
             self.exec_wall.as_secs_f64() * 1e3,
             self.report_wall.as_secs_f64() * 1e3,
@@ -1168,9 +1195,42 @@ struct Frame {
     hash: u64,
     /// Every identifier the frame's code lines reference.
     tokens: std::collections::HashSet<String>,
+    /// One context per distinct re-targeted `Globals.inc` among the jobs
+    /// of this frame.
+    contexts: Vec<FrameContext>,
+    /// Each context's index, keyed by its `Globals.inc` text.
+    context_of: HashMap<Arc<str>, usize>,
+}
+
+/// What every job of one (library, `Globals.inc`) shares: the define
+/// table its content keys are completed from, and the assembler
+/// checkpoint its image builds resume. Everything a unit assembles up to
+/// its `.INCLUDE test.asm` is this pair's text, apart from the unit
+/// wrapper's first line, a comment naming the cell.
+struct FrameContext {
+    defines: Defines,
+    checkpoint: CheckpointSlot,
 }
 
 impl Frame {
+    /// The context of this frame's jobs whose `Globals.inc` is
+    /// `globals_text`, made on first use.
+    fn context(&mut self, globals_text: &str) -> &FrameContext {
+        let index = match self.context_of.get(globals_text) {
+            Some(&index) => index,
+            None => {
+                let text: Arc<str> = Arc::from(globals_text);
+                self.contexts.push(FrameContext {
+                    defines: Defines::new(Arc::clone(&text), &self.tokens),
+                    checkpoint: CheckpointSlot::default(),
+                });
+                self.context_of.insert(text, self.contexts.len() - 1);
+                self.contexts.len() - 1
+            }
+        };
+        &self.contexts[index]
+    }
+
     fn new(sources: &SourceSet) -> Self {
         let mut hash = 0;
         let mut tokens = std::collections::HashSet::new();
@@ -1195,6 +1255,8 @@ impl Frame {
                 .to_owned(),
             hash,
             tokens,
+            contexts: Vec::new(),
+            context_of: HashMap::new(),
         }
     }
 }
@@ -1226,9 +1288,9 @@ impl<'e> CellKey<'e> {
     }
 }
 
-/// One re-targeted `Globals.inc`, parsed once per (environment,
-/// platform) into its define lines, an index from defined name to
-/// lines, and the lines the frame alone keeps live.
+/// One re-targeted `Globals.inc`, parsed once per distinct text in a
+/// frame (see [`FrameContext`]) into its define lines, an index from
+/// defined name to lines, and the lines the frame alone keeps live.
 ///
 /// The content key must be *sound*: equal keys must imply equal images.
 /// `Globals.inc` is a pure define file, so a define can only reach the
@@ -1238,61 +1300,91 @@ impl<'e> CellKey<'e> {
 /// platform-independent cell keys identically on two platforms whose
 /// referenced abstraction-layer knobs agree, and the campaign assembles
 /// it once.
-struct Defines<'g> {
-    lines: Vec<&'g str>,
-    /// The last line defining each name.
-    by_name: HashMap<&'g str, usize>,
-    /// Per line, the previous line defining the same name.
-    same_name: Vec<Option<usize>>,
+struct Defines {
+    /// The `Globals.inc` text; the ranges below index into it.
+    text: Arc<str>,
+    /// Each code line's byte range.
+    lines: Vec<Range<usize>>,
+    /// The byte range of the name each line defines.
+    names: Vec<Range<usize>>,
+    /// The last line defining each name, keyed by the name's hash.
+    by_hash: HashMap<u64, usize>,
+    /// Per line, the previous line whose name has the same hash; lines
+    /// on one chain are told apart by their names.
+    same_hash: Vec<Option<usize>>,
     frame_live: Vec<bool>,
 }
 
-impl<'g> Defines<'g> {
-    fn new(globals_text: &'g str, frame: &Frame) -> Self {
+impl Defines {
+    /// Parses `text`, closing the live set over the names the frame
+    /// references (`frame_tokens`). The table keeps ranges into the
+    /// shared text rather than a copy of each line and name: it is built
+    /// once per distinct `Globals.inc` on every plan, warm daemon jobs
+    /// included.
+    fn new(text: Arc<str>, frame_tokens: &std::collections::HashSet<String>) -> Self {
+        // Every line and name below is a subslice of `text`.
+        let range = |part: &str| {
+            let start = part.as_ptr() as usize - text.as_ptr() as usize;
+            start..start + part.len()
+        };
         let mut lines = Vec::new();
-        let mut by_name = HashMap::new();
-        let mut same_name = Vec::new();
-        for line in code_lines(globals_text) {
+        let mut names = Vec::new();
+        let mut by_hash = HashMap::new();
+        let mut same_hash = Vec::new();
+        let mut referenced = Vec::new();
+        for line in code_lines(&text) {
             // `NAME .EQU value` puts the name first, `.DEFINE NAME
             // value` puts it second.
             let mut words = line.split_whitespace();
-            let first = words.next().unwrap_or("");
+            let none = &line[line.len()..];
+            let first = words.next().unwrap_or(none);
             let name = if first.eq_ignore_ascii_case(".DEFINE") {
-                words.next().unwrap_or("")
+                words.next().unwrap_or(none)
             } else {
                 first
             };
-            same_name.push(by_name.insert(name, lines.len()));
-            lines.push(line);
+            if frame_tokens.contains(name) {
+                referenced.push(lines.len());
+            }
+            same_hash.push(by_hash.insert(fnv1a(0, name.as_bytes()), lines.len()));
+            names.push(range(name));
+            lines.push(range(line));
         }
         let mut defines = Self {
+            text: Arc::clone(&text),
             lines,
-            by_name,
-            same_name,
+            names,
+            by_hash,
+            same_hash,
             frame_live: Vec::new(),
         };
         let mut live = vec![false; defines.lines.len()];
-        let referenced = defines.by_name.keys().copied();
-        defines.reference(
-            &mut live,
-            referenced.filter(|name| frame.tokens.contains(*name)),
-        );
+        let referenced = referenced.iter().map(|&i| defines.name(i));
+        defines.reference(&mut live, referenced);
         defines.frame_live = live;
         defines
     }
 
+    fn line(&self, i: usize) -> &str {
+        &self.text[self.lines[i].clone()]
+    }
+
+    fn name(&self, i: usize) -> &str {
+        &self.text[self.names[i].clone()]
+    }
+
     /// Marks the lines defining `names` live, then every define their
     /// values reference, transitively.
-    fn reference<'n>(&self, live: &mut [bool], names: impl IntoIterator<Item = &'n str>) {
+    fn reference<'n>(&'n self, live: &mut [bool], names: impl IntoIterator<Item = &'n str>) {
         let mut pending: Vec<&str> = names.into_iter().collect();
         while let Some(name) = pending.pop() {
-            let mut line = self.by_name.get(name).copied();
+            let mut line = self.by_hash.get(&fnv1a(0, name.as_bytes())).copied();
             while let Some(i) = line {
-                if !live[i] {
+                if !live[i] && self.name(i) == name {
                     live[i] = true;
-                    pending.extend(identifiers(self.lines[i]));
+                    pending.extend(identifiers(self.line(i)));
                 }
-                line = self.same_name[i];
+                line = self.same_hash[i];
             }
         }
     }
@@ -1302,11 +1394,9 @@ impl<'g> Defines<'g> {
     fn content_key(&self, cell: &CellKey) -> u64 {
         let mut live = self.frame_live.clone();
         self.reference(&mut live, cell.references.iter().copied());
-        self.lines
-            .iter()
-            .zip(&live)
-            .filter(|(_, &live)| live)
-            .fold(cell.hash, |hash, (line, _)| hash_line(hash, line))
+        (0..self.lines.len())
+            .filter(|&i| live[i])
+            .fold(cell.hash, |hash, i| hash_line(hash, self.line(i)))
     }
 }
 
@@ -1328,6 +1418,10 @@ pub(crate) struct Prebuilt {
 /// store and survive the campaign.
 pub(crate) type ImageSlot = Arc<OnceLock<Result<Prebuilt, AsmError>>>;
 pub(crate) type EsSlot = Arc<OnceLock<Result<advm_asm::Program, AsmError>>>;
+/// A frame's assembler checkpoint, built by the first of its jobs that
+/// assembles an image (see [`FrameContext`]). Per campaign; a failing
+/// frame keeps its error, which every job resuming it reports.
+type CheckpointSlot = Arc<OnceLock<Result<Checkpoint, AsmError>>>;
 
 /// One planned job: everything a worker needs, plus the shared build
 /// slots its content keys mapped to.
@@ -1346,6 +1440,8 @@ struct Job {
     slot: ImageSlot,
     /// Shared once-cell for the ES ROM program.
     es_slot: EsSlot,
+    /// Shared once-cell for the checkpoint of this job's frame context.
+    checkpoint: CheckpointSlot,
     /// Whether the planner marked this job a cache hit (not the first
     /// job of its content key). Deterministic, independent of scheduling.
     planned_hit: bool,
@@ -1360,13 +1456,22 @@ impl Job {
     /// every platform the content key covers. Runs on the build pool,
     /// at most once per image slot.
     ///
-    /// Both assemblies use the lean parse/encode split: the campaign
-    /// only links the programs, so the human-readable listing is never
-    /// built. Emitted bytes and diagnostics are identical to
-    /// [`advm_asm::assemble`].
+    /// The unit resumes its frame context's [`Checkpoint`] with the
+    /// job's own `test.asm`; the first job of the context to get here
+    /// builds the checkpoint from its sources, preprocessing and parsing
+    /// the frame up to the unit's `.INCLUDE test.asm`. The resumed unit
+    /// is then encoded whole, so addresses and forward references such
+    /// as `_main` resolve as in one pass. Both assemblies are lean: the
+    /// campaign only links the programs, so the human-readable listing
+    /// is never built. Emitted bytes and diagnostics are identical to
+    /// [`advm_asm::assemble`] of the job's sources.
     fn build(&self) -> Result<Prebuilt, AsmError> {
-        let unit =
-            advm_asm::ParsedUnit::parse_lean(crate::build::UNIT_FILE, &self.sources)?.encode()?;
+        let checkpoint = self
+            .checkpoint
+            .get_or_init(|| Checkpoint::new(UNIT_FILE, &self.sources, TEST_SOURCE_FILE))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        let unit = checkpoint.resume(&self.sources)?.encode()?;
         let es = self
             .es_slot
             .get_or_init(|| {
@@ -1654,9 +1759,14 @@ impl Campaign {
     /// in the plan a [`Frame`] (tokens and hash of every unit file but
     /// `Globals.inc` and `test.asm`), per environment a [`CellKey`] for
     /// each cell (the frame's hash continued through `test.asm` and the
-    /// ES ROM, plus the test's own references), per (environment,
-    /// platform) one [`Defines`] table with the frame's live set closed,
-    /// and per job only the cell's references and the live lines' hash.
+    /// ES ROM, plus the test's own references), per distinct
+    /// `Globals.inc` of a frame one [`FrameContext`] with its
+    /// [`Defines`] table (the frame's live set closed) and its
+    /// checkpoint slot, and per job only the cell's references and the
+    /// live lines' hash. Contexts are found by hashing and comparing
+    /// the `Globals.inc` text; every job, cached or not, takes its
+    /// context's checkpoint slot, which stays empty until the build
+    /// stage assembles a job of that context.
     ///
     /// # Errors
     ///
@@ -1751,31 +1861,32 @@ impl Campaign {
                         })
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let content_keys: Vec<Option<u64>> = match cell_sources.first() {
-                    Some(sources) if self.cache => {
-                        let library = ported.base_functions_text();
-                        let frame = match frames.iter().position(|f| f.library == library) {
-                            Some(frame) => frame,
-                            None => {
-                                frames.push(Frame::new(sources));
-                                frames.len() - 1
-                            }
-                        };
-                        if cell_keys.as_ref().map(|(f, _)| *f) != Some(frame) {
-                            let keys = env
-                                .cells()
-                                .iter()
-                                .map(|cell| CellKey::new(&frames[frame], cell.source(), &es_source))
-                                .collect();
-                            cell_keys = Some((frame, keys));
-                        }
-                        let defines = Defines::new(ported.globals_text(), &frames[frame]);
-                        cell_keys
-                            .iter()
-                            .flat_map(|(_, keys)| keys)
-                            .map(|key| Some(defines.content_key(key)))
-                            .collect()
+                let Some(first) = cell_sources.first() else {
+                    continue;
+                };
+                let library = ported.base_functions_text();
+                let frame = match frames.iter().position(|f| f.library == library) {
+                    Some(frame) => frame,
+                    None => {
+                        frames.push(Frame::new(first));
+                        frames.len() - 1
                     }
+                };
+                if self.cache && cell_keys.as_ref().map(|(f, _)| *f) != Some(frame) {
+                    let keys = env
+                        .cells()
+                        .iter()
+                        .map(|cell| CellKey::new(&frames[frame], cell.source(), &es_source))
+                        .collect();
+                    cell_keys = Some((frame, keys));
+                }
+                let context = frames[frame].context(ported.globals_text());
+                // Cell keys exist only with the cache on.
+                let content_keys: Vec<Option<u64>> = match &cell_keys {
+                    Some((_, keys)) => keys
+                        .iter()
+                        .map(|key| Some(context.defines.content_key(key)))
+                        .collect(),
                     _ => vec![None; cell_sources.len()],
                 };
                 for ((cell, sources), content_key) in
@@ -1818,6 +1929,7 @@ impl Campaign {
                         // Without the cache every job assembles its own
                         // ES ROM too, matching the pre-redesign baseline.
                         es_slot: shared_es_slot.clone().unwrap_or_default(),
+                        checkpoint: Arc::clone(&context.checkpoint),
                         planned_hit,
                         content_key,
                     });
@@ -1842,6 +1954,7 @@ impl Campaign {
             started,
             perf: CampaignPerf {
                 artifact_hits,
+                plan_wall: started.elapsed(),
                 ..CampaignPerf::default()
             },
         })
@@ -1922,6 +2035,13 @@ impl Planned {
                 job.slot.get_or_init(|| job.build());
             }
         });
+        let mut checkpoints = std::collections::HashSet::new();
+        self.perf.frame_checkpoints = jobs
+            .iter()
+            .filter(|job| {
+                job.checkpoint.get().is_some() && checkpoints.insert(Arc::as_ptr(&job.checkpoint))
+            })
+            .count() as u64;
         for job in jobs {
             let Some(Err(source)) = job.slot.get() else {
                 continue;
@@ -2991,7 +3111,8 @@ t_fail:
     fn content_key_of(sources: &SourceSet, globals_text: &str) -> u64 {
         let frame = Frame::new(sources);
         let test = sources.get(TEST_SOURCE_FILE).unwrap_or_default();
-        Defines::new(globals_text, &frame).content_key(&CellKey::new(&frame, test, ""))
+        Defines::new(globals_text.into(), &frame.tokens)
+            .content_key(&CellKey::new(&frame, test, ""))
     }
 
     #[test]
@@ -3239,6 +3360,135 @@ t_fail:
                 a.platform
             );
         }
+    }
+
+    /// Plans `campaign` and checks every job's unit, resumed from its
+    /// frame context's checkpoint as the build stage resumes it, against
+    /// whole-unit assembly of the job's own sources. The first job of a
+    /// context to get here builds the checkpoint from its sources, so
+    /// every later job of the context checks that the context key groups
+    /// only units with equal frames. Returns the number of jobs.
+    fn assert_resumed_units_match_whole_units(campaign: Campaign) -> usize {
+        let planned = campaign.plan().unwrap();
+        for job in &planned.jobs {
+            let checkpoint = job
+                .checkpoint
+                .get_or_init(|| Checkpoint::new(UNIT_FILE, &job.sources, TEST_SOURCE_FILE))
+                .as_ref()
+                .map_err(Clone::clone);
+            let resumed = checkpoint
+                .and_then(|checkpoint| checkpoint.resume(&job.sources))
+                .and_then(|unit| unit.encode());
+            let whole = advm_asm::ParsedUnit::parse_lean(UNIT_FILE, &job.sources)
+                .and_then(|unit| unit.encode());
+            assert!(whole.is_ok(), "{}/{}: {whole:?}", job.env_name, job.test_id);
+            assert_eq!(
+                resumed, whole,
+                "{}/{} on {}",
+                job.env_name, job.test_id, job.platform
+            );
+        }
+        planned.jobs.len()
+    }
+
+    #[test]
+    fn resumed_units_equal_whole_unit_assembly() {
+        use crate::basefuncs::BaseFuncsStyle;
+        use advm_gen::{ConstrainedRandom, GlobalsConstraints, ScenarioEngine};
+
+        let mut standard = Vec::new();
+        for derivative in DerivativeId::ALL {
+            for style in [BaseFuncsStyle::V1Only, BaseFuncsStyle::VersionAware] {
+                let config = EnvConfig::new(derivative, PlatformId::GoldenModel).with_style(style);
+                standard.extend(crate::presets::standard_system(config));
+            }
+        }
+        let cells: usize = standard.iter().map(|e| e.cells().len()).sum();
+        assert_eq!(
+            assert_resumed_units_match_whole_units(Campaign::new().envs(standard)),
+            cells * PlatformId::ALL.len()
+        );
+
+        let programs = advm_fuzz::ProgramSource::new(1).generate(64);
+        let fuzz = programs.iter().map(crate::fuzz::program_env);
+        assert_eq!(
+            assert_resumed_units_match_whole_units(Campaign::new().envs(fuzz)),
+            64 * PlatformId::ALL.len()
+        );
+
+        let scenarios = ScenarioEngine::new(7)
+            .source(ConstrainedRandom::new(
+                GlobalsConstraints::new(DerivativeId::Sc88B, PlatformId::GoldenModel)
+                    .with_knob("SCN_KNOB", 1..=9),
+            ))
+            .batch(6)
+            .plan()
+            .unwrap()
+            .into_scenarios();
+        assert!(assert_resumed_units_match_whole_units(Campaign::new().scenarios(scenarios)) > 0);
+
+        // Names with line breaks stay inside the wrapper's comment line,
+        // so the cells of an environment still share one frame.
+        let named = ModuleTestEnv::new(
+            "PAGE\n.ORG 0x4000",
+            crate::presets::default_config(),
+            vec![passing_cell("TEST_A"), passing_cell("TEST_B\n.ORG 0x5000")],
+        );
+        assert_eq!(
+            assert_resumed_units_match_whole_units(Campaign::new().env(named)),
+            2 * PlatformId::ALL.len()
+        );
+    }
+
+    #[test]
+    fn frame_checkpoints_count_the_contexts_a_campaign_builds() {
+        let envs = || {
+            [DerivativeId::Sc88A, DerivativeId::Sc88C]
+                .into_iter()
+                .flat_map(|d| {
+                    crate::presets::standard_system(EnvConfig::new(d, PlatformId::GoldenModel))
+                })
+        };
+        // One checkpoint per distinct (library, `Globals.inc`) among the
+        // jobs that assemble an image: the first job of each content key.
+        let planned = Campaign::new().envs(envs()).workers(2).plan().unwrap();
+        let contexts: std::collections::HashSet<(&str, &str)> = planned
+            .jobs
+            .iter()
+            .filter(|job| !job.planned_hit)
+            .map(|job| {
+                let file = |name| job.sources.get(name).unwrap();
+                (file(BASE_FUNCTIONS_FILE), file(GLOBALS_FILE))
+            })
+            .collect();
+        let expected = contexts.len() as u64;
+        assert!(expected > 1, "{expected}");
+        drop(contexts);
+        let built = planned.build().unwrap();
+        let perf = built.0.perf;
+        assert_eq!(perf.frame_checkpoints, expected);
+        assert!(perf.plan_wall <= perf.build_wall, "{perf:?}");
+
+        // On a shared store, a re-run whose every image is a store hit
+        // builds no checkpoint.
+        let store = Arc::new(ArtifactStore::new(1024));
+        let run = || {
+            Campaign::new()
+                .envs(envs())
+                .workers(2)
+                .artifact_store(Arc::clone(&store))
+                .run()
+                .unwrap()
+        };
+        let cold = run();
+        assert_eq!(cold.perf().frame_checkpoints, expected);
+        let warm = run();
+        assert_eq!(warm.perf().artifact_hits as usize, warm.unique_builds());
+        assert_eq!(warm.perf().frame_checkpoints, 0);
+        assert!(warm.perf().plan_wall > Duration::ZERO);
+        let json = warm.to_json();
+        assert!(json.contains("\"frame_checkpoints\":0,"), "{json}");
+        assert!(json.contains("\"plan_wall_ms\":"), "{json}");
     }
 
     #[test]

@@ -327,7 +327,8 @@ impl Daemon {
 
     /// One-line daemon summary: job counts by state, worker count, the
     /// artifact store's hit/miss/eviction counters, and the per-phase
-    /// wall split (build/exec/report) summed over every finished job.
+    /// wall split (plan/build/exec/report/mine) summed over every
+    /// finished job.
     pub fn status_line(&self) -> String {
         let state = self.shared.state.lock().expect("daemon state poisoned");
         let mut counts = [0usize; 5];
@@ -410,13 +411,16 @@ impl Drop for Daemon {
     }
 }
 
-/// Renders a perf block's phase split: build (assembly + planning),
+/// Renders a perf block's phase split: plan (source generation, content
+/// keys and build slots; part of build), build (planning + assembly),
 /// exec (the run itself), report (sealing, divergence, bisection) and
 /// mine (a fuzz job's assertion-mining pass; zero for every other job)
 /// wall, in milliseconds.
 fn phases_json(perf: &CampaignPerf) -> String {
     format!(
-        "{{\"build_ms\":{:.3},\"exec_ms\":{:.3},\"report_ms\":{:.3},\"mine_ms\":{:.3}}}",
+        "{{\"plan_ms\":{:.3},\"build_ms\":{:.3},\"exec_ms\":{:.3},\"report_ms\":{:.3},\
+         \"mine_ms\":{:.3}}}",
+        perf.plan_wall.as_secs_f64() * 1e3,
         perf.build_wall.as_secs_f64() * 1e3,
         perf.exec_wall.as_secs_f64() * 1e3,
         perf.report_wall.as_secs_f64() * 1e3,
@@ -819,7 +823,7 @@ mod tests {
         assert_eq!(status.u64_field("done").unwrap(), 1);
         assert!(status.get("artifacts").is_some());
         let phases = status.get("phases").unwrap();
-        for key in ["build_ms", "exec_ms", "report_ms", "mine_ms"] {
+        for key in ["plan_ms", "build_ms", "exec_ms", "report_ms", "mine_ms"] {
             assert!(phases.get(key).is_some(), "status phases lack {key}");
         }
         let list = JsonValue::parse(&daemon.list_line()).unwrap();
@@ -828,9 +832,12 @@ mod tests {
         assert_eq!(jobs[0].str_field("kind").unwrap(), "regress");
         assert_eq!(jobs[0].str_field("state").unwrap(), "done");
         let phases = jobs[0].get("phases").unwrap();
-        for key in ["build_ms", "exec_ms", "report_ms", "mine_ms"] {
+        for key in ["plan_ms", "build_ms", "exec_ms", "report_ms", "mine_ms"] {
             assert!(phases.get(key).is_some(), "job phases lack {key}");
         }
+        // Planning is part of the build stage's wall.
+        let ms = |key| phases.get(key).unwrap().as_f64().unwrap();
+        assert!(ms("plan_ms") > 0.0 && ms("plan_ms") <= ms("build_ms"));
         // Only fuzz jobs mine.
         assert_eq!(phases.get("mine_ms").unwrap().as_f64(), Some(0.0));
         daemon.join();

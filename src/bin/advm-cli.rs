@@ -31,7 +31,10 @@
 //! one runner with the daemon: their arguments parse into a
 //! [`JobSpec`], which runs in process through [`JobSpec::run`], and
 //! `submit` sends the same spec, parsed by the same code, to a daemon
-//! whose workers run it through the same function. `serve` is the
+//! whose workers run it through the same function. A flag the job kind
+//! does not take is a usage error naming it; besides the kind's own
+//! flags, the local commands take `--json` and `submit` takes `--socket`
+//! and `--watch`. `serve` is the
 //! server: it starts the resident daemon on a Unix-domain socket, and
 //! `watch` streams a job's NDJSON events to stdout.
 
@@ -186,7 +189,8 @@ them on every run — catching faults the differential verdict cannot see.
 serve is the verification server: it starts the resident daemon on a
 Unix-domain socket, and submit/watch/status/list/cancel/shutdown talk
 to it. submit takes the arguments of regress, audit, explore or fuzz
-and runs the same job on the daemon, with the same report. The daemon
+and runs the same job on the daemon, with the same report; a flag the
+job does not take is an error, not ignored. The daemon
 keeps built images, predecoded programs and prefix snapshots warm
 across jobs, so a resubmitted suite skips its builds (see the
 `artifact_hits` perf counter in job reports and the `artifacts` block
@@ -338,7 +342,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 /// arguments parse into the [`JobSpec`] `submit` would send, and
 /// [`JobSpec::run`] runs it as a daemon worker does, without a store.
 fn run_job(args: &[String]) -> Result<(), CliError> {
-    let spec = job_spec(args)?;
+    let spec = job_spec(args, &LOCAL_FLAGS)?;
     let json = args.iter().any(|a| a == "--json");
     // Live progress streams to stderr; verdicts stay on stdout.
     let progress: Option<ObserverFactory> = match spec {
@@ -526,14 +530,24 @@ fn socket_path(args: &[String]) -> Result<PathBuf, CliError> {
         .ok_or_else(|| CliError::usage("missing required flag --socket"))
 }
 
+/// The flags a local `regress`/`audit`/`explore`/`fuzz` run takes
+/// besides its job kind's own.
+const LOCAL_FLAGS: [&str; 1] = ["--json"];
+
+/// The flags `submit` takes besides its job kind's own.
+const SUBMIT_FLAGS: [&str; 2] = ["--socket", "--watch"];
+
 /// Builds the [`JobSpec`] an argument list describes: its first
 /// positional is the job kind, the rest are that command's arguments.
 /// `regress`/`audit`/`explore`/`fuzz` and `submit` share this one flag
-/// surface.
-fn job_spec(args: &[String]) -> Result<JobSpec, CliError> {
+/// surface. A flag that is neither the kind's own nor one of the
+/// caller's `extra` flags is a usage error naming it: ignoring it would
+/// run a job other than the one asked for.
+fn job_spec(args: &[String], extra: &[&str]) -> Result<JobSpec, CliError> {
     let all_platforms = args.iter().any(|a| a == "--all-platforms");
-    match positional(args, 0, "job kind (regress|audit|explore|fuzz)")?.as_str() {
-        "regress" => Ok(JobSpec::Regress {
+    let kind = positional(args, 0, "job kind (regress|audit|explore|fuzz)")?;
+    let spec = match kind.as_str() {
+        "regress" => JobSpec::Regress {
             dir: positional(args, 1, "directory")?,
             env: positional(args, 2, "environment name")?,
             platforms: flag_value(args, "--platform")?
@@ -544,8 +558,8 @@ fn job_spec(args: &[String]) -> Result<JobSpec, CliError> {
             all_platforms,
             workers: int_flag(args, "--workers")?,
             fuel: int_flag(args, "--fuel")?,
-        }),
-        "audit" => Ok(JobSpec::Audit {
+        },
+        "audit" => JobSpec::Audit {
             platforms: flag_value(args, "--platforms")?
                 .map(|list| list.split(',').map(parse_platform).collect())
                 .transpose()?
@@ -555,8 +569,8 @@ fn job_spec(args: &[String]) -> Result<JobSpec, CliError> {
             seed: int_flag(args, "--seed")?,
             workers: int_flag(args, "--workers")?,
             fuel: int_flag(args, "--fuel")?,
-        }),
-        "explore" => Ok(JobSpec::Explore {
+        },
+        "explore" => JobSpec::Explore {
             rounds: int_flag(args, "--rounds")?,
             seed: int_flag(args, "--seed")?,
             batch: int_flag(args, "--batch")?,
@@ -565,8 +579,8 @@ fn job_spec(args: &[String]) -> Result<JobSpec, CliError> {
                 .map(parse_derivative)
                 .transpose()?,
             all_platforms,
-        }),
-        "fuzz" => Ok(JobSpec::Fuzz {
+        },
+        "fuzz" => JobSpec::Fuzz {
             programs: int_flag(args, "--programs")?,
             seed: int_flag(args, "--seed")?,
             mine: args.iter().any(|a| a == "--mine"),
@@ -577,8 +591,48 @@ fn job_spec(args: &[String]) -> Result<JobSpec, CliError> {
             all_platforms,
             workers: int_flag(args, "--workers")?,
             fuel: int_flag(args, "--fuel")?,
-        }),
-        other => Err(CliError::bad_token("unknown job kind", other)),
+        },
+        other => return Err(CliError::bad_token("unknown job kind", other)),
+    };
+    // The flags read above, per kind.
+    let read: &[&str] = match spec {
+        JobSpec::Regress { .. } => &["--platform", "--all-platforms", "--workers", "--fuel"],
+        JobSpec::Audit { .. } => &[
+            "--platforms",
+            "--all-platforms",
+            "--scenarios",
+            "--seed",
+            "--workers",
+            "--fuel",
+        ],
+        JobSpec::Explore { .. } => &[
+            "--rounds",
+            "--seed",
+            "--batch",
+            "--workers",
+            "--derivative",
+            "--all-platforms",
+        ],
+        JobSpec::Fuzz { .. } => &[
+            "--programs",
+            "--seed",
+            "--mine",
+            "--platforms",
+            "--all-platforms",
+            "--workers",
+            "--fuel",
+        ],
+    };
+    match args
+        .iter()
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !read.contains(a) && !extra.contains(a))
+    {
+        Some(unknown) => Err(CliError::bad_token(
+            &format!("unknown {kind} flag"),
+            unknown,
+        )),
+        None => Ok(spec),
     }
 }
 
@@ -630,7 +684,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
 
 #[cfg(unix)]
 fn submit(args: &[String]) -> Result<(), CliError> {
-    let mut spec = job_spec(args)?;
+    let mut spec = job_spec(args, &SUBMIT_FLAGS)?;
     // The daemon resolves the path from its own working directory;
     // submit an absolute one when the tree exists locally so both sides
     // mean the same files.
@@ -861,7 +915,7 @@ mod tests {
             "--socket",
             "/tmp/advm.sock",
         ]);
-        let spec = job_spec(&a).unwrap();
+        let spec = job_spec(&a, &SUBMIT_FLAGS).unwrap();
         assert_eq!(
             spec,
             JobSpec::Regress {
@@ -892,7 +946,7 @@ mod tests {
             "/tmp/advm.sock",
         ]);
         assert_eq!(
-            job_spec(&a).unwrap(),
+            job_spec(&a, &SUBMIT_FLAGS).unwrap(),
             JobSpec::Fuzz {
                 programs: Some(8),
                 seed: Some(11),
@@ -907,7 +961,7 @@ mod tests {
 
     #[test]
     fn submit_spec_rejects_unknown_kinds() {
-        let err = job_spec(&args(&["deploy"])).unwrap_err();
+        let err = job_spec(&args(&["deploy"]), &LOCAL_FLAGS).unwrap_err();
         assert_eq!(err.token.as_deref(), Some("deploy"));
         assert!(err.show_usage);
     }
@@ -915,24 +969,23 @@ mod tests {
     #[test]
     fn submit_spec_builds_audit_and_explore_jobs() {
         // The local command's arguments and `submit`'s give one spec.
-        let local = job_spec(&args(&[
-            "audit",
-            "--platforms",
-            "rtl,gate",
-            "--seed",
-            "9",
-            "--json",
-        ]));
-        let submitted = job_spec(&args(&[
-            "--socket",
-            "/tmp/advm.sock",
-            "--watch",
-            "audit",
-            "--platforms",
-            "rtl,gate",
-            "--seed",
-            "9",
-        ]));
+        let local = job_spec(
+            &args(&["audit", "--platforms", "rtl,gate", "--seed", "9", "--json"]),
+            &LOCAL_FLAGS,
+        );
+        let submitted = job_spec(
+            &args(&[
+                "--socket",
+                "/tmp/advm.sock",
+                "--watch",
+                "audit",
+                "--platforms",
+                "rtl,gate",
+                "--seed",
+                "9",
+            ]),
+            &SUBMIT_FLAGS,
+        );
         assert_eq!(local, submitted);
         assert_eq!(
             local.unwrap(),
@@ -945,7 +998,10 @@ mod tests {
                 fuel: None,
             }
         );
-        let explore = job_spec(&args(&["explore", "--rounds", "2", "--all-platforms"]));
+        let explore = job_spec(
+            &args(&["explore", "--rounds", "2", "--all-platforms"]),
+            &LOCAL_FLAGS,
+        );
         assert_eq!(
             explore.unwrap(),
             JobSpec::Explore {
@@ -957,5 +1013,69 @@ mod tests {
                 all_platforms: true,
             }
         );
+    }
+
+    /// The usage error an argument list gets, which must name `token`.
+    fn rejects_flag(list: &[&str], token: &str) {
+        let err = dispatch(&args(list)).unwrap_err();
+        assert_eq!(err.token.as_deref(), Some(token), "{err}");
+        assert!(err.show_usage, "{err}");
+        assert!(err.message.contains(&format!("`{token}`")), "{err}");
+    }
+
+    #[test]
+    fn a_flag_of_another_kind_is_a_usage_error() {
+        // `--platforms` is audit's and fuzz's; regress takes `--platform`.
+        // It used to run on the environment's own platform and pass.
+        rejects_flag(
+            &[
+                "regress",
+                "no-such-envs",
+                "PAGE",
+                "--platforms",
+                "gate",
+                "--json",
+            ],
+            "--platforms",
+        );
+        // explore has no fuel budget; a 5-instruction one used to be
+        // ignored and every run passed.
+        rejects_flag(
+            &["explore", "--rounds", "1", "--batch", "1", "--fuel", "5"],
+            "--fuel",
+        );
+    }
+
+    #[test]
+    fn an_unknown_flag_is_a_usage_error_locally_and_on_submit() {
+        rejects_flag(
+            &["regress", "no-such-envs", "PAGE", "--bogus-flag"],
+            "--bogus-flag",
+        );
+        // `submit` parses before it connects.
+        rejects_flag(
+            &[
+                "submit",
+                "--socket",
+                "/nonexistent/advm.sock",
+                "regress",
+                "no-such-envs",
+                "PAGE",
+                "--bogus-flag",
+            ],
+            "--bogus-flag",
+        );
+        // `--json` is a local flag, `--socket` and `--watch` are submit's.
+        rejects_flag(
+            &[
+                "submit",
+                "--socket",
+                "/nonexistent/advm.sock",
+                "fuzz",
+                "--json",
+            ],
+            "--json",
+        );
+        rejects_flag(&["fuzz", "--programs", "2", "--watch"], "--watch");
     }
 }
