@@ -4,12 +4,22 @@
 //! and operands like `TEST_PAGE + 1` need a small expression language:
 //! integers, symbols, unary `- ~`, binary `+ - * / % << >> & | ^`, and
 //! parentheses, with conventional precedence.
+//!
+//! Parsing, [`eval`], [`free_symbols`] and dropping an [`Expr`] recurse
+//! over the tree, so the parser builds none deeper than [`MAX_DEPTH`]: a
+//! hostile expression gets a located error, not a stack overflow.
 
 use std::fmt;
 
 use crate::diag::AsmError;
 use crate::lexer::Token;
 use crate::source::Loc;
+
+/// The deepest expression the parser builds. Every node and every pair
+/// of parentheses on a path from the root counts one level, so `((1))`,
+/// `--1` and `1+1+1` are each three deep. Real expressions stay within a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parsed constant expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,14 +153,16 @@ impl fmt::Display for Expr {
 ///
 /// # Errors
 ///
-/// Returns a located error on malformed expressions.
+/// Returns a located error on malformed expressions, and on one nested
+/// more than 256 levels deep.
 pub fn parse(tokens: &[Token], loc: &Loc) -> Result<(Expr, usize), AsmError> {
     let mut parser = Parser {
         tokens,
         pos: 0,
         loc,
+        above: 0,
     };
-    let expr = parser.parse_binary(0)?;
+    let (expr, _) = parser.parse_binary(0)?;
     Ok((expr, parser.pos))
 }
 
@@ -158,7 +170,8 @@ pub fn parse(tokens: &[Token], loc: &Loc) -> Result<(Expr, usize), AsmError> {
 ///
 /// # Errors
 ///
-/// Returns a located error on malformed or trailing input.
+/// Returns a located error on malformed or trailing input, and on an
+/// expression nested more than 256 levels deep.
 pub fn parse_all(tokens: &[Token], loc: &Loc) -> Result<Expr, AsmError> {
     let (expr, used) = parse(tokens, loc)?;
     if used != tokens.len() {
@@ -174,6 +187,8 @@ struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
     loc: &'a Loc,
+    /// Levels above the subexpression being parsed (see [`MAX_DEPTH`]).
+    above: usize,
 }
 
 impl Parser<'_> {
@@ -185,52 +200,76 @@ impl Parser<'_> {
         AsmError::at(self.loc.clone(), message)
     }
 
-    fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, AsmError> {
-        let mut lhs = self.parse_unary()?;
+    /// Fails once a subexpression `height` levels tall, `above` levels
+    /// down, would pass [`MAX_DEPTH`].
+    fn fits(&self, height: usize) -> Result<usize, AsmError> {
+        if self.above + height > MAX_DEPTH {
+            return Err(self.err(format!("expression nests deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(height)
+    }
+
+    /// Runs `parse` one level further down: on the operand of a unary
+    /// operator, inside parentheses or on a binary right operand. The
+    /// check comes first, so the recursion stops at the limit.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<(Expr, usize), AsmError>,
+    ) -> Result<(Expr, usize), AsmError> {
+        self.fits(2)?;
+        self.above += 1;
+        let parsed = parse(self);
+        self.above -= 1;
+        parsed
+    }
+
+    // Each `parse_*` returns its subexpression and that one's height.
+
+    fn parse_binary(&mut self, min_prec: u8) -> Result<(Expr, usize), AsmError> {
+        let (mut lhs, mut height) = self.parse_unary()?;
         while let Some(op) = self.peek().and_then(BinOp::from_token) {
             if op.precedence() < min_prec {
                 break;
             }
             self.pos += 1;
-            let rhs = self.parse_binary(op.precedence() + 1)?;
+            let (rhs, rhs_height) = self.nested(|p| p.parse_binary(op.precedence() + 1))?;
+            // A chain deepens its left operand one level per operator.
+            height = self.fits(1 + height.max(rhs_height))?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, AsmError> {
-        match self.peek() {
-            Some(Token::Punct('-')) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnaryOp::Neg, Box::new(self.parse_unary()?)))
-            }
-            Some(Token::Punct('~')) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnaryOp::Not, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_primary(),
-        }
+    fn parse_unary(&mut self) -> Result<(Expr, usize), AsmError> {
+        let op = match self.peek() {
+            Some(Token::Punct('-')) => UnaryOp::Neg,
+            Some(Token::Punct('~')) => UnaryOp::Not,
+            _ => return self.parse_primary(),
+        };
+        self.pos += 1;
+        let (operand, height) = self.nested(Self::parse_unary)?;
+        Ok((Expr::Unary(op, Box::new(operand)), height + 1))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, AsmError> {
+    fn parse_primary(&mut self) -> Result<(Expr, usize), AsmError> {
         match self.peek() {
             Some(Token::Number(n)) => {
                 let n = *n;
                 self.pos += 1;
-                Ok(Expr::Num(n))
+                Ok((Expr::Num(n), 1))
             }
             Some(Token::Ident(s)) => {
                 let s = s.clone();
                 self.pos += 1;
-                Ok(Expr::Sym(s))
+                Ok((Expr::Sym(s), 1))
             }
             Some(Token::Punct('(')) => {
                 self.pos += 1;
-                let inner = self.parse_binary(0)?;
+                let (inner, height) = self.nested(|p| p.parse_binary(0))?;
                 match self.peek() {
                     Some(Token::Punct(')')) => {
                         self.pos += 1;
-                        Ok(inner)
+                        Ok((inner, height + 1))
                     }
                     _ => Err(self.err("expected `)`")),
                 }
@@ -416,6 +455,26 @@ mod tests {
         })
         .unwrap();
         assert_eq!(v, 0x100);
+    }
+
+    #[test]
+    fn depth_is_capped_at_max_depth_for_every_shape() {
+        let parse = |text: String| parse_all(&tokenize(&text, &loc()).unwrap(), &loc());
+        // Parentheses, unary operators, a chain and binary right operands
+        // (two levels each), `n` levels above the innermost `1`.
+        let shapes: [fn(usize) -> String; 4] = [
+            |n| format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("{}1", "-~".repeat(n / 2) + &"-".repeat(n % 2)),
+            |n| format!("1{}", "+1".repeat(n)),
+            |n| format!("{}1{}", "1*(".repeat(n / 2), ")".repeat(n / 2)),
+        ];
+        for shape in shapes {
+            let deepest = parse(shape(MAX_DEPTH - 1)).expect("at the cap");
+            assert!(eval(&deepest, &loc(), &|_| None).is_ok());
+            let err = parse(shape(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.loc(), Some(&loc()));
+            assert_eq!(err.message(), "expression nests deeper than 256 levels");
+        }
     }
 
     #[test]

@@ -592,3 +592,32 @@ fn a_unit_emits_at_most_the_address_space() {
     assert_eq!(err.loc().unwrap().line, 4);
     assert!(err.to_string().contains("more than"), "{err}");
 }
+
+/// Expression nesting past the parser's cap is a located error, never a
+/// stack overflow: parentheses, unary operators and a binary chain, each
+/// 100,000 deep, in an `.EQU`, an `.IF` condition and an instruction
+/// operand, assembled on a thread with the default stack, as campaign
+/// and daemon workers assemble.
+#[test]
+fn deep_expressions_are_located_errors_on_a_default_stack() {
+    const DEPTH: usize = 100_000;
+    let shapes = [
+        format!("{}1{}", "(".repeat(DEPTH), ")".repeat(DEPTH)),
+        format!("{}1", "-".repeat(DEPTH)),
+        format!("1{}", "+1".repeat(DEPTH)),
+    ];
+    for shape in &shapes {
+        for (line, unit) in [
+            (1, format!("X .EQU {shape}\n_main:\n    HALT #0\n")),
+            (1, format!(".IF {shape}\n.ENDIF\n_main:\n    HALT #0\n")),
+            (2, format!("_main:\n    MOVI d1, #{shape}\n    HALT #0\n")),
+        ] {
+            let error = std::thread::spawn(move || assemble_str(&unit))
+                .join()
+                .expect("assembling does not panic")
+                .expect_err("nesting past the cap is an error");
+            assert_eq!(error.loc().map(|loc| loc.line), Some(line), "{error}");
+            assert_eq!(error.message(), "expression nests deeper than 256 levels");
+        }
+    }
+}

@@ -1,5 +1,6 @@
 //! Measures the snapshot-fork audit sweep (shared-prefix forking on vs
-//! off) and maintains `BENCH_snapshot_fork.json`, the committed perf
+//! off: a store with the default prefix budget vs one with budget 0)
+//! and maintains `BENCH_snapshot_fork.json`, the committed perf
 //! trajectory of the SaveState subsystem.
 //!
 //! ```text

@@ -1,9 +1,11 @@
-//! Snapshot-fork benchmark: the fault-audit sweep with and without the
-//! shared-prefix [`PrefixPool`](advm::prefix::PrefixPool).
+//! Snapshot-fork benchmark: the fault-audit sweep with and without
+//! prefix forking, on an [`ArtifactStore`] with the default prefix
+//! budget and on one with budget 0.
 //!
 //! The audit matrix re-runs the same images once per (fault, platform)
 //! cell; with forking enabled each image's fault-free prefix executes
-//! once per platform and every safe cell resumes from the snapshot.
+//! once per platform and every safe run, the reference baseline's
+//! included, resumes from the snapshot.
 //! Verdicts are byte-identical either way (the campaign proves that in
 //! its tests), so the delta is pure execution cost. The margin is
 //! modest by construction: fork-safety demands the prefix end before
@@ -20,15 +22,20 @@
 //! is deliberately not gated: on this workload it sits within host
 //! noise, and a near-1.0 ratio gate flakes without measuring anything.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use advm::artifacts::{ArtifactStore, DEFAULT_ARTIFACT_CAPACITY};
 use advm::audit::{FaultAudit, FaultAuditReport};
+use advm::prefix::DEFAULT_PREFIX_BUDGET;
 use advm::presets::{default_config, page_env, uart_env};
 use advm_sim::PlatformFault;
 use advm_soc::PlatformId;
 
-/// Runs one audit sweep of the benchmark matrix.
+/// Runs one audit sweep of the benchmark matrix on a fresh store, whose
+/// prefix budget is the default when `fork` and 0 otherwise.
 fn audit(fork: bool) -> FaultAuditReport {
+    let budget = if fork { DEFAULT_PREFIX_BUDGET } else { 0 };
     FaultAudit::new()
         .suite([page_env(default_config(), 1), uart_env(default_config())])
         .faults([
@@ -44,7 +51,10 @@ fn audit(fork: bool) -> FaultAuditReport {
         .escape_rounds(0)
         .fuel(200_000)
         .workers(2)
-        .fork_prefix(fork)
+        .artifact_store(Arc::new(ArtifactStore::with_prefix_budget(
+            DEFAULT_ARTIFACT_CAPACITY,
+            budget,
+        )))
         .run()
         .expect("benchmark audit runs")
 }

@@ -14,12 +14,18 @@
 //!   equal images, so reuse is sound across jobs and submitters);
 //! * **ES ROM slots** — the shared embedded-software ROM assembly,
 //!   keyed by its source hash;
-//! * **prefix snapshots** — the shared [`PrefixPool`] of fault-free
-//!   prefix machine states, evicted alongside their image.
+//! * **prefix snapshots** — fault-free prefix machine states that
+//!   campaigns fork their runs from (see [`crate::prefix`]), evicted
+//!   alongside their image. A campaign forks only from its store's
+//!   snapshots; [`ArtifactStore::with_prefix_budget`] sets how far each
+//!   prefix runs, and a budget of 0 switches forking off.
 //!
 //! The store is a bounded LRU: `advm-serve` keeps one for its whole
 //! lifetime, so an unbounded map would grow with every distinct
-//! scenario any client ever submitted. Hit/miss/eviction counters are
+//! scenario any client ever submitted. A
+//! [`FaultAudit`](crate::audit::FaultAudit) without one makes a fresh
+//! default store per run, so its matrix shares builds and prefixes
+//! exactly as a served audit does. Hit/miss/eviction counters are
 //! surfaced through [`ArtifactStore::stats`] (the daemon's `status`
 //! response) and per-campaign through the
 //! [`artifact_hits`](crate::campaign::CampaignPerf::artifact_hits) perf
@@ -29,10 +35,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use advm_soc::PlatformId;
 use parking_lot::Mutex;
 
 use crate::campaign::{EsSlot, ImageSlot};
-use crate::prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
+use crate::prefix::{PrefixSlot, DEFAULT_PREFIX_BUDGET};
 
 /// Default image-slot capacity: comfortably holds the standard system
 /// suite across all platforms plus generated-scenario churn, while
@@ -136,7 +143,11 @@ pub struct ArtifactStore {
     capacity: usize,
     images: Mutex<Lru<ImageSlot>>,
     es: Mutex<Lru<EsSlot>>,
-    prefix: Arc<PrefixPool>,
+    /// Instructions each shared prefix runs before its snapshot.
+    prefix_budget: u64,
+    /// Fault-free prefix snapshots by `(image content key, platform)`,
+    /// evicted with their image.
+    prefixes: Mutex<HashMap<(u64, PlatformId), PrefixSlot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -162,30 +173,44 @@ impl Default for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// A store holding at most `capacity` image slots (minimum 1), with
-    /// a [`DEFAULT_PREFIX_BUDGET`]-instruction prefix pool.
+    /// A store holding at most `capacity` image slots (minimum 1), whose
+    /// prefixes run [`DEFAULT_PREFIX_BUDGET`] instructions.
     pub fn new(capacity: usize) -> Self {
         Self::with_prefix_budget(capacity, DEFAULT_PREFIX_BUDGET)
     }
 
-    /// A store whose shared prefix pool snapshots after `prefix_budget`
-    /// instructions.
+    /// A store whose shared prefix snapshots are taken after
+    /// `prefix_budget` instructions; 0 switches prefix forking off for
+    /// every campaign on the store, which then runs from reset.
     pub fn with_prefix_budget(capacity: usize, prefix_budget: u64) -> Self {
         Self {
             capacity: capacity.max(1),
             images: Mutex::new(Lru::new()),
             es: Mutex::new(Lru::new()),
-            prefix: Arc::new(PrefixPool::new(prefix_budget)),
+            prefix_budget,
+            prefixes: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// The shared prefix pool, kept alive (and evicted) with the image
-    /// slots.
-    pub fn prefix_pool(&self) -> &Arc<PrefixPool> {
-        &self.prefix
+    /// Instructions each shared prefix runs before its snapshot point
+    /// (clamped to each campaign's fuel at use).
+    pub(crate) fn prefix_budget(&self) -> u64 {
+        self.prefix_budget
+    }
+
+    /// The shared once-slot for one `(content key, platform)` prefix.
+    /// The first worker to arrive runs the prefix; everyone else reuses
+    /// the captured entry (or the `None` marker for unforkable images).
+    pub(crate) fn prefix_slot(&self, content_key: u64, platform: PlatformId) -> PrefixSlot {
+        Arc::clone(
+            self.prefixes
+                .lock()
+                .entry((content_key, platform))
+                .or_default(),
+        )
     }
 
     /// Image slots currently resident.
@@ -212,7 +237,7 @@ impl ArtifactStore {
             while let Some(evicted) = images.evict_past(self.capacity) {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 // The snapshots forked off an image die with it.
-                self.prefix.evict_content_key(evicted);
+                self.prefixes.lock().retain(|&(key, _), _| key != evicted);
             }
         }
         (slot, existed)
@@ -236,7 +261,7 @@ impl ArtifactStore {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            prefix_entries: self.prefix.len(),
+            prefix_entries: self.prefixes.lock().len(),
         }
     }
 }
@@ -250,10 +275,8 @@ mod tests {
         let store = ArtifactStore::new(2);
         let (_, hit) = store.image_slot(1);
         assert!(!hit);
-        store
-            .prefix_pool()
-            .slot(1, advm_soc::PlatformId::GoldenModel);
-        assert_eq!(store.prefix_pool().len(), 1);
+        store.prefix_slot(1, PlatformId::GoldenModel);
+        assert_eq!(store.stats().prefix_entries, 1);
         store.image_slot(2);
         // Touch key 1 so key 2 is the LRU victim.
         let (_, hit) = store.image_slot(1);
@@ -263,11 +286,11 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
         // Key 2 was evicted; key 1 (and its prefix snapshot) survives.
-        assert_eq!(store.prefix_pool().len(), 1);
+        assert_eq!(store.stats().prefix_entries, 1);
         let (_, hit) = store.image_slot(2);
         assert!(!hit, "evicted key re-enters as a miss");
         // Re-admitting key 2 evicted key 1, dropping its snapshot too.
-        assert_eq!(store.prefix_pool().len(), 0);
+        assert_eq!(store.stats().prefix_entries, 0);
     }
 
     #[test]

@@ -35,6 +35,9 @@
 //! cells than workers, on an even share of them), and classifies it
 //! against the baseline at once. Observers see each internal campaign's
 //! events in one unbroken run, in sweep order, at any thread count.
+//! Every campaign of a run shares one [`ArtifactStore`] (the attached
+//! one, else a fresh default store), so each (test, platform) image is
+//! built, and its fault-free prefix run, once for the whole matrix.
 //!
 //! ```no_run
 //! use advm::audit::FaultAudit;
@@ -73,7 +76,6 @@ use crate::campaign::{
     CampaignPerf, CampaignReport, EventLog, InOrder, ObserverFactory,
 };
 use crate::env::ModuleTestEnv;
-use crate::prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
 use crate::presets;
 
 /// The platform every audit compares against, and never faults.
@@ -407,7 +409,6 @@ pub struct FaultAudit {
     seed: u64,
     workers: usize,
     fuel: u64,
-    fork_prefix: bool,
     checkers: Vec<TraceAssertion>,
     artifact_store: Option<Arc<ArtifactStore>>,
     observer_factory: Option<ObserverFactory>,
@@ -424,7 +425,6 @@ impl std::fmt::Debug for FaultAudit {
             .field("seed", &self.seed)
             .field("workers", &self.workers)
             .field("fuel", &self.fuel)
-            .field("fork_prefix", &self.fork_prefix)
             .field("checkers", &self.checkers.len())
             .field("artifact_store", &self.artifact_store.is_some())
             .field("observer_factory", &self.observer_factory.is_some())
@@ -451,7 +451,6 @@ impl FaultAudit {
             seed: 0xFA017,
             workers: default_workers(),
             fuel: advm_sim::DEFAULT_FUEL,
-            fork_prefix: true,
             checkers: Vec::new(),
             artifact_store: None,
             observer_factory: None,
@@ -518,20 +517,6 @@ impl FaultAudit {
         self
     }
 
-    /// Enables or disables snapshot-based prefix forking (default:
-    /// enabled). When enabled, one [`PrefixPool`] of
-    /// [`DEFAULT_PREFIX_BUDGET`] instructions is shared by every
-    /// faulted campaign of the sweep: each deduplicated image's shared
-    /// fault-free prefix executes once per platform and every matrix
-    /// cell forks from the snapshot when that is provably
-    /// byte-identical to running from reset. The detection matrix,
-    /// verdicts and kill counts are identical either way — only the
-    /// `prefix_saved`/`forked_runs` perf counters and wall time change.
-    pub fn fork_prefix(mut self, enabled: bool) -> Self {
-        self.fork_prefix = enabled;
-        self
-    }
-
     /// Arms mined [`TraceAssertion`] checkers on every campaign of the
     /// sweep — the reference baselines and the faulted cells alike. A
     /// faulted run that violates a checker the fault-free baseline
@@ -539,8 +524,8 @@ impl FaultAudit {
     /// `killed_by` (labelled `checker:<name>`), even when the
     /// differential verdict sees nothing: checkers grade exactly the
     /// symptoms the pass/fail comparison is blind to, such as an MMIO
-    /// readback consumed by a sink register. Arming checkers disables
-    /// prefix forking inside each campaign (snapshots lack the MMIO
+    /// readback consumed by a sink register. With checkers armed no run
+    /// forks from the store's prefix snapshots (snapshots lack the MMIO
     /// monitor); classifications that do not depend on checkers are
     /// unchanged.
     pub fn checkers(mut self, checkers: impl IntoIterator<Item = TraceAssertion>) -> Self {
@@ -549,11 +534,15 @@ impl FaultAudit {
     }
 
     /// Attaches a shared [`ArtifactStore`] to every campaign the sweep
-    /// runs: builds, predecode artifacts and prefix snapshots are
-    /// reused across the whole matrix *and* across audits sharing the
-    /// store. With a store attached its prefix pool, and that pool's
-    /// prefix budget, replace the sweep-local one. Detection matrices
-    /// and kill counts are identical with or without a store.
+    /// runs, so builds, predecode artifacts and prefix snapshots are
+    /// also reused across audits sharing the store. Without one, each
+    /// [`run`](Self::run) makes a fresh [`ArtifactStore::default`]: the
+    /// baselines and cells of one run share their builds and prefix
+    /// snapshots either way. The store's prefix budget
+    /// ([`ArtifactStore::with_prefix_budget`]; 0 switches forking off)
+    /// sets how far each shared fault-free prefix runs; every run that
+    /// provably can forks from its snapshot. Detection matrices and kill
+    /// counts are identical with any store; only the perf block differs.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.artifact_store = Some(store);
         self
@@ -572,36 +561,31 @@ impl FaultAudit {
         self
     }
 
-    /// One internal campaign over a stimulus set on `workers` workers.
-    /// With no `cell` it is the fault-free reference baseline, run once
-    /// and shared by every cell of the sweep. With a `(fault, platform)`
-    /// cell it runs on the faulted platform only, forking from `pool`
-    /// when one is given.
+    /// One internal campaign over a stimulus set on `workers` workers,
+    /// on the run's `store`. With no `cell` it is the fault-free
+    /// reference baseline, run once and shared by every cell of the
+    /// sweep. With a `(fault, platform)` cell it runs on the faulted
+    /// platform only.
     fn campaign(
         &self,
         cell: Option<(PlatformFault, PlatformId)>,
         workers: usize,
         envs: &[ModuleTestEnv],
         scenarios: &[Scenario],
-        pool: Option<&Arc<PrefixPool>>,
+        store: &Arc<ArtifactStore>,
     ) -> Campaign {
         let mut campaign = Campaign::new()
             .envs(envs.iter().cloned())
             .scenarios(scenarios.iter().cloned())
             .workers(workers)
-            .fuel(self.fuel);
+            .fuel(self.fuel)
+            .artifact_store(Arc::clone(store));
         campaign = match cell {
             None => campaign.platform(REFERENCE),
             Some((fault, platform)) => campaign.platform(platform).fault(platform, fault),
         };
-        if let Some(pool) = pool {
-            campaign = campaign.prefix_pool(Arc::clone(pool));
-        }
         if !self.checkers.is_empty() {
             campaign = campaign.checkers(self.checkers.iter().copied());
-        }
-        if let Some(store) = &self.artifact_store {
-            campaign = campaign.artifact_store(Arc::clone(store));
         }
         campaign
     }
@@ -613,8 +597,9 @@ impl FaultAudit {
         &self,
         envs: &[ModuleTestEnv],
         scenarios: &[Scenario],
+        store: &Arc<ArtifactStore>,
     ) -> Result<CampaignReport, CampaignError> {
-        let mut campaign = self.campaign(None, self.workers, envs, scenarios, None);
+        let mut campaign = self.campaign(None, self.workers, envs, scenarios, store);
         if let Some(factory) = &self.observer_factory {
             campaign = campaign.observe(factory());
         }
@@ -637,7 +622,7 @@ impl FaultAudit {
     /// Each thread claims the next cell and plans its campaign under one
     /// lock, then builds, executes and seals it on its
     /// [share](Self::share) of the workers. Campaigns thus plan in cell
-    /// order, so an attached store sees the lookups of a one-thread
+    /// order, so the run's store sees the lookups of a one-thread
     /// sweep: the same hits, misses and evictions, and the same
     /// `cache_hit` on every job. A cell's events are buffered and handed
     /// to a fresh observer once every earlier cell's have been, so
@@ -654,7 +639,7 @@ impl FaultAudit {
         baseline: &CampaignReport,
         envs: &[ModuleTestEnv],
         scenarios: &[Scenario],
-        pool: Option<&Arc<PrefixPool>>,
+        store: &Arc<ArtifactStore>,
     ) -> Result<Vec<(CellOutcome, CampaignPerf)>, CampaignError> {
         type CellResult = Result<(CellOutcome, CampaignPerf), CampaignError>;
         // The next cell to claim; a failure sets it past the end.
@@ -674,7 +659,7 @@ impl FaultAudit {
                 *next += 1;
                 let workers = self.share(index, cells.len());
                 let mut campaign =
-                    self.campaign(Some((fault, platform)), workers, envs, scenarios, pool);
+                    self.campaign(Some((fault, platform)), workers, envs, scenarios, store);
                 let log = self.observer_factory.is_some().then(EventLog::new);
                 if let Some(log) = &log {
                     campaign = campaign.observe(log.clone());
@@ -816,28 +801,23 @@ impl FaultAudit {
             }
         };
 
+        // One store for every campaign of the run: the matrix re-runs
+        // each (test, platform) image under every fault, so each image
+        // is built, and its fault-free prefix run, once.
+        let store = self.artifact_store.clone().unwrap_or_default();
+
         // Round 1: the seed suite against every (fault, platform) cell.
         // The reference runs the suite exactly once; each cell simulates
         // only its faulted platform and compares against that baseline.
-        // One prefix pool for the whole sweep: the matrix re-runs the
-        // same images dozens of times (13 faults × platforms), so the
-        // shared fault-free prefixes pay for themselves many times
-        // over. The fault-free baselines are excluded — they are run
-        // once anyway, and they are what the snapshots must be proven
-        // against.
-        // With a shared store attached, its own pool plays this role
-        // (and outlives the sweep); a sweep-local pool would shadow it.
-        let pool = (self.fork_prefix && self.artifact_store.is_none())
-            .then(|| Arc::new(PrefixPool::new(DEFAULT_PREFIX_BUDGET)));
         let mut perf = CampaignPerf::default();
-        let suite_baseline = self.baseline(&self.suite, &[])?;
+        let suite_baseline = self.baseline(&self.suite, &[], &store)?;
         perf.absorb(suite_baseline.perf());
         let grid: Vec<(PlatformFault, PlatformId)> = self
             .faults
             .iter()
             .flat_map(|&fault| platforms.iter().map(move |&platform| (fault, platform)))
             .collect();
-        let swept = self.sweep(&grid, 1, &suite_baseline, &self.suite, &[], pool.as_ref())?;
+        let swept = self.sweep(&grid, 1, &suite_baseline, &self.suite, &[], &store)?;
         let mut cells: Vec<AuditCell> = Vec::with_capacity(grid.len());
         for ((fault, platform), (outcome, cell_perf)) in grid.into_iter().zip(swept) {
             perf.absorb(&cell_perf);
@@ -887,7 +867,7 @@ impl FaultAudit {
                 .batch(self.scenarios)
                 .plan()?;
             scenarios_generated += plan.len();
-            let scenario_baseline = self.baseline(&[], plan.scenarios())?;
+            let scenario_baseline = self.baseline(&[], plan.scenarios(), &store)?;
             perf.absorb(scenario_baseline.perf());
             let targets: Vec<(PlatformFault, PlatformId)> = escaped
                 .iter()
@@ -899,7 +879,7 @@ impl FaultAudit {
                 &scenario_baseline,
                 &[],
                 plan.scenarios(),
-                pool.as_ref(),
+                &store,
             )?;
             for (i, (outcome, cell_perf)) in escaped.into_iter().zip(swept) {
                 perf.absorb(&cell_perf);
@@ -1310,35 +1290,71 @@ t_spin:
     }
 
     #[test]
-    fn forked_audit_matrix_matches_from_reset_and_saves_prefix_work() {
-        let from_reset = FaultAudit::new()
+    fn storeless_audit_is_an_audit_on_a_default_store() {
+        // Round 1 kills the read-path fault and masks the dead
+        // write-enable, which the escape round then kills, on each of
+        // two platforms.
+        let audit = FaultAudit::new()
             .suite(tiny_suite())
             .faults([
                 PlatformFault::PageActiveOffByOne,
-                PlatformFault::UartDropsBytes,
-                PlatformFault::TimerNeverExpires,
+                PlatformFault::PageMapWriteIgnored,
             ])
-            .platforms([PlatformId::RtlSim, PlatformId::ProductSilicon])
-            .escape_rounds(0)
-            .workers(2)
-            .fork_prefix(false)
+            .platforms([PlatformId::RtlSim, PlatformId::GateSim])
+            .scenarios(2)
+            .workers(1);
+        let storeless = audit.clone().run().unwrap();
+        let stored = audit
+            .artifact_store(Arc::new(ArtifactStore::default()))
             .run()
             .unwrap();
+        assert!(storeless.scenarios_generated() > 0, "the escape round ran");
+        let strip = |json: String| {
+            let start = json.find("\"perf\":{").expect("a perf block");
+            let end = start + json[start..].find('}').expect("a flat perf block") + 1;
+            format!("{}{}", &json[..start], &json[end..])
+        };
+        assert_eq!(strip(storeless.to_json()), strip(stored.to_json()));
+        let counters = |perf: &CampaignPerf| {
+            (
+                perf.frame_checkpoints,
+                perf.artifact_hits,
+                perf.forked_runs,
+                perf.prefix_saved,
+                perf.instructions,
+            )
+        };
+        assert_eq!(counters(storeless.perf()), counters(stored.perf()));
+        // The cells reuse the baselines' builds and prefixes.
+        assert!(storeless.perf().artifact_hits > 0, "{:?}", storeless.perf());
+        assert!(storeless.perf().forked_runs > 0, "{:?}", storeless.perf());
+    }
+
+    #[test]
+    fn forked_audit_matrix_matches_from_reset_and_saves_prefix_work() {
+        let audit = |budget: u64| {
+            FaultAudit::new()
+                .suite(tiny_suite())
+                .faults([
+                    PlatformFault::PageActiveOffByOne,
+                    PlatformFault::UartDropsBytes,
+                    PlatformFault::TimerNeverExpires,
+                ])
+                .platforms([PlatformId::RtlSim, PlatformId::ProductSilicon])
+                .escape_rounds(0)
+                .workers(2)
+                .artifact_store(Arc::new(ArtifactStore::with_prefix_budget(
+                    crate::artifacts::DEFAULT_ARTIFACT_CAPACITY,
+                    budget,
+                )))
+                .run()
+                .unwrap()
+        };
+        let from_reset = audit(0);
         assert_eq!(from_reset.perf().prefix_saved, 0);
         assert_eq!(from_reset.perf().forked_runs, 0);
 
-        let forked = FaultAudit::new()
-            .suite(tiny_suite())
-            .faults([
-                PlatformFault::PageActiveOffByOne,
-                PlatformFault::UartDropsBytes,
-                PlatformFault::TimerNeverExpires,
-            ])
-            .platforms([PlatformId::RtlSim, PlatformId::ProductSilicon])
-            .escape_rounds(0)
-            .workers(2)
-            .run()
-            .unwrap();
+        let forked = audit(crate::prefix::DEFAULT_PREFIX_BUDGET);
         assert!(
             forked.perf().prefix_saved > 0,
             "shared prefixes must skip re-execution: {:?}",

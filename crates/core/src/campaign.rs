@@ -14,9 +14,9 @@
 //!   image on the worker pool before anything executes.
 //! * **One way to build a machine.** Every from-reset run executes on a
 //!   freshly constructed [`Platform::with_fault`]; a run forked from a
-//!   shared prefix (see [`Campaign::prefix_pool`]) executes on one built
-//!   by [`Platform::from_snapshot`]. A machine holds only the pages its
-//!   run touches, so construction is cheap.
+//!   shared prefix (see [`Campaign::artifact_store`]) executes on one
+//!   built by [`Platform::from_snapshot`]. A machine holds only the
+//!   pages its run touches, so construction is cheap.
 //! * **Content-keyed build cache.** Jobs whose effective source content
 //!   is identical (e.g. a platform-independent cell targeted at two
 //!   platforms with the same abstraction-layer knobs) share one build.
@@ -100,7 +100,7 @@ use parking_lot::Mutex;
 use crate::artifacts::ArtifactStore;
 use crate::build::{es_rom_source, link_programs, unit_sources, UNIT_FILE};
 use crate::env::{EnvConfig, ModuleTestEnv, BASE_FUNCTIONS_FILE, GLOBALS_FILE, TEST_SOURCE_FILE};
-use crate::prefix::{PrefixEntry, PrefixPool};
+use crate::prefix::PrefixEntry;
 
 /// Default capacity of the per-run MMIO monitor armed when a campaign
 /// carries mined checkers (see [`Campaign::checkers`]).
@@ -645,7 +645,9 @@ impl std::error::Error for CampaignError {}
 pub struct CampaignPerf {
     /// Instructions retired across every run.
     pub instructions: u64,
-    /// Wall-clock time of the execution phase (planning excluded).
+    /// Wall-clock time of the execution phase (planning excluded). In a
+    /// [`FaultAudit`](crate::audit::FaultAudit) aggregate it is the
+    /// audit's elapsed time instead.
     pub wall: Duration,
     /// Decode-cache hits summed over every run.
     pub decode_hits: u64,
@@ -661,15 +663,17 @@ pub struct CampaignPerf {
     /// `decode_hits`).
     pub block_insns: u64,
     /// Prefix instructions runs skipped by forking from a shared
-    /// snapshot instead of re-executing from reset (see
-    /// [`crate::prefix::PrefixPool`]).
+    /// snapshot of the attached store instead of re-executing from reset
+    /// (see [`Campaign::artifact_store`]).
     pub prefix_saved: u64,
     /// Runs that started from a forked snapshot rather than reset.
     pub forked_runs: u64,
     /// Distinct content keys served by a shared
     /// [`ArtifactStore`] — builds this campaign reused from (or shared
     /// with) *other* campaigns. Zero without a store attached; nonzero
-    /// on a warm run against a resident daemon.
+    /// on a warm run against a resident daemon, and in a
+    /// [`FaultAudit`](crate::audit::FaultAudit) aggregate, whose
+    /// campaigns always share one store.
     pub artifact_hits: u64,
     /// Frame checkpoints built: at most one per distinct (base-function
     /// library, `Globals.inc`) among the jobs whose images this campaign
@@ -1446,7 +1450,7 @@ struct Job {
     /// job of its content key). Deterministic, independent of scheduling.
     planned_hit: bool,
     /// The build cache's content key, when the cache is enabled; also
-    /// keys shared prefix snapshots in a [`PrefixPool`].
+    /// keys shared prefix snapshots in an attached store.
     content_key: Option<u64>,
 }
 
@@ -1502,7 +1506,6 @@ pub struct Campaign {
     fault: Option<(PlatformId, PlatformFault)>,
     cache: bool,
     superblocks: bool,
-    prefix_pool: Option<Arc<PrefixPool>>,
     artifact_store: Option<Arc<ArtifactStore>>,
     bisect: bool,
     checkers: Vec<TraceAssertion>,
@@ -1520,7 +1523,6 @@ impl fmt::Debug for Campaign {
             .field("fuel", &self.fuel)
             .field("fault", &self.fault)
             .field("cache", &self.cache)
-            .field("prefix_pool", &self.prefix_pool.is_some())
             .field("artifact_store", &self.artifact_store.is_some())
             .field("bisect", &self.bisect)
             .field("checkers", &self.checkers.len())
@@ -1548,7 +1550,6 @@ impl Campaign {
             fault: None,
             cache: true,
             superblocks: true,
-            prefix_pool: None,
             artifact_store: None,
             bisect: false,
             checkers: Vec::new(),
@@ -1650,19 +1651,6 @@ impl Campaign {
         self
     }
 
-    /// Attaches a shared [`PrefixPool`]: runs fork from a shared
-    /// fault-free prefix snapshot whenever that is provably
-    /// byte-identical to running from reset, skipping the prefix's
-    /// re-execution. Requires the build cache (the pool keys on content
-    /// keys); with the cache disabled the pool is ignored. Verdicts,
-    /// matrices and divergences are identical with or without a pool —
-    /// only the `prefix_saved`/`forked_runs` perf counters and wall
-    /// time change.
-    pub fn prefix_pool(mut self, pool: Arc<PrefixPool>) -> Self {
-        self.prefix_pool = Some(pool);
-        self
-    }
-
     /// Attaches a shared [`ArtifactStore`]: build slots (images and
     /// their predecode artifacts, the ES ROM) and prefix snapshots are
     /// looked up in — and retained by — the store, so identical content
@@ -1673,8 +1661,16 @@ impl Campaign {
     /// `cache_hits`/`unique_builds` counters are identical with or
     /// without a store — only the
     /// [`artifact_hits`](CampaignPerf::artifact_hits) perf counter and
-    /// wall time change. The store's own [`PrefixPool`] is used unless
-    /// [`Campaign::prefix_pool`] set an explicit one.
+    /// wall time change.
+    ///
+    /// The store is also the only source of prefix forks: a run forks
+    /// from the store's shared fault-free prefix snapshot whenever that
+    /// is provably byte-identical to running from reset, skipping the
+    /// prefix's re-execution. The prefix budget is the store's
+    /// ([`ArtifactStore::with_prefix_budget`]; 0 switches forking off).
+    /// Forking is perf-only too: only the
+    /// [`prefix_saved`](CampaignPerf::prefix_saved)/`forked_runs` perf
+    /// counters change.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.artifact_store = Some(store);
         self
@@ -1699,9 +1695,10 @@ impl Campaign {
     /// the differential pass/fail verdict, which cannot see
     /// MMIO-sink-only symptoms.
     ///
-    /// Checked runs never fork from a [`PrefixPool`] snapshot (snapshots
-    /// do not carry the monitor), so arming checkers trades the prefix
-    /// optimisation for observability; verdicts are unaffected.
+    /// Checked runs never fork from the attached store's prefix
+    /// snapshots (snapshots do not carry the monitor), so arming
+    /// checkers trades the prefix optimisation for observability;
+    /// verdicts are unaffected.
     pub fn checkers(mut self, checkers: impl IntoIterator<Item = TraceAssertion>) -> Self {
         self.checkers = checkers.into_iter().collect();
         self
@@ -2141,13 +2138,9 @@ impl Built {
     /// each job's events in plan order.
     pub(crate) fn execute(self) -> Executed {
         let mut planned = self.0;
-        // An explicit pool wins; otherwise an attached store lends its
-        // own, so prefix snapshots also persist across campaigns.
-        let prefix_pool = planned
-            .options
-            .prefix_pool
-            .as_deref()
-            .or_else(|| planned.options.store().map(|s| s.prefix_pool().as_ref()));
+        // Runs fork only from the attached store's prefix snapshots, so
+        // they persist across the campaigns sharing it.
+        let store = planned.options.store();
         // Workers borrow the knobs one by one: the campaign itself holds
         // (moved-out) observers, which are not `Sync`.
         let Planned {
@@ -2222,7 +2215,7 @@ impl Built {
                             &ExecCtx {
                                 fuel: *fuel,
                                 superblocks: *superblocks,
-                                prefix_pool,
+                                store,
                                 prefix_saved: &prefix_saved,
                                 forked_runs: &forked_runs,
                             },
@@ -2417,29 +2410,29 @@ pub(crate) fn on_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -
 struct ExecCtx<'a> {
     fuel: u64,
     superblocks: bool,
-    prefix_pool: Option<&'a PrefixPool>,
+    store: Option<&'a ArtifactStore>,
     prefix_saved: &'a AtomicU64,
     forked_runs: &'a AtomicU64,
 }
 
-/// Runs one job — forked from a shared prefix snapshot when a pool is
+/// Runs one job — forked from a shared prefix snapshot when a store is
 /// attached and the fork is provably byte-identical to running from
 /// reset; otherwise from reset on a freshly constructed platform.
 fn execute_job(job: &Job, prebuilt: &Prebuilt, ctx: &ExecCtx<'_>) -> RunResult {
     let ExecCtx {
         fuel,
         superblocks,
-        prefix_pool: pool,
+        store,
         prefix_saved,
         forked_runs,
     } = *ctx;
-    if let (Some(pool), Some(key)) = (pool, job.content_key) {
-        let slot = pool.slot(key, job.platform);
+    if let (Some(store), Some(key)) = (store, job.content_key) {
+        let slot = store.prefix_slot(key, job.platform);
         let entry = slot.get_or_init(|| {
             // The shared prefix is always fault-free: every run of the
             // campaign (whatever its fault) forks from the same
             // machine, and per-fault safety is decided below.
-            let budget = pool.budget().min(fuel);
+            let budget = store.prefix_budget().min(fuel);
             if budget == 0 {
                 return None;
             }
@@ -2616,6 +2609,15 @@ mod tests {
             EnvConfig::new(DerivativeId::Sc88A, PlatformId::GoldenModel),
             cells,
         )
+    }
+
+    /// A fresh store whose prefixes run `budget` instructions (0: no
+    /// run forks).
+    fn prefix_store(budget: u64) -> Arc<ArtifactStore> {
+        Arc::new(ArtifactStore::with_prefix_budget(
+            crate::artifacts::DEFAULT_ARTIFACT_CAPACITY,
+            budget,
+        ))
     }
 
     #[test]
@@ -2803,21 +2805,25 @@ t_fail:
             failing_cell("TEST_F"),
             readback_cell(),
         ]);
-        let baseline = Campaign::new().env(e.clone()).run().unwrap();
+        let baseline = Campaign::new()
+            .env(e.clone())
+            .artifact_store(prefix_store(0))
+            .run()
+            .unwrap();
         assert_eq!(baseline.perf().forked_runs, 0);
         assert_eq!(baseline.perf().prefix_saved, 0);
 
         // An 8-instruction prefix stops mid-preamble: every fault-free
         // run forks from the shared snapshot instead of re-resetting.
-        let pool = Arc::new(PrefixPool::new(8));
+        let store = prefix_store(8);
         let forked = Campaign::new()
             .env(e)
-            .prefix_pool(Arc::clone(&pool))
+            .artifact_store(Arc::clone(&store))
             .run()
             .unwrap();
         assert!(forked.perf().forked_runs > 0, "{:?}", forked.perf());
         assert!(forked.perf().prefix_saved > 0, "{:?}", forked.perf());
-        assert!(!pool.is_empty());
+        assert!(store.stats().prefix_entries > 0);
 
         // Forking is perf-only: every observable per-run result is
         // byte-identical to the from-reset campaign.
@@ -2847,11 +2853,10 @@ t_fail:
         // faulted job either forks safely (prefix never touched the
         // page module) or silently falls back to from-reset.
         let e = env(vec![readback_cell()]);
-        let pool = Arc::new(PrefixPool::new(8));
         let report = Campaign::new()
             .env(e)
             .fault(PlatformId::RtlSim, PlatformFault::PageActiveOffByOne)
-            .prefix_pool(pool)
+            .artifact_store(prefix_store(8))
             .run()
             .unwrap();
         let divergences = report.divergences();
@@ -3725,12 +3730,11 @@ _main:
     #[test]
     fn checked_runs_never_fork_and_unchecked_reports_omit_the_block() {
         let e = env(vec![sink_readback_cell()]);
-        // A prefix pool is attached but checkers force from-reset
+        // A store that forks is attached but checkers force from-reset
         // execution: snapshots do not carry the MMIO monitor.
-        let pool = Arc::new(PrefixPool::new(8));
         let checked = Campaign::new()
             .env(e.clone())
-            .prefix_pool(Arc::clone(&pool))
+            .artifact_store(prefix_store(8))
             .checkers([map_checker()])
             .monitor_capacity(256)
             .run()

@@ -77,7 +77,7 @@ pub use fuzz::{
 };
 pub use layer::{classify_path, Layer};
 pub use porting::{port_env, PortOutcome};
-pub use prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
+pub use prefix::DEFAULT_PREFIX_BUDGET;
 pub use release::{Release, ReleaseError, ReleaseStore, SystemRelease};
 pub use stimulus::{
     coverage_feedback, directed_source, fault_hunter_cells, scenario_env, Exploration,

@@ -1,12 +1,14 @@
-//! Shared golden-prefix pool — snapshot-based run forking for campaigns.
+//! Shared golden prefixes — snapshot-based run forking for campaigns.
 //!
 //! Every run of the same deduplicated image on the same platform retires
 //! an identical instruction prefix: reset, the ES ROM's dispatch
-//! preamble, the test's own setup. A [`PrefixPool`] executes that prefix
-//! **once** per `(content key, platform)` on a fault-free machine,
-//! snapshots it ([`advm_sim::Platform::snapshot`]), and lets every later
-//! run of the campaign — including fault-injected ones — fork from the
-//! snapshot instead of re-executing from reset.
+//! preamble, the test's own setup. A campaign on an
+//! [`ArtifactStore`](crate::artifacts::ArtifactStore) executes that
+//! prefix **once** per `(content key, platform)` on a fault-free
+//! machine, snapshots it ([`advm_sim::Platform::snapshot`]) into the
+//! store, and lets every later run of a campaign sharing the store —
+//! including fault-injected ones — fork from the snapshot instead of
+//! re-executing from reset.
 //!
 //! Forking is only taken when it is provably byte-identical to running
 //! from reset ([`advm_sim::Platform::fork_safe`]): the prefix must have
@@ -15,16 +17,16 @@
 //! Otherwise the run silently falls back to from-reset execution —
 //! verdicts never depend on whether a fork happened.
 //!
-//! The pool is shared: [`crate::audit::FaultAudit`] hands one pool to
-//! all of its faulted campaigns, so the whole fault × platform matrix
-//! pays for each image's prefix exactly once.
+//! The store is the only way in: a campaign forks when it has one
+//! attached ([`Campaign::artifact_store`](crate::campaign::Campaign::artifact_store)),
+//! and [`ArtifactStore::with_prefix_budget`](crate::artifacts::ArtifactStore::with_prefix_budget)
+//! sets the budget (0 switches forking off). [`crate::audit::FaultAudit`]
+//! runs all of its campaigns on one store, so the whole fault × platform
+//! matrix pays for each image's prefix exactly once.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use advm_sim::{PlatformFault, SaveState};
-use advm_soc::PlatformId;
-use parking_lot::Mutex;
 
 /// Default prefix budget: instructions executed before the snapshot
 /// point. Long enough to cover reset plus the ES ROM preamble, short
@@ -87,77 +89,3 @@ impl PrefixEntry {
 /// first worker to arrive initializes it; `None` marks an image whose
 /// prefix cannot be forked (it halted inside the budget).
 pub(crate) type PrefixSlot = Arc<OnceLock<Option<PrefixEntry>>>;
-
-/// A concurrent pool of shared fault-free prefix snapshots, keyed by
-/// `(image content key, platform)`.
-///
-/// Attach one to a [`Campaign`](crate::campaign::Campaign) with
-/// [`Campaign::prefix_pool`](crate::campaign::Campaign::prefix_pool);
-/// share one `Arc` across several campaigns to share the prefixes too.
-pub struct PrefixPool {
-    budget: u64,
-    entries: Mutex<HashMap<(u64, PlatformId), PrefixSlot>>,
-}
-
-impl std::fmt::Debug for PrefixPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefixPool")
-            .field("budget", &self.budget)
-            .field("entries", &self.entries.lock().len())
-            .finish()
-    }
-}
-
-impl PrefixPool {
-    /// A pool whose prefixes run `budget` instructions before the
-    /// snapshot point (clamped to each campaign's fuel at use).
-    pub fn new(budget: u64) -> Self {
-        Self {
-            budget,
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The configured prefix instruction budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Number of distinct `(content key, platform)` prefixes captured
-    /// (or attempted) so far.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// Whether no prefix has been requested yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().len() == 0
-    }
-
-    /// The shared once-slot for one `(content key, platform)` prefix.
-    /// The first worker to arrive runs the prefix; everyone else reuses
-    /// the captured entry (or the `None` marker for unforkable images).
-    pub(crate) fn slot(&self, content_key: u64, platform: PlatformId) -> PrefixSlot {
-        Arc::clone(
-            self.entries
-                .lock()
-                .entry((content_key, platform))
-                .or_default(),
-        )
-    }
-
-    /// Drops every platform's snapshot for one image content key. Used
-    /// by the cross-campaign [`crate::artifacts::ArtifactStore`] when it
-    /// evicts the image the snapshots were forked from.
-    pub(crate) fn evict_content_key(&self, content_key: u64) {
-        self.entries
-            .lock()
-            .retain(|&(key, _), _| key != content_key);
-    }
-}
-
-impl Default for PrefixPool {
-    fn default() -> Self {
-        Self::new(DEFAULT_PREFIX_BUDGET)
-    }
-}

@@ -10,9 +10,10 @@
 //! (`--workers`, `--fuel`, `--all-platforms`, …).
 //!
 //! A job's size fields are capped on the wire ([`MAX_PROGRAMS`],
-//! [`MAX_SCENARIOS`], [`MAX_BATCH`], [`MAX_ROUNDS`]): a job sized past
-//! what memory holds would abort the whole daemon, which no job-level
-//! error handling can catch.
+//! [`MAX_SCENARIOS`], [`MAX_BATCH`], [`MAX_ROUNDS`]), and so is its
+//! thread count ([`MAX_WORKERS`]): a job sized past what memory holds,
+//! or one asking for more threads than the host can start, would abort
+//! the whole daemon, which no job-level error handling can catch.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -38,6 +39,11 @@ pub const MAX_BATCH: u64 = 256;
 
 /// The most rounds one exploration job runs (`rounds`).
 pub const MAX_ROUNDS: u64 = 32;
+
+/// The most workers one job of any kind runs on (`workers`). A campaign
+/// starts up to this many threads in each stage, and an audit sweeps
+/// this many cells at once.
+pub const MAX_WORKERS: u64 = 256;
 
 /// Looks up a platform by its wire name (`golden`, `rtl`, …).
 fn platform_by_name(name: &str) -> Result<PlatformId, WireError> {
@@ -283,7 +289,8 @@ impl JobSpec {
     /// # Errors
     ///
     /// [`WireError`] for a missing or mistyped field, an unknown kind,
-    /// platform or derivative, or a size field above its cap.
+    /// platform or derivative, or a size or `workers` field above its
+    /// cap.
     pub fn from_value(value: &JsonValue) -> Result<Self, WireError> {
         match value.str_field("kind")? {
             "regress" => Ok(JobSpec::Regress {
@@ -291,7 +298,7 @@ impl JobSpec {
                 env: value.str_field("env")?.to_owned(),
                 platforms: opt_platforms(value, "platforms")?,
                 all_platforms: opt_bool(value, "all_platforms")?,
-                workers: opt_u64(value, "workers")?,
+                workers: opt_size(value, "workers", MAX_WORKERS)?,
                 fuel: opt_u64(value, "fuel")?,
             }),
             "audit" => Ok(JobSpec::Audit {
@@ -299,14 +306,14 @@ impl JobSpec {
                 all_platforms: opt_bool(value, "all_platforms")?,
                 scenarios: opt_size(value, "scenarios", MAX_SCENARIOS)?,
                 seed: opt_u64(value, "seed")?,
-                workers: opt_u64(value, "workers")?,
+                workers: opt_size(value, "workers", MAX_WORKERS)?,
                 fuel: opt_u64(value, "fuel")?,
             }),
             "explore" => Ok(JobSpec::Explore {
                 rounds: opt_size(value, "rounds", MAX_ROUNDS)?,
                 seed: opt_u64(value, "seed")?,
                 batch: opt_size(value, "batch", MAX_BATCH)?,
-                workers: opt_u64(value, "workers")?,
+                workers: opt_size(value, "workers", MAX_WORKERS)?,
                 derivative: match value.get("derivative") {
                     None | Some(JsonValue::Null) => None,
                     Some(_) => {
@@ -329,7 +336,7 @@ impl JobSpec {
                 mine: opt_bool(value, "mine")?,
                 platforms: opt_platforms(value, "platforms")?,
                 all_platforms: opt_bool(value, "all_platforms")?,
-                workers: opt_u64(value, "workers")?,
+                workers: opt_size(value, "workers", MAX_WORKERS)?,
                 fuel: opt_u64(value, "fuel")?,
             }),
             other => Err(WireError::shape(format!("unknown job kind `{other}`"))),
@@ -656,16 +663,29 @@ mod tests {
             ("audit", "scenarios", MAX_SCENARIOS),
             ("explore", "batch", MAX_BATCH),
             ("explore", "rounds", MAX_ROUNDS),
+            ("regress", "workers", MAX_WORKERS),
+            ("audit", "workers", MAX_WORKERS),
+            ("explore", "workers", MAX_WORKERS),
+            ("fuzz", "workers", MAX_WORKERS),
         ] {
-            let spec = |n: u64| format!(r#"{{"kind":"{kind}","{field}":{n}}}"#);
+            // A regress job also names its directory and environment.
+            let required = if kind == "regress" {
+                r#","dir":"envs","env":"PAGE""#
+            } else {
+                ""
+            };
+            let spec = |n: u64| format!(r#"{{"kind":"{kind}"{required},"{field}":{n}}}"#);
             let at_cap = JobSpec::from_json(&spec(cap)).unwrap_or_else(|e| panic!("{e}"));
             assert!(at_cap.to_json().contains(&format!("\"{field}\":{cap}")));
             let err = JobSpec::from_json(&spec(cap + 1)).unwrap_err().to_string();
             assert!(err.contains(&format!("`{field}`")), "{err}");
             assert!(err.contains(&format!("cap of {cap}")), "{err}");
         }
-        // The size that once aborted the daemon.
+        // The size that once aborted the daemon, and a thread count
+        // that would start thousands of threads per stage.
         let huge = JobSpec::from_json(r#"{"kind":"fuzz","programs":1000000000}"#);
         assert!(huge.is_err());
+        let threads = JobSpec::from_json(r#"{"kind":"fuzz","workers":1000000}"#);
+        assert!(threads.is_err());
     }
 }

@@ -5,8 +5,8 @@
 //! verification engine resident instead: a [`Daemon`] owns a job queue,
 //! a worker pool, and — the point of the exercise — one shared
 //! [`ArtifactStore`](advm::artifacts::ArtifactStore), so built images,
-//! predecoded programs and warm [`PrefixPool`](advm::prefix::PrefixPool)
-//! snapshots survive **across jobs**. A warm resubmission of a suite
+//! predecoded programs and warm prefix snapshots (see [`advm::prefix`])
+//! survive **across jobs**. A warm resubmission of a suite
 //! skips its builds entirely; the reuse shows up as `artifact_hits` in
 //! the job report's `perf` block and in the daemon's `status` counters,
 //! while the verdict-bearing report stays byte-identical to a cold

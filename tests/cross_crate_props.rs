@@ -6,13 +6,12 @@ use common::strip_perf;
 
 use std::sync::Arc;
 
-use advm::artifacts::ArtifactStore;
+use advm::artifacts::{ArtifactStore, DEFAULT_ARTIFACT_CAPACITY};
 use advm::audit::{CellOutcome, FaultAudit};
 use advm::build::build_cell;
 use advm::campaign::{Campaign, CampaignEvent, CampaignObserver, EventLog};
 use advm::env::{EnvConfig, ModuleTestEnv, TestCell};
 use advm::porting::{port_env, test_files_touched};
-use advm::prefix::PrefixPool;
 use advm::presets::{default_config, page_env, uart_env};
 use advm::testplan::Testplan;
 use advm_gen::{
@@ -238,52 +237,60 @@ proptest! {
     /// parallel (workers=8) sweeps of the same (fault × platform) matrix
     /// produce identical classifications, kill counts and
     /// (perf-stripped) JSON — the determinism the suite-strength numbers
-    /// rely on. [`decode_cache_off_matches_prebuilt_runs`] checks the
-    /// same suite's images with the decode cache off.
+    /// rely on — with and without an attached store.
+    /// [`decode_cache_off_matches_prebuilt_runs`] checks the same
+    /// suite's images with the decode cache off.
     #[test]
     fn fault_audit_matrix_independent_of_worker_count(seed in 0u64..1_000) {
-        let audit = |workers: usize| {
-            FaultAudit::new()
-                .suite(audit_suite())
-                .faults(AUDIT_FAULTS)
-                .platforms(AUDIT_PLATFORMS)
-                .scenarios(2)
-                .seed(seed)
-                .fuel(AUDIT_FUEL)
-                .workers(workers)
-                .run()
-                .expect("audit runs")
-        };
-        let serial = audit(1);
-        let parallel = audit(8);
-        prop_assert_eq!(serial.cells().len(), parallel.cells().len());
-        for (a, b) in serial.cells().iter().zip(parallel.cells()) {
-            prop_assert_eq!(a.fault, b.fault);
-            prop_assert_eq!(a.platform, b.platform);
-            prop_assert_eq!(&a.outcome, &b.outcome);
+        for shared in [false, true] {
+            let audit = |workers: usize| {
+                let audit = FaultAudit::new()
+                    .suite(audit_suite())
+                    .faults(AUDIT_FAULTS)
+                    .platforms(AUDIT_PLATFORMS)
+                    .scenarios(2)
+                    .seed(seed)
+                    .fuel(AUDIT_FUEL)
+                    .workers(workers);
+                let audit = if shared {
+                    audit.artifact_store(Arc::new(ArtifactStore::default()))
+                } else {
+                    audit
+                };
+                audit.run().expect("audit runs")
+            };
+            let serial = audit(1);
+            let parallel = audit(8);
+            prop_assert_eq!(serial.cells().len(), parallel.cells().len());
+            for (a, b) in serial.cells().iter().zip(parallel.cells()) {
+                prop_assert_eq!(a.fault, b.fault);
+                prop_assert_eq!(a.platform, b.platform);
+                prop_assert_eq!(&a.outcome, &b.outcome);
+            }
+            prop_assert_eq!(serial.kill_counts(), parallel.kill_counts());
+            prop_assert_eq!(strip_perf(&serial.to_json()), strip_perf(&parallel.to_json()));
+            // The simulated-instruction total is deterministic even though
+            // wall time is not.
+            prop_assert_eq!(serial.perf().instructions, parallel.perf().instructions);
+            // The sweep shares predecoded artifacts.
+            prop_assert!(serial.perf().decode_hits > 0);
+            // The audited suite is strong enough to kill the read-path fault
+            // everywhere, and PAGE_MAP's dead write-enable dies only to the
+            // escape-driven round.
+            prop_assert!(serial.killed(PlatformFault::PageActiveOffByOne));
+            prop_assert!(serial.killed(PlatformFault::PageMapWriteIgnored));
         }
-        prop_assert_eq!(serial.kill_counts(), parallel.kill_counts());
-        prop_assert_eq!(strip_perf(&serial.to_json()), strip_perf(&parallel.to_json()));
-        // The simulated-instruction total is deterministic even though
-        // wall time is not.
-        prop_assert_eq!(serial.perf().instructions, parallel.perf().instructions);
-        // The sweep shares predecoded artifacts.
-        prop_assert!(serial.perf().decode_hits > 0);
-        // The audited suite is strong enough to kill the read-path fault
-        // everywhere, and PAGE_MAP's dead write-enable dies only to the
-        // escape-driven round.
-        prop_assert!(serial.killed(PlatformFault::PageActiveOffByOne));
-        prop_assert!(serial.killed(PlatformFault::PageMapWriteIgnored));
     }
 
     /// Snapshot-based prefix forking is perf-only: a fault audit whose
     /// campaigns fork every safe run from the shared fault-free prefix
     /// produces byte-identical (perf-stripped) JSON — classifications,
-    /// kill counts, escapes — to a from-reset sweep, at any worker
-    /// count, while actually skipping shared-prefix re-execution.
+    /// kill counts, escapes — to a from-reset sweep on a store with
+    /// prefix budget 0, at any worker count, while actually skipping
+    /// shared-prefix re-execution.
     #[test]
     fn forked_fault_audit_is_byte_identical_to_from_reset(seed in 0u64..1_000) {
-        let audit = |workers: usize, fork: bool| {
+        let audit = |workers: usize, budget: u64| {
             FaultAudit::new()
                 .suite([page_env(default_config(), 1), uart_env(default_config())])
                 .faults([
@@ -296,15 +303,18 @@ proptest! {
                 .seed(seed)
                 .fuel(200_000)
                 .workers(workers)
-                .fork_prefix(fork)
+                .artifact_store(Arc::new(ArtifactStore::with_prefix_budget(
+                    DEFAULT_ARTIFACT_CAPACITY,
+                    budget,
+                )))
                 .run()
                 .expect("audit runs")
         };
-        let reference = audit(1, false);
+        let reference = audit(1, 0);
         prop_assert_eq!(reference.perf().forked_runs, 0);
         prop_assert_eq!(reference.perf().prefix_saved, 0);
         for workers in [1usize, 8] {
-            let forked = audit(workers, true);
+            let forked = audit(workers, advm::DEFAULT_PREFIX_BUDGET);
             prop_assert!(
                 forked.perf().forked_runs > 0,
                 "workers={}: {:?}", workers, forked.perf()
@@ -511,28 +521,34 @@ fn fault_audit_event_stream_is_independent_of_worker_count() {
     }
 }
 
-/// The same guarantee one layer down: a campaign handed a prefix pool
-/// reports byte-identical (perf-stripped) JSON to a from-reset one —
-/// verdicts, matrix, divergences — serial or parallel, with the pool's
-/// snapshots shared across both worker counts.
+/// The same guarantee one layer down: a campaign on a store that forks
+/// reports byte-identical (perf-stripped) JSON to a from-reset one on a
+/// store with prefix budget 0 — verdicts, matrix, divergences — serial
+/// or parallel, with the store's snapshots shared across both worker
+/// counts.
 #[test]
 fn forked_campaign_json_is_byte_identical_to_from_reset() {
     let envs = [page_env(default_config(), 2), uart_env(default_config())];
-    let run = |workers: usize, pool: Option<Arc<PrefixPool>>| {
-        let mut campaign = Campaign::new()
+    let run = |workers: usize, store: &Arc<ArtifactStore>| {
+        Campaign::new()
             .envs(envs.iter().cloned())
             .fault(PlatformId::RtlSim, PlatformFault::PageActiveOffByOne)
-            .workers(workers);
-        if let Some(pool) = pool {
-            campaign = campaign.prefix_pool(pool);
-        }
-        campaign.run().expect("suite builds")
+            .workers(workers)
+            .artifact_store(Arc::clone(store))
+            .run()
+            .expect("suite builds")
     };
-    let reference = run(1, None);
+    let store = |budget: u64| {
+        Arc::new(ArtifactStore::with_prefix_budget(
+            DEFAULT_ARTIFACT_CAPACITY,
+            budget,
+        ))
+    };
+    let reference = run(1, &store(0));
     assert_eq!(reference.perf().forked_runs, 0);
-    let pool = Arc::new(PrefixPool::new(16));
+    let shared = store(16);
     for workers in [1usize, 8] {
-        let forked = run(workers, Some(Arc::clone(&pool)));
+        let forked = run(workers, &shared);
         assert!(
             forked.perf().forked_runs > 0,
             "workers={workers}: {:?}",
@@ -545,7 +561,7 @@ fn forked_campaign_json_is_byte_identical_to_from_reset() {
         );
     }
     assert!(
-        !pool.is_empty(),
+        shared.stats().prefix_entries > 0,
         "prefixes captured once, reused across runs"
     );
 }
