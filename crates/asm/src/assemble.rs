@@ -99,7 +99,7 @@ impl ParsedUnit {
     /// # Errors
     ///
     /// Returns the first statement-parse error.
-    pub fn from_preprocessed(pre: &Preprocessed) -> Result<Self, AsmError> {
+    pub(crate) fn from_preprocessed(pre: &Preprocessed) -> Result<Self, AsmError> {
         Ok(Self {
             frame: None,
             stmts: parse_statements(&pre.lines, true)?,

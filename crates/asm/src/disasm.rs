@@ -9,7 +9,7 @@ use advm_isa::decode;
 use crate::program::Image;
 
 /// Disassembles one word at `addr`.
-pub fn disassemble_word(addr: u32, word: u32) -> String {
+pub(crate) fn disassemble_word(addr: u32, word: u32) -> String {
     match decode(word) {
         Ok(insn) => format!("{addr:05X}: {word:08X}  {insn}"),
         Err(_) => format!("{addr:05X}: {word:08X}  .WORD 0x{word:X}"),
@@ -17,7 +17,7 @@ pub fn disassemble_word(addr: u32, word: u32) -> String {
 }
 
 /// Disassembles `count` words of an image starting at `start`.
-pub fn disassemble_range(image: &Image, start: u32, count: u32) -> String {
+pub(crate) fn disassemble_range(image: &Image, start: u32, count: u32) -> String {
     let mut out = String::new();
     for i in 0..count {
         let addr = start + 4 * i;

@@ -5,7 +5,7 @@
 //! integers, symbols, unary `- ~`, binary `+ - * / % << >> & | ^`, and
 //! parentheses, with conventional precedence.
 //!
-//! Parsing, [`eval`], [`free_symbols`] and dropping an [`Expr`] recurse
+//! Parsing, [`eval`] and dropping an [`Expr`] recurse
 //! over the tree, so the parser builds none deeper than [`MAX_DEPTH`]: a
 //! hostile expression gets a located error, not a stack overflow.
 
@@ -333,7 +333,8 @@ where
 }
 
 /// Collects the free symbols referenced by an expression.
-pub fn free_symbols(expr: &Expr, out: &mut Vec<String>) {
+#[cfg(test)]
+pub(crate) fn free_symbols(expr: &Expr, out: &mut Vec<String>) {
     match expr {
         Expr::Num(_) => {}
         Expr::Sym(s) => {

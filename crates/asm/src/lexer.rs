@@ -50,7 +50,7 @@ impl Token {
     }
 
     /// Whether the token is the given punctuation character.
-    pub fn is_punct(&self, ch: char) -> bool {
+    pub(crate) fn is_punct(&self, ch: char) -> bool {
         matches!(self, Token::Punct(c) if *c == ch)
     }
 }

@@ -55,6 +55,7 @@
 
 mod assemble;
 mod diag;
+#[cfg(test)]
 mod disasm;
 mod expr;
 mod lexer;
@@ -64,8 +65,7 @@ mod source;
 
 pub use assemble::{assemble_preprocessed, Checkpoint, ParsedUnit, DEFAULT_ORG};
 pub use diag::AsmError;
-pub use disasm::{disassemble_range, disassemble_word};
-pub use expr::{eval as eval_expr, free_symbols, parse_all as parse_expr, BinOp, Expr, UnaryOp};
+pub use expr::{eval as eval_expr, parse_all as parse_expr, BinOp, Expr, UnaryOp};
 pub use lexer::{tokenize, Token};
 pub use preprocess::{preprocess, LogicalLine, Preprocessed};
 pub use program::{Image, LinkError, ListingEntry, Program, Segment};

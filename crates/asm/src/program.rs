@@ -3,10 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous block of assembled bytes at a fixed base address.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     base: u32,
     bytes: Vec<u8>,
@@ -36,7 +34,7 @@ impl Segment {
 
 /// The output of assembling one translation unit: segments, the label
 /// table, the `.EQU` constants and a listing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     segments: Vec<Segment>,
     labels: BTreeMap<String, u32>,
@@ -114,7 +112,7 @@ impl Program {
 }
 
 /// One listing line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListingEntry {
     /// Address of the statement's first emitted byte (None for pure
     /// symbol definitions).
@@ -155,7 +153,7 @@ impl std::error::Error for LinkError {}
 /// Stored as sorted, disjoint, maximally-merged byte runs: linking and
 /// loading are the campaign build hot path, and a run per contiguous
 /// span keeps both O(segments) instead of O(bytes).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Image {
     runs: Vec<Segment>,
 }

@@ -24,5 +24,5 @@
 pub mod runner;
 pub mod suite;
 
-pub use runner::{build_direct_test, run_direct_test};
+pub use runner::run_direct_test;
 pub use suite::{direct_es_suite, direct_page_suite, port_suite, DirectSuite, SuiteConfig};

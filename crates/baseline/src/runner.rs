@@ -38,7 +38,7 @@ __start:
 /// # Errors
 ///
 /// Returns assembly or link errors, and an error for unknown test ids.
-pub fn build_direct_test(suite: &DirectSuite, test_id: &str) -> Result<Image, AsmError> {
+pub(crate) fn build_direct_test(suite: &DirectSuite, test_id: &str) -> Result<Image, AsmError> {
     let source = suite
         .cell(test_id)
         .ok_or_else(|| AsmError::general(format!("no test `{test_id}` in {}", suite.name())))?;

@@ -6,10 +6,9 @@ use std::fmt;
 use advm_metrics::{diff_trees, ChangeSet};
 use advm_soc::es::EsFunction;
 use advm_soc::{Derivative, DerivativeId, EsVersion, GlobalsSpec, Mailbox, PlatformId};
-use serde::{Deserialize, Serialize};
 
 /// The target triple a direct suite is hardwired for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuiteConfig {
     /// Chip derivative the literals were taken from.
     pub derivative: DerivativeId,
@@ -38,7 +37,7 @@ impl SuiteConfig {
 }
 
 /// A suite of hardwired directed tests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectSuite {
     name: String,
     config: SuiteConfig,

@@ -247,7 +247,7 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 }
 
 /// The runs/sec a baseline document records for one mode.
-pub fn baseline_runs_per_sec(json: &str, mode: &str) -> Option<f64> {
+pub(crate) fn baseline_runs_per_sec(json: &str, mode: &str) -> Option<f64> {
     let marker = format!("\"mode\":\"{mode}\"");
     let at = json.find(&marker)?;
     json_number(&json[at..], "runs_per_sec")

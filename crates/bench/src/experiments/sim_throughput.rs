@@ -262,7 +262,7 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 }
 
 /// The steps/sec a baseline document records for one mode.
-pub fn baseline_steps_per_sec(json: &str, mode: DecodeMode) -> Option<f64> {
+pub(crate) fn baseline_steps_per_sec(json: &str, mode: DecodeMode) -> Option<f64> {
     let marker = format!("\"mode\":\"{}\"", mode.name());
     let at = json.find(&marker)?;
     json_number(&json[at..], "steps_per_sec")

@@ -179,12 +179,12 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 }
 
 /// The steps/sec a baseline document records for one mode.
-pub fn baseline_steps_per_sec(json: &str, mode: &str) -> Option<f64> {
+pub(crate) fn baseline_steps_per_sec(json: &str, mode: &str) -> Option<f64> {
     baseline_number(json, mode, "steps_per_sec")
 }
 
 /// A numeric field from one mode's entry in a baseline document.
-pub fn baseline_number(json: &str, mode: &str, key: &str) -> Option<f64> {
+pub(crate) fn baseline_number(json: &str, mode: &str, key: &str) -> Option<f64> {
     let marker = format!("\"mode\":\"{mode}\"");
     let at = json.find(&marker)?;
     json_number(&json[at..], key)

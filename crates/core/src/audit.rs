@@ -20,10 +20,8 @@
 //! Escapes then close the loop with the scenario engine: the escaped
 //! faults' modules become [`CoverageFeedback`] weak modules, a
 //! [`CoverageDirected`] source generates scenarios aimed at them (whose
-//! environments carry the
-//! [`fault_hunter_cells`](crate::stimulus::fault_hunter_cells)
-//! stimulus), and the surviving cells are re-audited against the
-//! generated suite. The
+//! environments carry fault-hunter stimulus cells), and the surviving
+//! cells are re-audited against the generated suite. The
 //! sealed [`FaultAuditReport`] carries the detection matrix, per-test
 //! kill counts, the escape list and a JSON rendering; `advm-cli audit`
 //! is a thin veneer over it.

@@ -21,10 +21,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How the base-function library copes with embedded-software revisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BaseFuncsStyle {
     /// Original library: assumes ES v1 conventions unconditionally.
     V1Only,

@@ -82,18 +82,6 @@ pub fn es_rom_source(env: &ModuleTestEnv) -> String {
         .to_owned()
 }
 
-/// Assembles the embedded-software ROM the environment's configuration
-/// expects.
-///
-/// # Errors
-///
-/// Propagates assembly errors (a failure here indicates a broken ES
-/// generator, but the error is surfaced rather than panicking because the
-/// experiments deliberately build historical/mismatched configurations).
-pub fn assemble_es_rom(env: &ModuleTestEnv) -> Result<Program, AsmError> {
-    advm_asm::assemble_str(&es_rom_source(env))
-}
-
 /// Links an assembled unit and ES ROM into one loadable image.
 ///
 /// This is the final stage of the [`crate::campaign::Campaign`] worker
@@ -121,7 +109,7 @@ pub fn link_programs(unit: &Program, es: &Program) -> Result<Image, AsmError> {
 /// # Errors
 ///
 /// Propagates assembly errors and image-overlap link errors.
-pub fn build_from_sources(sources: &SourceSet, es_source: &str) -> Result<Image, AsmError> {
+pub(crate) fn build_from_sources(sources: &SourceSet, es_source: &str) -> Result<Image, AsmError> {
     let unit = assemble(UNIT_FILE, sources)?;
     let es = advm_asm::assemble_str(es_source)?;
     link_programs(&unit, &es)
@@ -152,7 +140,7 @@ pub fn run_cell(env: &ModuleTestEnv, cell_id: &str) -> Result<RunResult, AsmErro
 /// # Errors
 ///
 /// Propagates build errors.
-pub fn run_cell_with_fault(
+pub(crate) fn run_cell_with_fault(
     env: &ModuleTestEnv,
     cell_id: &str,
     fault: PlatformFault,

@@ -17,9 +17,10 @@
 //!   shared prefix (see [`Campaign::artifact_store`]) executes on one
 //!   built by [`Platform::from_snapshot`]. A machine holds only the
 //!   pages its run touches, so construction is cheap.
-//! * **Content-keyed build cache.** Jobs whose effective source content
-//!   is identical (e.g. a platform-independent cell targeted at two
-//!   platforms with the same abstraction-layer knobs) share one build.
+//! * **Content-keyed build cache.** In every campaign, jobs whose
+//!   effective source content is identical (e.g. a platform-independent
+//!   cell targeted at two platforms with the same abstraction-layer
+//!   knobs) share one build.
 //!   The key hashes only content that can reach the emitted image of the
 //!   sources the job assembles: comments are ignored, and `Globals.inc`
 //!   defines count only when the rest of the unit references them.
@@ -995,16 +996,10 @@ impl CampaignReport {
         &self.divergences
     }
 
-    /// Number of mined checkers armed on every run of this campaign
-    /// (0 when the MMIO monitor was off).
-    pub fn checkers_armed(&self) -> usize {
-        self.checkers_armed
-    }
-
     /// Every mined-checker violation, in deterministic job order
     /// (independent of worker count). Empty when no checkers were armed
     /// or every run satisfied them.
-    pub fn checker_violations(&self) -> &[CheckerViolation] {
+    pub(crate) fn checker_violations(&self) -> &[CheckerViolation] {
         &self.violations
     }
 
@@ -1449,9 +1444,9 @@ struct Job {
     /// Whether the planner marked this job a cache hit (not the first
     /// job of its content key). Deterministic, independent of scheduling.
     planned_hit: bool,
-    /// The build cache's content key, when the cache is enabled; also
-    /// keys shared prefix snapshots in an attached store.
-    content_key: Option<u64>,
+    /// The build cache's content key; also keys shared prefix snapshots
+    /// in an attached store.
+    content_key: u64,
 }
 
 impl Job {
@@ -1504,8 +1499,6 @@ pub struct Campaign {
     workers: usize,
     fuel: u64,
     fault: Option<(PlatformId, PlatformFault)>,
-    cache: bool,
-    superblocks: bool,
     artifact_store: Option<Arc<ArtifactStore>>,
     bisect: bool,
     checkers: Vec<TraceAssertion>,
@@ -1522,7 +1515,6 @@ impl fmt::Debug for Campaign {
             .field("workers", &self.workers)
             .field("fuel", &self.fuel)
             .field("fault", &self.fault)
-            .field("cache", &self.cache)
             .field("artifact_store", &self.artifact_store.is_some())
             .field("bisect", &self.bisect)
             .field("checkers", &self.checkers.len())
@@ -1539,7 +1531,7 @@ impl Default for Campaign {
 
 impl Campaign {
     /// An empty campaign: all six platforms, machine-derived worker
-    /// count, default fuel, build cache enabled.
+    /// count, default fuel.
     pub fn new() -> Self {
         Self {
             envs: Vec::new(),
@@ -1548,8 +1540,6 @@ impl Campaign {
             workers: default_workers(),
             fuel: advm_sim::DEFAULT_FUEL,
             fault: None,
-            cache: true,
-            superblocks: true,
             artifact_store: None,
             bisect: false,
             checkers: Vec::new(),
@@ -1574,7 +1564,7 @@ impl Campaign {
     /// provenance — used by generated workloads that materialise their
     /// own environments (e.g. fuzz programs) rather than going through
     /// [`Campaign::scenario`].
-    pub fn env_with_meta(mut self, env: ModuleTestEnv, meta: ScenarioMeta) -> Self {
+    pub(crate) fn env_with_meta(mut self, env: ModuleTestEnv, meta: ScenarioMeta) -> Self {
         self.envs.push((env, Some(Arc::new(meta))));
         self
     }
@@ -1632,32 +1622,12 @@ impl Campaign {
         self
     }
 
-    /// Enables or disables the content-keyed build cache (default:
-    /// enabled). Disabling forces every job to assemble its own image —
-    /// the uncached baseline the benches compare against.
-    pub fn cache(mut self, enabled: bool) -> Self {
-        self.cache = enabled;
-        self
-    }
-
-    /// Enables or disables the superblock dispatch tier on every run
-    /// (default: enabled). Purely a performance knob: block-mode and
-    /// per-instruction execution are architecturally identical, so
-    /// verdicts, traces and digests never depend on it — disabling is
-    /// useful for differential testing and for isolating the per-word
-    /// path.
-    pub fn superblocks(mut self, enabled: bool) -> Self {
-        self.superblocks = enabled;
-        self
-    }
-
     /// Attaches a shared [`ArtifactStore`]: build slots (images and
     /// their predecode artifacts, the ES ROM) and prefix snapshots are
     /// looked up in — and retained by — the store, so identical content
     /// keys are reused *across* campaigns sharing the store (a resident
-    /// daemon's warm runs skip assembly entirely). Requires the build
-    /// cache; with the cache disabled the store is ignored. Reuse is
-    /// perf-only: verdicts, matrices, divergences and the report-level
+    /// daemon's warm runs skip assembly entirely). Reuse is perf-only:
+    /// verdicts, matrices, divergences and the report-level
     /// `cache_hits`/`unique_builds` counters are identical with or
     /// without a store — only the
     /// [`artifact_hits`](CampaignPerf::artifact_hits) perf counter and
@@ -1691,7 +1661,7 @@ impl Campaign {
     /// executes with the per-platform MMIO monitor enabled and its
     /// captured trace is evaluated against every checker after the run.
     /// Violations surface as [`CampaignEvent::CheckerViolation`] events
-    /// and in [`CampaignReport::checker_violations`] — independently of
+    /// and in the sealed report — independently of
     /// the differential pass/fail verdict, which cannot see
     /// MMIO-sink-only symptoms.
     ///
@@ -1740,11 +1710,9 @@ impl Campaign {
         Ok(self.plan()?.build()?.execute().seal())
     }
 
-    /// The attached artifact store, when the build cache can use it.
+    /// The attached artifact store.
     fn store(&self) -> Option<&ArtifactStore> {
-        self.cache
-            .then_some(self.artifact_store.as_deref())
-            .flatten()
+        self.artifact_store.as_deref()
     }
 
     /// Stage 1, plan: materialises generated scenarios, generates the
@@ -1827,15 +1795,14 @@ impl Campaign {
             // target platform the loop below re-targets to.
             let es_source: Arc<str> = es_rom_source(env).into();
             let derivative = Arc::new(Derivative::from_id(env.config().derivative));
-            let shared_es_slot = self.cache.then(|| {
-                let es_key = fnv1a(0, es_source.as_bytes());
-                Arc::clone(es_slots.entry(es_key).or_insert_with(|| match store {
-                    Some(store) => store.es_slot(es_key),
-                    None => EsSlot::default(),
-                }))
-            });
+            let es_key = fnv1a(0, es_source.as_bytes());
+            let es_slot = Arc::clone(es_slots.entry(es_key).or_insert_with(|| match store {
+                Some(store) => store.es_slot(es_key),
+                None => EsSlot::default(),
+            }));
             // The cells' key shares, and the frame they continue.
-            let mut cell_keys: Option<(usize, Vec<CellKey>)> = None;
+            let mut keyed_frame = None;
+            let mut cell_keys: Vec<CellKey> = Vec::new();
             for &platform in &self.platforms {
                 let mut ported = env.clone();
                 ported.reconfigure(EnvConfig {
@@ -1869,49 +1836,39 @@ impl Campaign {
                         frames.len() - 1
                     }
                 };
-                if self.cache && cell_keys.as_ref().map(|(f, _)| *f) != Some(frame) {
-                    let keys = env
+                if keyed_frame != Some(frame) {
+                    cell_keys = env
                         .cells()
                         .iter()
                         .map(|cell| CellKey::new(&frames[frame], cell.source(), &es_source))
                         .collect();
-                    cell_keys = Some((frame, keys));
+                    keyed_frame = Some(frame);
                 }
                 let context = frames[frame].context(ported.globals_text());
-                // Cell keys exist only with the cache on.
-                let content_keys: Vec<Option<u64>> = match &cell_keys {
-                    Some((_, keys)) => keys
-                        .iter()
-                        .map(|key| Some(context.defines.content_key(key)))
-                        .collect(),
-                    _ => vec![None; cell_sources.len()],
-                };
-                for ((cell, sources), content_key) in
-                    ported.cells().iter().zip(cell_sources).zip(content_keys)
+                for ((cell, sources), cell_key) in
+                    ported.cells().iter().zip(cell_sources).zip(&cell_keys)
                 {
-                    let (slot, planned_hit) = match content_key {
-                        Some(key) => match slots.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(e) => {
-                                // Within-campaign hit: keeps its
-                                // store-independent report semantics.
-                                cache_hits += 1;
-                                (Arc::clone(&e.get().0), true)
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                // First job of this key: consult the
-                                // store (a hit there means another
-                                // campaign already built — or is
-                                // building — this image).
-                                let (slot, store_hit) = match store {
-                                    Some(store) => store.image_slot(key),
-                                    None => (ImageSlot::default(), false),
-                                };
-                                artifact_hits += u64::from(store_hit);
-                                let (slot, _) = e.insert((slot, store_hit));
-                                (Arc::clone(slot), store_hit)
-                            }
-                        },
-                        None => (Arc::default(), false),
+                    let content_key = context.defines.content_key(cell_key);
+                    let (slot, planned_hit) = match slots.entry(content_key) {
+                        std::collections::hash_map::Entry::Occupied(e) => {
+                            // Within-campaign hit: keeps its
+                            // store-independent report semantics.
+                            cache_hits += 1;
+                            (Arc::clone(&e.get().0), true)
+                        }
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            // First job of this key: consult the store
+                            // (a hit there means another campaign
+                            // already built — or is building — this
+                            // image).
+                            let (slot, store_hit) = match store {
+                                Some(store) => store.image_slot(content_key),
+                                None => (ImageSlot::default(), false),
+                            };
+                            artifact_hits += u64::from(store_hit);
+                            let (slot, _) = e.insert((slot, store_hit));
+                            (Arc::clone(slot), store_hit)
+                        }
                     };
                     jobs.push(Job {
                         env_name: ported.name().to_owned(),
@@ -1923,9 +1880,7 @@ impl Campaign {
                         derivative: Arc::clone(&derivative),
                         fault,
                         slot,
-                        // Without the cache every job assembles its own
-                        // ES ROM too, matching the pre-redesign baseline.
-                        es_slot: shared_es_slot.clone().unwrap_or_default(),
+                        es_slot: Arc::clone(&es_slot),
                         checkpoint: Arc::clone(&context.checkpoint),
                         planned_hit,
                         content_key,
@@ -2100,21 +2055,14 @@ impl Built {
     pub(crate) fn mine(&mut self) -> Vec<TraceAssertion> {
         let started = Instant::now();
         let Planned { options, jobs, .. } = &self.0;
-        let (fuel, superblocks, capacity) =
-            (options.fuel, options.superblocks, options.monitor_capacity);
+        let (fuel, capacity) = (options.fuel, options.monitor_capacity);
         let next = AtomicUsize::new(0);
         let mine_jobs = || {
             let mut miner = Miner::new();
             while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let prebuilt = Self::prebuilt(job);
-                let (platform, _) = run_monitored(
-                    job,
-                    prebuilt,
-                    PlatformFault::None,
-                    fuel,
-                    superblocks,
-                    capacity,
-                );
+                let (platform, _) =
+                    run_monitored(job, prebuilt, PlatformFault::None, fuel, capacity);
                 miner.observe(platform.mmio_trace().expect("the monitor is armed"));
             }
             miner
@@ -2147,7 +2095,6 @@ impl Built {
             options:
                 Campaign {
                     fuel,
-                    superblocks,
                     checkers,
                     monitor_capacity,
                     ..
@@ -2214,7 +2161,6 @@ impl Built {
                             prebuilt,
                             &ExecCtx {
                                 fuel: *fuel,
-                                superblocks: *superblocks,
                                 store,
                                 prefix_saved: &prefix_saved,
                                 forked_runs: &forked_runs,
@@ -2222,14 +2168,7 @@ impl Built {
                         );
                         (result, Vec::new())
                     } else {
-                        execute_checked(
-                            job,
-                            prebuilt,
-                            *fuel,
-                            *superblocks,
-                            checkers,
-                            *monitor_capacity,
-                        )
+                        execute_checked(job, prebuilt, *fuel, checkers, *monitor_capacity)
                     };
                     if events.active {
                         for (checker, detail) in &violations {
@@ -2332,8 +2271,7 @@ impl Executed {
             .collect();
         if options.bisect {
             for (test, divergence) in report.divergences.iter_mut() {
-                divergence.bisection =
-                    bisect_test(options.fuel, options.superblocks, test, divergence, jobs);
+                divergence.bisection = bisect_test(options.fuel, test, divergence, jobs);
             }
         }
         report.perf.report_wall = sealing.elapsed();
@@ -2406,10 +2344,9 @@ pub(crate) fn on_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -
 }
 
 /// The per-campaign knobs and counters [`execute_job`] needs, bundled
-/// so workers hand one context down instead of seven loose arguments.
+/// so workers hand one context down instead of loose arguments.
 struct ExecCtx<'a> {
     fuel: u64,
-    superblocks: bool,
     store: Option<&'a ArtifactStore>,
     prefix_saved: &'a AtomicU64,
     forked_runs: &'a AtomicU64,
@@ -2421,13 +2358,12 @@ struct ExecCtx<'a> {
 fn execute_job(job: &Job, prebuilt: &Prebuilt, ctx: &ExecCtx<'_>) -> RunResult {
     let ExecCtx {
         fuel,
-        superblocks,
         store,
         prefix_saved,
         forked_runs,
     } = *ctx;
-    if let (Some(store), Some(key)) = (store, job.content_key) {
-        let slot = store.prefix_slot(key, job.platform);
+    if let Some(store) = store {
+        let slot = store.prefix_slot(job.content_key, job.platform);
         let entry = slot.get_or_init(|| {
             // The shared prefix is always fault-free: every run of the
             // campaign (whatever its fault) forks from the same
@@ -2438,7 +2374,7 @@ fn execute_job(job: &Job, prebuilt: &Prebuilt, ctx: &ExecCtx<'_>) -> RunResult {
             }
             let mut prefix = Platform::new(job.platform, &job.derivative);
             prefix.set_fuel(budget);
-            load_into(&mut prefix, prebuilt, superblocks);
+            prefix.load_prebuilt(&prebuilt.image, &prebuilt.decoded);
             let result = prefix.run();
             // A prefix that ended for any reason other than budget
             // exhaustion finished the test: nothing left to fork.
@@ -2451,9 +2387,6 @@ fn execute_job(job: &Job, prebuilt: &Prebuilt, ctx: &ExecCtx<'_>) -> RunResult {
         if let Some(entry) = entry.as_ref().filter(|e| e.fork_safe(job.fault)) {
             let continuation = |platform: &mut Platform| -> RunResult {
                 platform.set_fuel(fuel);
-                // The superblock knob is runtime config, never part of
-                // the snapshot: re-apply it to the restored machine.
-                platform.set_superblocks(superblocks);
                 // The snapshot restores decode *stats* but not slots;
                 // re-seed from the shared artifact so the continuation
                 // stays hot.
@@ -2477,7 +2410,7 @@ fn execute_job(job: &Job, prebuilt: &Prebuilt, ctx: &ExecCtx<'_>) -> RunResult {
     }
     let mut platform = Platform::with_fault(job.platform, &job.derivative, job.fault);
     platform.set_fuel(fuel);
-    load_into(&mut platform, prebuilt, superblocks);
+    platform.load_prebuilt(&prebuilt.image, &prebuilt.decoded);
     platform.run()
 }
 
@@ -2495,11 +2428,10 @@ fn execute_checked(
     job: &Job,
     prebuilt: &Prebuilt,
     fuel: u64,
-    superblocks: bool,
     checkers: &[TraceAssertion],
     capacity: usize,
 ) -> (RunResult, Vec<(String, String)>) {
-    let (platform, result) = run_monitored(job, prebuilt, job.fault, fuel, superblocks, capacity);
+    let (platform, result) = run_monitored(job, prebuilt, job.fault, fuel, capacity);
     let mut violations = Vec::new();
     if let Some(trace) = platform.mmio_trace() {
         for checker in checkers {
@@ -2520,22 +2452,14 @@ fn run_monitored(
     prebuilt: &Prebuilt,
     fault: PlatformFault,
     fuel: u64,
-    superblocks: bool,
     capacity: usize,
 ) -> (Platform, RunResult) {
     let mut platform = Platform::with_fault(job.platform, &job.derivative, fault);
     platform.set_fuel(fuel);
     platform.enable_mmio_trace(capacity);
-    load_into(&mut platform, prebuilt, superblocks);
+    platform.load_prebuilt(&prebuilt.image, &prebuilt.decoded);
     let result = platform.run();
     (platform, result)
-}
-
-/// Loads a built image and its predecode artifact into a fresh
-/// platform, applying the campaign's superblock knob.
-fn load_into(platform: &mut Platform, prebuilt: &Prebuilt, superblocks: bool) {
-    platform.set_superblocks(superblocks);
-    platform.load_prebuilt(&prebuilt.image, &prebuilt.decoded);
 }
 
 /// Bisects one divergent test: re-runs the first divergent platform
@@ -2544,7 +2468,6 @@ fn load_into(platform: &mut Platform, prebuilt: &Prebuilt, superblocks: bool) {
 /// which their architectural states depart.
 fn bisect_test(
     fuel: u64,
-    superblocks: bool,
     test: &str,
     divergence: &DivergenceReport,
     jobs: &[Job],
@@ -2571,7 +2494,7 @@ fn bisect_test(
         let mut platform = Platform::with_fault(job.platform, &job.derivative, job.fault);
         platform.set_fuel(fuel);
         platform.enable_trace(16);
-        load_into(&mut platform, prebuilt, superblocks);
+        platform.load_prebuilt(&prebuilt.image, &prebuilt.decoded);
         Some(platform)
     };
     let mut a = fresh(anchor)?;
@@ -2714,23 +2637,13 @@ t_fail:
         // knob, so a platform-independent cell builds once for both.
         let e = env(vec![passing_cell("TEST_A")]);
         let report = Campaign::new()
-            .env(e.clone())
+            .env(e)
             .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
             .run()
             .unwrap();
         assert_eq!(report.total(), 2);
         assert_eq!(report.cache_hits(), 1);
         assert_eq!(report.unique_builds(), 1);
-
-        // Disabling the cache forces per-job assembly.
-        let uncached = Campaign::new()
-            .env(e)
-            .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
-            .cache(false)
-            .run()
-            .unwrap();
-        assert_eq!(uncached.cache_hits(), 0);
-        assert_eq!(uncached.unique_builds(), 2);
     }
 
     #[test]
@@ -3251,12 +3164,9 @@ t_fail:
             let reference =
                 CellFingerprint::new(&job.sources, &job.es_source).content_key(globals_text);
             assert_eq!(
-                job.content_key,
-                Some(reference),
+                job.content_key, reference,
                 "{}/{} on {}",
-                job.env_name,
-                job.test_id,
-                job.platform
+                job.env_name, job.test_id, job.platform
             );
             keys.insert(reference);
         }
@@ -3343,20 +3253,35 @@ t_fail:
             .map(|line| format!("{line}\n"))
             .collect();
         let edited = ModuleTestEnv::from_tree(env.name(), &tree).unwrap();
-        let run = |env: &ModuleTestEnv, cache: bool| {
+        let run = |env: &ModuleTestEnv, platforms: &[PlatformId]| {
             Campaign::new()
                 .env(env.clone())
+                .platforms(platforms.iter().copied())
                 .workers(2)
-                .cache(cache)
                 .run()
                 .unwrap()
         };
-        let cached = run(&edited, true);
-        assert_eq!(cached.unique_builds(), run(&env, true).unique_builds());
-        let uncached = run(&edited, false);
-        assert_eq!(cached.total(), uncached.total());
+        let cached = run(&edited, &PlatformId::ALL);
+        assert_eq!(
+            cached.unique_builds(),
+            run(&env, &PlatformId::ALL).unique_builds()
+        );
+        // The reference runs each platform alone: a one-platform
+        // campaign without a store builds every image from its own
+        // platform's sources, so no platform can borrow another's image.
+        let alone: Vec<CampaignReport> = PlatformId::ALL
+            .iter()
+            .map(|&platform| run(&edited, &[platform]))
+            .collect();
+        assert_eq!(
+            cached.total(),
+            alone.iter().map(CampaignReport::total).sum::<usize>()
+        );
         for a in cached.runs() {
-            let b = uncached.run_of(&a.env, &a.test_id, a.platform).unwrap();
+            let b = alone
+                .iter()
+                .find_map(|report| report.run_of(&a.env, &a.test_id, a.platform))
+                .unwrap();
             assert_eq!(
                 (a.result.passed(), a.result.insns),
                 (b.result.passed(), b.result.insns),
@@ -3658,7 +3583,7 @@ _main:
         assert_eq!(report.failed(), 0, "{}", report.matrix());
         assert!(report.divergences().is_empty());
         // ...but the mined checker sees the ignored write.
-        assert_eq!(report.checkers_armed(), 1);
+        assert_eq!(report.checkers_armed, 1);
         let violations = report.checker_violations();
         assert!(!violations.is_empty());
         for v in violations {
@@ -3746,7 +3671,7 @@ _main:
         // Without checkers the report JSON keeps its pre-existing
         // layout: no "checkers" block at all.
         let plain = Campaign::new().env(e).run().unwrap();
-        assert_eq!(plain.checkers_armed(), 0);
+        assert_eq!(plain.checkers_armed, 0);
         assert!(!plain.to_json().contains("\"checkers\""));
     }
 

@@ -11,12 +11,11 @@ use std::fmt;
 
 use advm_metrics::Table;
 use advm_soc::Derivative;
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::CampaignReport;
 
 /// Coverage of one module's registers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuleCoverage {
     /// Module name.
     pub module: String,
@@ -40,7 +39,7 @@ impl ModuleCoverage {
 }
 
 /// Register coverage of a whole derivative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegisterCoverage {
     modules: Vec<ModuleCoverage>,
 }

@@ -27,14 +27,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use advm_soc::{Derivative, DerivativeId, EsVersion, GlobalsSpec, PlatformId};
-use serde::{Deserialize, Serialize};
 
 use crate::basefuncs::{base_functions, BaseFuncsStyle};
 use crate::testplan::Testplan;
 
 /// Configuration binding an environment to a derivative, platform and
 /// embedded-software release.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnvConfig {
     /// Target chip derivative.
     pub derivative: DerivativeId,
@@ -118,13 +117,13 @@ impl EnvConfig {
 /// `TESTn_TARGET_PAGE` values and extra defines that survive
 /// re-targeting.
 ///
-/// Without an override, [`ModuleTestEnv::rebuild_abstraction_layer`]
-/// derives default test pages from the cell count. A scenario-driven
+/// Without an override, the generated abstraction layer derives
+/// default test pages from the cell count. A scenario-driven
 /// environment (see `crate::stimulus`) instead pins the pages and knobs
 /// its scenario drew; porting the environment to another platform or
 /// derivative regenerates the abstraction layer *around* the pinned
 /// stimulus — the paper's rule, extended to generated stimulus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stimulus {
     /// Explicit test-target pages; entry *i* becomes
     /// `TEST{i+1}_TARGET_PAGE` (wrapped into the derivative's page
@@ -135,7 +134,7 @@ pub struct Stimulus {
 }
 
 /// One test cell: a directory containing a single test source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestCell {
     id: String,
     description: String,
@@ -182,7 +181,7 @@ impl TestCell {
 }
 
 /// A module test environment (Figure 1 / Figure 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleTestEnv {
     name: String,
     config: EnvConfig,
@@ -190,7 +189,6 @@ pub struct ModuleTestEnv {
     base_functions_text: String,
     cells: Vec<TestCell>,
     testplan: Testplan,
-    #[serde(default)]
     stimulus: Option<Stimulus>,
 }
 
@@ -248,7 +246,7 @@ impl ModuleTestEnv {
     /// [`ModuleTestEnv::reconfigure`]: re-targeting regenerates
     /// addresses, field geometry and platform knobs around the same
     /// stimulus.
-    pub fn with_stimulus(mut self, stimulus: Stimulus) -> Self {
+    pub(crate) fn with_stimulus(mut self, stimulus: Stimulus) -> Self {
         self.stimulus = Some(stimulus);
         self.rebuild_abstraction_layer();
         self
@@ -262,7 +260,7 @@ impl ModuleTestEnv {
     /// Regenerates `Globals.inc` and `Base_Functions.asm` from the
     /// current configuration. Test cells are never touched — this is the
     /// "single point of change" of the methodology.
-    pub fn rebuild_abstraction_layer(&mut self) {
+    pub(crate) fn rebuild_abstraction_layer(&mut self) {
         let derivative = Derivative::from_id(self.config.derivative);
         let pages = derivative.page_count();
         let mut spec = GlobalsSpec::new(derivative, self.config.platform)
@@ -460,7 +458,7 @@ fn cached_globals_text(spec: &GlobalsSpec) -> String {
 
 /// Whether an environment name embeds a derivative name (forbidden by the
 /// methodology: "Derivative specific names are not permitted").
-pub fn name_is_derivative_specific(name: &str) -> bool {
+pub(crate) fn name_is_derivative_specific(name: &str) -> bool {
     let upper = name.to_ascii_uppercase();
     DerivativeId::ALL.into_iter().any(|d| {
         let full = d.name().to_ascii_uppercase(); // e.g. "SC88-A"

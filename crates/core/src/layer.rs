@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::env::{ABSTRACTION_DIR, TESTPLAN_FILE};
 
 /// The layer a file belongs to in the paper's Figure 1 structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layer {
     /// Test layer: the test cells themselves.
     Test,

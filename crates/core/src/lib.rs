@@ -65,7 +65,7 @@ pub mod wire;
 pub use artifacts::{ArtifactStore, ArtifactStoreStats, DEFAULT_ARTIFACT_CAPACITY};
 pub use audit::{AuditCell, AuditError, CellOutcome, FaultAudit, FaultAuditReport};
 pub use basefuncs::{base_functions, BaseFuncsStyle};
-pub use build::{build_cell, run_cell, run_cell_with_fault};
+pub use build::{build_cell, run_cell};
 pub use campaign::{
     Campaign, CampaignError, CampaignEvent, CampaignObserver, CampaignReport, CheckerViolation,
     EventLog, ObserverFactory, ProgressObserver, TestRun, DEFAULT_MONITOR_CAPACITY,
@@ -80,8 +80,8 @@ pub use porting::{port_env, PortOutcome};
 pub use prefix::DEFAULT_PREFIX_BUDGET;
 pub use release::{Release, ReleaseError, ReleaseStore, SystemRelease};
 pub use stimulus::{
-    coverage_feedback, directed_source, fault_hunter_cells, scenario_env, Exploration,
-    ExplorationError, ExplorationReport, RoundReport,
+    coverage_feedback, directed_source, scenario_env, Exploration, ExplorationError,
+    ExplorationReport, RoundReport,
 };
 pub use system::{SystemIssue, SystemVerificationEnv};
 pub use testplan::{Testplan, TestplanEntry};

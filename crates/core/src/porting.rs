@@ -48,15 +48,6 @@ pub fn test_files_touched(changes: &ChangeSet) -> usize {
         .count()
 }
 
-/// Counts the abstraction-layer files a change-set touched.
-pub fn abstraction_files_touched(changes: &ChangeSet) -> usize {
-    changes
-        .changes()
-        .iter()
-        .filter(|c| c.path.contains("/Abstraction_Layer/"))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use advm_soc::{DerivativeId, EsVersion, PlatformId};
@@ -66,6 +57,15 @@ mod tests {
     use crate::env::{EnvConfig, TestCell};
 
     use super::*;
+
+    /// Counts the abstraction-layer files a change-set touched.
+    fn abstraction_files_touched(changes: &ChangeSet) -> usize {
+        changes
+            .changes()
+            .iter()
+            .filter(|c| c.path.contains("/Abstraction_Layer/"))
+            .count()
+    }
 
     fn page_test_source() -> &'static str {
         "\

@@ -302,7 +302,7 @@ _main:
 }
 
 /// The NVM environment.
-pub fn nvm_env(config: EnvConfig) -> ModuleTestEnv {
+pub(crate) fn nvm_env(config: EnvConfig) -> ModuleTestEnv {
     let unlock = TestCell::new(
         "TEST_NVM_UNLOCK",
         "key sequence unlocks the controller",
@@ -386,7 +386,7 @@ _main:
 }
 
 /// The TIMER environment: polled expiry plus a hook-installed interrupt.
-pub fn timer_env(config: EnvConfig) -> ModuleTestEnv {
+pub(crate) fn timer_env(config: EnvConfig) -> ModuleTestEnv {
     let poll = TestCell::new(
         "TEST_TIMER_POLL",
         "one-shot timer expires within the polling budget",
@@ -502,7 +502,7 @@ _main:
 }
 
 /// The WDT environment, including the platform-conditional bite test.
-pub fn wdt_env(config: EnvConfig) -> ModuleTestEnv {
+pub(crate) fn wdt_env(config: EnvConfig) -> ModuleTestEnv {
     let service = TestCell::new(
         "TEST_WDT_SERVICE",
         "serviced watchdog stays quiet",
@@ -565,7 +565,7 @@ t_hook:
 
 /// The CRC environment: the hardware unit against an independently
 /// computed expectation.
-pub fn crc_env(config: EnvConfig) -> ModuleTestEnv {
+pub(crate) fn crc_env(config: EnvConfig) -> ModuleTestEnv {
     let expected = advm_sim::periph::crc::crc32(b"12345678");
     let unit = TestCell::new(
         "TEST_CRC_UNIT",
@@ -614,7 +614,7 @@ _main:
 /// The REGISTER environment — the "control and status register test"
 /// class the paper names: reset-value checks driven entirely by
 /// `Globals.inc` defines.
-pub fn register_env(config: EnvConfig) -> ModuleTestEnv {
+pub(crate) fn register_env(config: EnvConfig) -> ModuleTestEnv {
     let uart = TestCell::new(
         "TEST_RESET_UART",
         "UART registers hold their documented reset values",

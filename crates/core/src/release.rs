@@ -11,12 +11,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::env::ModuleTestEnv;
 
 /// A frozen, labelled snapshot of one environment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Release {
     label: String,
     env_name: String,
@@ -43,7 +41,7 @@ impl Release {
     }
 
     /// The environment the release snapshots.
-    pub fn env_name(&self) -> &str {
+    pub(crate) fn env_name(&self) -> &str {
         &self.env_name
     }
 
@@ -59,7 +57,7 @@ impl Release {
 
     /// Whether the snapshot still matches its checksum (detects tampering
     /// with a release, which the methodology forbids).
-    pub fn verify_integrity(&self) -> bool {
+    pub(crate) fn verify_integrity(&self) -> bool {
         tree_checksum(&self.tree) == self.checksum
     }
 
@@ -90,7 +88,7 @@ impl fmt::Display for Release {
 
 /// A system-level release: one label per component environment
 /// (the paper's "label composed of sub-labels").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemRelease {
     label: String,
     components: Vec<(String, String)>,
@@ -191,7 +189,7 @@ impl ReleaseStore {
     ///
     /// Fails if the system label is reused, a component label is unknown,
     /// or a component fails its integrity check.
-    pub fn compose_system(
+    pub(crate) fn compose_system(
         &mut self,
         label: impl Into<String>,
         component_labels: &[&str],
@@ -216,11 +214,6 @@ impl ReleaseStore {
             components,
         };
         Ok(self.system_releases.entry(label).or_insert(system))
-    }
-
-    /// Looks up a system release.
-    pub fn system_release(&self, label: &str) -> Option<&SystemRelease> {
-        self.system_releases.get(label)
     }
 
     /// Thaws every component of a system release into runnable

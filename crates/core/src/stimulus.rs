@@ -43,7 +43,7 @@ use crate::testplan::Testplan;
 /// The environment is named after the scenario, carries one page
 /// read-back cell per drawn `TESTn_TARGET_PAGE`, one stimulus cell per
 /// coverage-targeted module, and pins the scenario's stimulus into the
-/// abstraction layer (see [`ModuleTestEnv::with_stimulus`]) so
+/// abstraction layer (a [`Stimulus`] override) so
 /// re-targeting across the campaign's platforms regenerates addresses
 /// and knobs around the *same* stimulus.
 pub fn scenario_env(scenario: &Scenario) -> ModuleTestEnv {
@@ -111,7 +111,7 @@ t_fail:
 /// coverage-directed scenario targets that module's holes. Returns
 /// `None` for modules without a catalogued stimulus (e.g. `PAGE`, which
 /// every scenario already stimulates through its page cells).
-pub fn module_stimulus_cell(module: &str, config: EnvConfig) -> Option<TestCell> {
+pub(crate) fn module_stimulus_cell(module: &str, config: EnvConfig) -> Option<TestCell> {
     let (env, id) = match module {
         "UART" => (presets::uart_env(config), "TEST_UART_LOOPBACK"),
         "TIMER" => (presets::timer_env(config), "TEST_TIMER_POLL"),
@@ -132,7 +132,7 @@ pub fn module_stimulus_cell(module: &str, config: EnvConfig) -> Option<TestCell>
 /// [`crate::audit::FaultAudit`]). Scenario environments targeting a
 /// module carry its hunters alongside the catalogued stimulus cell; all
 /// hunters pass on every clean platform and derivative.
-pub fn fault_hunter_cells(module: &str) -> Vec<TestCell> {
+pub(crate) fn fault_hunter_cells(module: &str) -> Vec<TestCell> {
     match module {
         // A write/read-back sweep of the MAP register: reset-value tests
         // pass over a dead write enable, this does not.
@@ -347,7 +347,7 @@ impl ExplorationReport {
     }
 
     /// Final cumulative page coverage.
-    pub fn final_page_coverage(&self) -> f64 {
+    pub(crate) fn final_page_coverage(&self) -> f64 {
         self.rounds.last().map_or(0.0, |r| r.page_coverage)
     }
 

@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use advm_soc::{Derivative, EsRom};
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::Campaign;
 use crate::env::{validate_layout, LayoutIssue, ModuleTestEnv};
@@ -22,7 +21,7 @@ pub const GLOBAL_LIBRARIES_DIR: &str = "Global_Libraries";
 pub const EMBEDDED_SOFTWARE_FILE: &str = "Embedded_Software.asm";
 
 /// A problem found by [`SystemVerificationEnv::validate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SystemIssue {
     /// Two environments share a name.
     DuplicateEnvName(String),

@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One test-plan entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestplanEntry {
     /// The test-cell identifier (directory name, `TEST_*`).
     pub id: String,
@@ -19,7 +17,7 @@ pub struct TestplanEntry {
 }
 
 /// A module test plan.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Testplan {
     module: String,
     entries: Vec<TestplanEntry>,

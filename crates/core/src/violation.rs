@@ -15,12 +15,11 @@ use std::fmt;
 
 use advm_asm::{tokenize, Loc, Token};
 use advm_soc::memmap::{MMIO_SIZE, MMIO_START};
-use serde::{Deserialize, Serialize};
 
 use crate::env::{ModuleTestEnv, BASE_FUNCTIONS_FILE, GLOBALS_FILE};
 
 /// The kind of abstraction-layer violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
     /// A test includes a file other than the abstraction layer's.
     DirectGlobalInclude,
@@ -42,7 +41,7 @@ impl fmt::Display for ViolationKind {
 }
 
 /// One detected violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The offending test cell.
     pub test_id: String,
@@ -74,7 +73,7 @@ pub fn check_env(env: &ModuleTestEnv) -> Vec<Violation> {
 }
 
 /// Scans one test source.
-pub fn check_source(test_id: &str, source: &str, out: &mut Vec<Violation>) {
+pub(crate) fn check_source(test_id: &str, source: &str, out: &mut Vec<Violation>) {
     for (idx, raw) in source.lines().enumerate() {
         let line_no = (idx + 1) as u32;
         let trimmed = raw.trim();

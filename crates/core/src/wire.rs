@@ -23,7 +23,7 @@
 //!
 //! let value = JsonValue::parse(r#"{"cmd":"submit","job":7,"tags":["a","b"]}"#)?;
 //! assert_eq!(value.get("cmd").and_then(JsonValue::as_str), Some("submit"));
-//! assert_eq!(value.get("job").and_then(JsonValue::as_u64), Some(7));
+//! assert_eq!(value.u64_field("job")?, 7);
 //! assert_eq!(value.get("tags").and_then(JsonValue::as_array).map(<[_]>::len), Some(2));
 //! // Rendering round-trips structurally.
 //! assert_eq!(JsonValue::parse(&value.to_json())?, value);
@@ -134,7 +134,7 @@ impl JsonValue {
     }
 
     /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),
             _ => None,
@@ -152,7 +152,7 @@ impl JsonValue {
     /// The number as an exact unsigned integer: rejects non-numbers,
     /// negatives, fractions and magnitudes past 2^53 (where `f64`
     /// parsing already lost precision).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
         const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         if n.fract() == 0.0 && (0.0..EXACT).contains(&n) {
@@ -166,14 +166,6 @@ impl JsonValue {
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The key/value pairs in source order, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(pairs) => Some(pairs),
             _ => None,
         }
     }
@@ -515,7 +507,9 @@ mod tests {
     #[test]
     fn parses_nested_structures_preserving_order() {
         let v = JsonValue::parse(r#"{"b":[1,{"x":null}],"a":"z"}"#).unwrap();
-        let pairs = v.as_object().unwrap();
+        let JsonValue::Object(pairs) = &v else {
+            panic!("an object parses to an object: {v:?}");
+        };
         assert_eq!(pairs[0].0, "b");
         assert_eq!(pairs[1].0, "a");
         assert_eq!(v.get("a").and_then(JsonValue::as_str), Some("z"));

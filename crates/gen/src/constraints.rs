@@ -162,7 +162,7 @@ impl StimulusDraw {
 }
 
 /// Renders a globals file from explicit stimulus values (shared by the
-/// sampler and [`crate::Scenario::globals_for`]).
+/// sampler and the scenario's re-targeting).
 pub(crate) fn render_globals(
     derivative: DerivativeId,
     platform: PlatformId,

@@ -34,7 +34,8 @@ impl PageCoverage {
     }
 
     /// Records explicit page numbers.
-    pub fn record_pages(&mut self, pages: impl IntoIterator<Item = u32>) {
+    #[cfg(test)]
+    pub(crate) fn record_pages(&mut self, pages: impl IntoIterator<Item = u32>) {
         self.seen.extend(pages);
     }
 
@@ -107,7 +108,7 @@ impl CoverageFeedback {
     }
 
     /// Pages prior stimulus already exercised.
-    pub fn pages_seen(&self) -> &BTreeSet<u32> {
+    pub(crate) fn pages_seen(&self) -> &BTreeSet<u32> {
         &self.pages_seen
     }
 

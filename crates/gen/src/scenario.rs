@@ -149,7 +149,8 @@ impl Scenario {
     /// Re-renders the scenario's globals for another platform — the
     /// paper's re-targeting rule: same stimulus, regenerated abstraction
     /// layer.
-    pub fn globals_for(&self, platform: PlatformId) -> GlobalsFile {
+    #[cfg(test)]
+    pub(crate) fn globals_for(&self, platform: PlatformId) -> GlobalsFile {
         render_globals(self.derivative, platform, &self.test_pages, &self.knobs)
     }
 

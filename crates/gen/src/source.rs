@@ -76,7 +76,8 @@ impl Directed {
 
     /// Parses the plain-text `TESTPLAN.TXT` form (`TESTPLAN for M` header,
     /// `TEST_X: description` lines) into a directed source.
-    pub fn from_testplan_text(constraints: GlobalsConstraints, text: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_testplan_text(constraints: GlobalsConstraints, text: &str) -> Self {
         let mut module = String::new();
         let mut entries = Vec::new();
         for line in text.lines() {
@@ -195,8 +196,8 @@ impl ScenarioSource for ConstrainedRandom {
 /// Coverage-directed scenarios: random draws biased toward the holes a
 /// prior campaign measured.
 ///
-/// Page sampling prefers pages absent from
-/// [`CoverageFeedback::pages_seen`] (without replacement inside one
+/// Page sampling prefers pages absent from the feedback's seen pages
+/// (without replacement inside one
 /// scenario), falling back to uniform draws once the unseen pool is
 /// exhausted; each scenario additionally targets up to
 /// [`CoverageDirected::MODULES_PER_SCENARIO`] weakly covered modules,

@@ -3,15 +3,13 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Psw;
 
 /// A branch condition, as used by the `J<cond>` family of instructions.
 ///
 /// Signed comparisons (`Lt`, `Ge`, `Gt`, `Le`) combine the negative and
 /// overflow flags; `Cs`/`Cc` expose the carry flag for unsigned tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Cond {
     /// Equal: `Z`.
@@ -61,7 +59,7 @@ impl Cond {
     /// use advm_isa::{Cond, Psw};
     ///
     /// let mut psw = Psw::default();
-    /// psw.set_zero(true);
+    /// psw.set_compare(7, 7);
     /// assert!(Cond::Eq.holds(psw));
     /// assert!(!Cond::Ne.holds(psw));
     /// ```
@@ -80,7 +78,8 @@ impl Cond {
     }
 
     /// The condition that holds exactly when `self` does not.
-    pub fn negate(self) -> Cond {
+    #[cfg(test)]
+    pub(crate) fn negate(self) -> Cond {
         match self {
             Cond::Eq => Cond::Ne,
             Cond::Ne => Cond::Eq,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AddrReg, Cond, DataReg, ADDR_MASK};
 
 /// The source operand of an [`Insn::Insert`] bit-field insertion.
@@ -12,7 +10,7 @@ use crate::{AddrReg, Cond, DataReg, ADDR_MASK};
 /// (`TEST_PAGE .EQU TEST1_TARGET_PAGE` with `TEST1_TARGET_PAGE .EQU 8`),
 /// so the immediate form carries up to 7 bits — wide enough for the
 /// derivative that doubles the number of pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitSrc {
     /// Insert the value of a data register.
     Reg(DataReg),
@@ -26,7 +24,7 @@ pub enum BitSrc {
 /// [`encode`](crate::encode); see the crate docs for the design rationale.
 /// Pseudo-instructions accepted by the assembler (e.g. `LOAD d0, #imm32`)
 /// expand to sequences of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Insn {
     /// No operation.
     Nop,

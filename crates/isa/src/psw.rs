@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The SC88 program status word.
 ///
 /// Bit layout (only the low five bits are architecturally defined):
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(psw.carry());
 /// assert_eq!(psw.bits() & 0b100, 0b100);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Psw {
     bits: u32,
 }
@@ -81,12 +79,12 @@ impl Psw {
     }
 
     /// Sets the zero flag.
-    pub fn set_zero(&mut self, value: bool) {
+    pub(crate) fn set_zero(&mut self, value: bool) {
         self.set(Z, value);
     }
 
     /// Sets the negative flag.
-    pub fn set_negative(&mut self, value: bool) {
+    pub(crate) fn set_negative(&mut self, value: bool) {
         self.set(N, value);
     }
 

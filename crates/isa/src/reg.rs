@@ -7,8 +7,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Error returned when parsing a register name fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseRegError {
@@ -42,10 +40,7 @@ macro_rules! register_file {
         $name:ident, $prefix:literal, [$($variant:ident = $idx:expr),+ $(,)?]
     ) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[repr(u8)]
         pub enum $name {
             $(

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Byte address of the vector table. Entry `n` is a 32-bit handler address
 /// at `VECTOR_BASE + n * VECTOR_ENTRY_BYTES`.
 pub const VECTOR_BASE: u32 = 0x0000_0000;
@@ -24,7 +22,7 @@ pub const VECTOR_ENTRY_BYTES: u32 = 4;
 pub const RESET_PC: u32 = 0x0000_0100;
 
 /// Classification of a trap or interrupt cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrapKind {
     /// Undecodable or invalid instruction word.
     IllegalInsn,
@@ -71,7 +69,8 @@ impl TrapKind {
 
     /// Whether the cause is asynchronous (interrupts) rather than a fault
     /// of the executing instruction.
-    pub fn is_interrupt(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_interrupt(self) -> bool {
         matches!(self, TrapKind::Irq(_) | TrapKind::Watchdog)
     }
 }

@@ -8,10 +8,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of change a file underwent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChangeKind {
     /// File exists only in the new tree.
     Added,
@@ -32,7 +30,7 @@ impl fmt::Display for ChangeKind {
 }
 
 /// One file's change.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileChange {
     /// File path within the environment.
     pub path: String,
@@ -52,7 +50,7 @@ impl FileChange {
 }
 
 /// The set of changes between two environment versions.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChangeSet {
     changes: Vec<FileChange>,
 }
@@ -74,12 +72,12 @@ impl ChangeSet {
     }
 
     /// Total lines added across all files.
-    pub fn lines_added(&self) -> usize {
+    pub(crate) fn lines_added(&self) -> usize {
         self.changes.iter().map(|c| c.lines_added).sum()
     }
 
     /// Total lines removed across all files.
-    pub fn lines_removed(&self) -> usize {
+    pub(crate) fn lines_removed(&self) -> usize {
         self.changes.iter().map(|c| c.lines_removed).sum()
     }
 
@@ -162,7 +160,7 @@ pub fn diff_trees(old: &BTreeMap<String, String>, new: &BTreeMap<String, String>
 }
 
 /// Line-level diff via LCS: returns `(lines_added, lines_removed)`.
-pub fn diff_lines(old: &str, new: &str) -> (usize, usize) {
+pub(crate) fn diff_lines(old: &str, new: &str) -> (usize, usize) {
     let a: Vec<&str> = old.lines().collect();
     let b: Vec<&str> = new.lines().collect();
     let lcs = lcs_len(&a, &b);

@@ -9,15 +9,13 @@
 //! insensitive to the exact constants — the ablation in the experiments
 //! sweeps them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::changeset::ChangeSet;
 
 /// Engineer effort in minutes.
 pub type Minutes = f64;
 
 /// Cost constants of the effort model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EffortModel {
     /// Fixed cost per file touched (locate, open, review, release).
     pub minutes_per_file: Minutes,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A simple left-aligned text table.
 ///
 /// ```
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let text = table.to_string();
 /// assert!(text.contains("alpha"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

@@ -159,7 +159,7 @@ impl JobRecord {
     /// running (`None` once finished — the backlog is complete). The
     /// snapshot and the subscription are atomic: no line is lost or
     /// duplicated between them.
-    pub fn subscribe(&self) -> (Vec<String>, Option<Receiver<String>>) {
+    pub(crate) fn subscribe(&self) -> (Vec<String>, Option<Receiver<String>>) {
         let mut stream = self.stream.lock().expect("job stream poisoned");
         let backlog = stream.lines.clone();
         if stream.finished {
@@ -329,7 +329,7 @@ impl Daemon {
     /// artifact store's hit/miss/eviction counters, and the per-phase
     /// wall split (plan/build/exec/report/mine) summed over every
     /// finished job.
-    pub fn status_line(&self) -> String {
+    pub(crate) fn status_line(&self) -> String {
         let state = self.shared.state.lock().expect("daemon state poisoned");
         let mut counts = [0usize; 5];
         let mut phases = CampaignPerf::default();
@@ -364,7 +364,7 @@ impl Daemon {
 
     /// One line listing every known job: id, kind, state, and — once
     /// the job finished — its per-phase wall split.
-    pub fn list_line(&self) -> String {
+    pub(crate) fn list_line(&self) -> String {
         let state = self.shared.state.lock().expect("daemon state poisoned");
         let jobs: Vec<String> = state
             .jobs

@@ -291,7 +291,7 @@ impl JobSpec {
     /// [`WireError`] for a missing or mistyped field, an unknown kind,
     /// platform or derivative, or a size or `workers` field above its
     /// cap.
-    pub fn from_value(value: &JsonValue) -> Result<Self, WireError> {
+    pub(crate) fn from_value(value: &JsonValue) -> Result<Self, WireError> {
         match value.str_field("kind")? {
             "regress" => Ok(JobSpec::Regress {
                 dir: value.str_field("dir")?.to_owned(),

@@ -21,7 +21,7 @@
 //!   the CLI's local runner, so a run started with `advm-cli regress`
 //!   and the same run served by the daemon give one report.
 //! - [`daemon`] — the transport-free engine: queue, workers, per-job
-//!   event streams ([`JobRecord::subscribe`]).
+//!   event streams.
 //! - [`server`] / [`client`] — the Unix-domain-socket skin (Unix only;
 //!   the in-process [`Daemon`] API is portable).
 

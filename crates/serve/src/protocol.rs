@@ -83,7 +83,7 @@ impl Request {
 }
 
 /// Renders the one-line error reply for a malformed request.
-pub fn error_line(message: &str) -> String {
+pub(crate) fn error_line(message: &str) -> String {
     format!("{{\"ok\":false,\"error\":{}}}", json_string(message))
 }
 

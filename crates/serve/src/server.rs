@@ -10,12 +10,17 @@
 //! A longer line is answered with one error line and the connection is
 //! closed; a line that is not UTF-8 is answered with an error line and
 //! the connection keeps serving.
+//!
+//! A failed accept or a connection thread that cannot start costs that
+//! one connection, never the daemon: the error is logged and the server
+//! keeps accepting.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::daemon::Daemon;
 use crate::protocol::{error_line, Request};
@@ -24,6 +29,11 @@ use crate::protocol::{error_line, Request};
 /// counted). Requests are a few hundred bytes; the cap keeps one client
 /// from growing a connection thread's buffer without bound.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// The pause after a failed accept. An error such as running out of
+/// file descriptors repeats until a connection closes; the pause keeps
+/// the accept loop from spinning on it meanwhile.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// A bound, not-yet-running server.
 pub struct Server {
@@ -64,30 +74,47 @@ impl Server {
     }
 
     /// Serves until a client sends `shutdown`. Each connection runs on
-    /// its own thread; request errors are answered on the wire, not
-    /// propagated here.
+    /// its own thread; request errors are answered on the wire, and
+    /// accept or thread-spawn errors are logged, not propagated here.
     pub fn run(self) -> io::Result<()> {
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = stream?;
-            let daemon = Arc::clone(&self.daemon);
-            let stop = Arc::clone(&self.stop);
-            let path = self.path.clone();
-            std::thread::Builder::new()
-                .name("advm-serve-conn".to_owned())
-                .spawn(move || {
-                    // A dropped connection mid-reply is the client's
-                    // problem, not the daemon's.
-                    let _ = handle_connection(&daemon, stream, &stop, &path);
-                })
-                .expect("spawning connection thread");
+            self.accept(stream);
         }
         drop(self.listener);
         let _ = std::fs::remove_file(&self.path);
         self.daemon.shutdown();
         Ok(())
+    }
+
+    /// Hands one accepted connection to a thread of its own. A failed
+    /// accept is logged and followed by [`ACCEPT_BACKOFF`]; a thread
+    /// that cannot start drops its connection. Either way the server
+    /// keeps serving.
+    fn accept(&self, stream: io::Result<UnixStream>) {
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(error) => {
+                eprintln!("advm-serve: accept failed: {error}");
+                std::thread::sleep(ACCEPT_BACKOFF);
+                return;
+            }
+        };
+        let daemon = Arc::clone(&self.daemon);
+        let stop = Arc::clone(&self.stop);
+        let path = self.path.clone();
+        let spawned = std::thread::Builder::new()
+            .name("advm-serve-conn".to_owned())
+            .spawn(move || {
+                // A dropped connection mid-reply is the client's
+                // problem, not the daemon's.
+                let _ = handle_connection(&daemon, stream, &stop, &path);
+            });
+        if let Err(error) = spawned {
+            eprintln!("advm-serve: dropping a connection, its thread did not start: {error}");
+        }
     }
 }
 
@@ -176,4 +203,43 @@ fn reply(writer: &mut UnixStream, line: &str) -> io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::DaemonConfig;
+
+    /// An accept error is logged and skipped: the next connection the
+    /// same server accepts is served, and it answers `status`.
+    #[test]
+    fn accept_error_keeps_the_server_serving() {
+        let path =
+            std::env::temp_dir().join(format!("advm-serve-accept-{}.sock", std::process::id()));
+        let server = Server::bind(
+            Daemon::start(DaemonConfig {
+                workers: 1,
+                cache_capacity: 8,
+            }),
+            &path,
+        )
+        .expect("binding test socket");
+        server.accept(Err(io::Error::other("injected accept failure")));
+
+        let (served, mut client) = UnixStream::pair().expect("socket pair");
+        server.accept(Ok(served));
+        client
+            .write_all(format!("{}\n", Request::Status.to_json()).as_bytes())
+            .expect("sending status");
+        let mut reply = String::new();
+        BufReader::new(&client)
+            .read_line(&mut reply)
+            .expect("reading status");
+        let status = advm::wire::JsonValue::parse(&reply).expect("status is JSON");
+        assert!(status.bool_field("ok").unwrap(), "{reply}");
+        assert_eq!(status.u64_field("done").unwrap(), 0, "{reply}");
+        drop(client);
+        drop(server);
+        let _ = std::fs::remove_file(&path);
+    }
 }

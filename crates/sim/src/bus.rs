@@ -303,7 +303,7 @@ impl SocBus {
     /// the CPU consults [`SocBus::take_watchdog_bite`] /
     /// [`SocBus::pending_irq`] only when this is true.
     #[inline]
-    pub fn async_pending(&self) -> bool {
+    pub(crate) fn async_pending(&self) -> bool {
         self.async_work
     }
 
@@ -312,7 +312,7 @@ impl SocBus {
     /// asynchronous can surface between two bus accesses — the
     /// precondition for whole-superblock dispatch.
     #[inline]
-    pub fn timing_active(&self) -> bool {
+    pub(crate) fn timing_active(&self) -> bool {
         self.timing_active
     }
 
@@ -381,14 +381,9 @@ impl SocBus {
 
     /// Enables or disables the predecoded-instruction cache (default:
     /// enabled). Disabled, every fetch re-decodes — the pre-refactor
-    /// baseline the benches compare against.
+    /// baseline `exp_sim_throughput` compares against.
     pub fn set_decode_cache(&mut self, enabled: bool) {
         self.decode.set_enabled(enabled);
-    }
-
-    /// Whether the predecoded-instruction cache is enabled.
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.decode.enabled()
     }
 
     /// Enables or disables superblock dispatch (default: enabled).
@@ -402,7 +397,7 @@ impl SocBus {
     }
 
     /// Whether superblock dispatch is enabled.
-    pub fn superblocks_enabled(&self) -> bool {
+    pub(crate) fn superblocks_enabled(&self) -> bool {
         self.decode.blocks_enabled()
     }
 
@@ -505,12 +500,12 @@ impl SocBus {
     }
 
     /// The lowest pending enabled interrupt line, if any.
-    pub fn pending_irq(&self) -> Option<u8> {
+    pub(crate) fn pending_irq(&self) -> Option<u8> {
         self.intc.active_line()
     }
 
     /// Takes the watchdog-expiry edge.
-    pub fn take_watchdog_bite(&mut self) -> bool {
+    pub(crate) fn take_watchdog_bite(&mut self) -> bool {
         let bite = std::mem::take(&mut self.watchdog_bite);
         if bite {
             self.recompute_async();
@@ -602,7 +597,7 @@ impl SocBus {
     /// that module was touched; extra bus wait states are safe iff no
     /// MMIO at all was touched; the ES jump-table skew redirects ROM
     /// fetches the coverage set never records, so it is never safe.
-    pub fn fault_fork_safe(&self, fault: PlatformFault) -> bool {
+    pub(crate) fn fault_fork_safe(&self, fault: PlatformFault) -> bool {
         let module = match fault {
             PlatformFault::None => return true,
             PlatformFault::EsDispatchSkewed => return false,
@@ -754,7 +749,7 @@ impl SocBus {
     ///
     /// The same [`BusFault`] classes as [`SocBus::read32`].
     #[inline]
-    pub fn fetch_decoded(&mut self, addr: u32) -> Result<(u32, Option<Insn>), BusFault> {
+    pub(crate) fn fetch_decoded(&mut self, addr: u32) -> Result<(u32, Option<Insn>), BusFault> {
         if !addr.is_multiple_of(4) {
             return Err(BusFault::Misaligned(addr));
         }
@@ -839,7 +834,7 @@ impl SocBus {
     /// Returns a [`BusFault`] for unmapped addresses or MMIO (registers
     /// are word-only).
     #[inline]
-    pub fn read8(&mut self, addr: u32) -> Result<u8, BusFault> {
+    pub(crate) fn read8(&mut self, addr: u32) -> Result<u8, BusFault> {
         if addr < ROM_START + ROM_SIZE {
             return Ok(self.rom.get((addr - ROM_START) as usize));
         }
@@ -861,7 +856,7 @@ impl SocBus {
     ///
     /// Same classes as [`SocBus::write32`], plus MMIO byte access.
     #[inline]
-    pub fn write8(&mut self, addr: u32, value: u8) -> Result<(), BusFault> {
+    pub(crate) fn write8(&mut self, addr: u32, value: u8) -> Result<(), BusFault> {
         if addr.wrapping_sub(RAM_START) < RAM_SIZE {
             *self.ram.entry_mut((addr - RAM_START) as usize) = value;
             self.decode

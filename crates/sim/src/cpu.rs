@@ -187,16 +187,6 @@ impl Cpu {
         self.a[reg.index() as usize]
     }
 
-    /// Writes a data register (used by bondout-style debug injection).
-    pub fn set_d(&mut self, reg: DataReg, value: u32) {
-        self.d[reg.index() as usize] = value;
-    }
-
-    /// Writes an address register.
-    pub fn set_a(&mut self, reg: AddrReg, value: u32) {
-        self.a[reg.index() as usize] = value;
-    }
-
     /// Instructions retired since reset.
     pub fn retired(&self) -> u64 {
         self.retired
@@ -327,7 +317,7 @@ impl Cpu {
     /// overshooting mid-block. Tracing, pending asynchronous causes and
     /// active timing all fall back to the per-word path, where each
     /// instruction is observed individually.
-    pub fn run_observed(
+    pub(crate) fn run_observed(
         &mut self,
         bus: &mut SocBus,
         cost: &CostModel,

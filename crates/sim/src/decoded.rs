@@ -372,7 +372,8 @@ impl ExecRegion {
 
 impl DecodeCache {
     /// Enables or disables memoisation. Disabled, every fetch decodes
-    /// fresh (the pre-refactor baseline the benches compare against) and
+    /// fresh (the pre-refactor baseline `exp_sim_throughput` compares
+    /// against) and
     /// the superblock tier — built over the slots — goes dormant too.
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -382,10 +383,6 @@ impl DecodeCache {
             self.nvm.clear();
             self.drop_all_blocks();
         }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Enables or disables the superblock tier (default: enabled).

@@ -14,13 +14,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A hardware bug injectable into one platform's peripheral models.
 ///
 /// Variants are grouped by fault site; the doc comment of each variant
 /// names the real-world defect it stands in for.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PlatformFault {
     /// No fault: the platform implements the specification.
     #[default]

@@ -56,7 +56,7 @@ impl Intc {
     }
 
     /// The lowest-numbered pending *and enabled* line, if any.
-    pub fn active_line(&self) -> Option<u8> {
+    pub(crate) fn active_line(&self) -> Option<u8> {
         let masked = self.pending & self.enable;
         if masked == 0 {
             None

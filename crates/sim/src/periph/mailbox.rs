@@ -34,12 +34,12 @@ impl MailboxDevice {
     }
 
     /// Enables the dead-scratch-write fault (platform fault injection).
-    pub fn inject_scratch_stuck(&mut self) {
+    pub(crate) fn inject_scratch_stuck(&mut self) {
         self.scratch_stuck = true;
     }
 
     /// Enables the frozen-ticks fault (platform fault injection).
-    pub fn inject_ticks_frozen(&mut self) {
+    pub(crate) fn inject_ticks_frozen(&mut self) {
         self.ticks_frozen = true;
     }
 
@@ -66,18 +66,13 @@ impl MailboxDevice {
     }
 
     /// Whether the test asked to end the simulation.
-    pub fn sim_ended(&self) -> bool {
+    pub(crate) fn sim_ended(&self) -> bool {
         self.sim_end
     }
 
     /// The classified test outcome, if a result was reported.
     pub fn outcome(&self) -> Option<TestOutcome> {
         self.result.and_then(Mailbox::classify_result)
-    }
-
-    /// The raw result word, if any.
-    pub fn raw_result(&self) -> Option<u32> {
-        self.result
     }
 
     /// Console output accumulated through `CHAROUT`.
@@ -146,7 +141,7 @@ mod tests {
         let mut mb = MailboxDevice::new(PlatformId::RtlSim);
         mb.write(Mailbox::RESULT, 0x1234_5678);
         assert_eq!(mb.outcome(), None);
-        assert_eq!(mb.raw_result(), Some(0x1234_5678));
+        assert_eq!(mb.result, Some(0x1234_5678));
     }
 
     #[test]

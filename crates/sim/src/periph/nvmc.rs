@@ -159,12 +159,12 @@ impl NvmController {
 
     /// Whether a program/erase operation is in flight — i.e. advancing
     /// time must keep polling [`NvmController::take_completed`].
-    pub fn op_in_flight(&self) -> bool {
+    pub(crate) fn op_in_flight(&self) -> bool {
         self.pending.is_some()
     }
 
     /// Takes the completed operation at time `now`, if one just finished.
-    pub fn take_completed(&mut self, now: u64) -> Option<NvmOp> {
+    pub(crate) fn take_completed(&mut self, now: u64) -> Option<NvmOp> {
         match self.pending {
             Some((due, op)) if now >= due => {
                 self.pending = None;

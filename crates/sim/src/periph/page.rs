@@ -63,17 +63,17 @@ impl PageModule {
     }
 
     /// Enables the off-by-one readback fault (platform fault injection).
-    pub fn inject_active_off_by_one(&mut self) {
+    pub(crate) fn inject_active_off_by_one(&mut self) {
         self.active_off_by_one = true;
     }
 
     /// Enables the stuck-at-zero page-select bit 0 fault (write path).
-    pub fn inject_select_drops_low_bit(&mut self) {
+    pub(crate) fn inject_select_drops_low_bit(&mut self) {
         self.select_drops_low_bit = true;
     }
 
     /// Enables the dead `MAP` write-enable fault.
-    pub fn inject_map_write_ignored(&mut self) {
+    pub(crate) fn inject_map_write_ignored(&mut self) {
         self.map_write_ignored = true;
     }
 

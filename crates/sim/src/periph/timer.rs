@@ -42,18 +42,18 @@ impl Timer {
     }
 
     /// Enables the never-expires fault (platform fault injection).
-    pub fn inject_never_expires(&mut self) {
+    pub(crate) fn inject_never_expires(&mut self) {
         self.never_expires = true;
     }
 
     /// Enables the no-reload fault: periodic mode degrades to one-shot.
-    pub fn inject_periodic_no_reload(&mut self) {
+    pub(crate) fn inject_periodic_no_reload(&mut self) {
         self.periodic_no_reload = true;
     }
 
     /// Enables the dead-IRQ-wire fault: expiry sets `EXPIRED` but never
     /// raises the interrupt edge.
-    pub fn inject_irq_suppressed(&mut self) {
+    pub(crate) fn inject_irq_suppressed(&mut self) {
         self.irq_suppressed = true;
     }
 
@@ -87,7 +87,7 @@ impl Timer {
     }
 
     /// Advances the timer by `delta` cycles.
-    pub fn tick(&mut self, delta: u64) {
+    pub(crate) fn tick(&mut self, delta: u64) {
         if self.ctrl & CTRL_EN == 0 || self.never_expires {
             return;
         }
@@ -115,7 +115,7 @@ impl Timer {
     }
 
     /// Takes the pending interrupt edge, if any.
-    pub fn take_irq(&mut self) -> bool {
+    pub(crate) fn take_irq(&mut self) -> bool {
         std::mem::take(&mut self.irq_edge)
     }
 

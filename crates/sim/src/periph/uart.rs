@@ -60,19 +60,19 @@ impl Uart {
     }
 
     /// Enables the byte-dropping fault (platform fault injection).
-    pub fn inject_drop_bytes(&mut self) {
+    pub(crate) fn inject_drop_bytes(&mut self) {
         self.drop_bytes = true;
     }
 
     /// Enables the stuck-busy transmitter fault: `TX_READY` never
     /// asserts, so polling senders hang.
-    pub fn inject_tx_stuck_busy(&mut self) {
+    pub(crate) fn inject_tx_stuck_busy(&mut self) {
         self.tx_stuck_busy = true;
     }
 
     /// Enables the byte-duplication fault: every accepted byte is
     /// shifted out twice (and echoes twice through loopback).
-    pub fn inject_duplicate_bytes(&mut self) {
+    pub(crate) fn inject_duplicate_bytes(&mut self) {
         self.duplicate_bytes = true;
     }
 
@@ -140,7 +140,7 @@ impl Uart {
     }
 
     /// Everything transmitted so far.
-    pub fn tx_log(&self) -> &[u8] {
+    pub(crate) fn tx_log(&self) -> &[u8] {
         &self.tx_log
     }
 

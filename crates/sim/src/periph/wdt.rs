@@ -70,7 +70,7 @@ impl Watchdog {
     }
 
     /// Advances the watchdog; sets the expiry edge when it bites.
-    pub fn tick(&mut self, delta: u64) {
+    pub(crate) fn tick(&mut self, delta: u64) {
         if self.ctrl & CTRL_EN == 0 {
             return;
         }
@@ -83,7 +83,7 @@ impl Watchdog {
     }
 
     /// Takes the expiry edge, if any.
-    pub fn take_expiry(&mut self) -> bool {
+    pub(crate) fn take_expiry(&mut self) -> bool {
         std::mem::take(&mut self.expired_edge)
     }
 

@@ -217,8 +217,8 @@ impl Platform {
 
     /// Enables or disables the predecoded-instruction cache (default:
     /// enabled). The architectural stream is identical either way;
-    /// disabling re-decodes every fetch, the baseline the benches
-    /// compare against.
+    /// disabling re-decodes every fetch, the baseline
+    /// `exp_sim_throughput` compares against.
     pub fn set_decode_cache(&mut self, enabled: bool) {
         self.bus.set_decode_cache(enabled);
     }
@@ -228,15 +228,11 @@ impl Platform {
     /// cache and execute whole between run-loop boundary checks; the
     /// architectural stream is identical either way. Runtime
     /// configuration, not machine state: snapshots neither capture nor
-    /// restore it, so re-apply after [`Platform::from_snapshot`] when a
-    /// campaign runs with blocks off.
+    /// restore it, so a machine restored with
+    /// [`Platform::from_snapshot`] runs with blocks on until this turns
+    /// them off again.
     pub fn set_superblocks(&mut self, enabled: bool) {
         self.bus.set_superblocks(enabled);
-    }
-
-    /// Whether superblock dispatch is enabled.
-    pub fn superblocks_enabled(&self) -> bool {
-        self.bus.superblocks_enabled()
     }
 
     /// Direct bus access for white-box assertions in tests/experiments.
@@ -375,7 +371,8 @@ impl Platform {
 
     /// Whether forking a `fault`-carrying run from this machine's
     /// current state is provably byte-identical to running it from
-    /// reset (see [`SocBus::fault_fork_safe`]).
+    /// reset: true iff the fault's observable surface was never
+    /// exercised so far.
     pub fn fork_safe(&self, fault: PlatformFault) -> bool {
         self.bus.fault_fork_safe(fault)
     }

@@ -10,12 +10,11 @@
 use std::fmt;
 
 use advm_isa::decode;
-use serde::{Deserialize, Serialize};
 
 use crate::savestate::{put_u32, put_u64, SaveReader, SaveStateError};
 
 /// One retired-instruction trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Program counter of the retired instruction.
     pub pc: u32,
@@ -29,7 +28,7 @@ pub struct TraceRecord {
 /// capacity (the previous implementation shifted the whole window with
 /// `Vec::remove(0)` once full — O(capacity) per retired instruction on
 /// long exploration runs).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecTrace {
     /// Ring storage; once `ring.len() == capacity`, `head` is the
     /// oldest record's index and new records overwrite in place.

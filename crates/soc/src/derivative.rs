@@ -20,14 +20,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::es::EsVersion;
 use crate::regmap::{Access, Field, Module, RegMap, RegMapError, Register};
 use crate::testbench::Mailbox;
 
 /// Identifier of a catalogued SC88 derivative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DerivativeId {
     /// SC88-A: the base chip.
     Sc88A,
@@ -76,7 +74,7 @@ impl fmt::Display for DerivativeId {
 }
 
 /// One atomic change a derivative applies to the base register map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChangeOp {
     /// Move a field to a new bit position (same width).
     MoveField {
@@ -187,7 +185,7 @@ impl fmt::Display for ChangeOp {
 
 /// A chip derivative: the base map plus a change list and an
 /// embedded-software version.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Derivative {
     id: DerivativeId,
     changes: Vec<ChangeOp>,
@@ -320,7 +318,7 @@ impl Derivative {
 
     /// The inverse of [`Derivative::hardware_register_name`]: maps a
     /// hardware register name back to the stable abstraction-layer name.
-    pub fn abstract_register_name<'a>(&'a self, hardware_name: &'a str) -> &'a str {
+    pub(crate) fn abstract_register_name<'a>(&'a self, hardware_name: &'a str) -> &'a str {
         self.renames
             .iter()
             .find(|(_, hw)| hw == hardware_name)
@@ -400,7 +398,7 @@ impl fmt::Display for Derivative {
 
 /// Builds the SC88-A base register map: every peripheral of the synthetic
 /// chip-card SoC.
-pub fn base_regmap() -> RegMap {
+pub(crate) fn base_regmap() -> RegMap {
     // The unwraps below are on statically known-good definitions; the
     // `base_regmap_is_valid` test would catch any regression.
     fn field(name: &str, pos: u8, width: u8) -> Field {

@@ -22,13 +22,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::derivative::Derivative;
 use crate::memmap::ES_BASE;
 
 /// Release version of the embedded-software ROM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EsVersion {
     /// Original release.
     V1,
@@ -56,7 +54,7 @@ impl fmt::Display for EsVersion {
 }
 
 /// A function exported by the ES ROM jump table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EsFunction {
     /// Initialise the page-module control register to its safe default.
     InitRegister,
@@ -87,7 +85,7 @@ impl EsFunction {
     ];
 
     /// Index in the jump table.
-    pub fn table_index(self) -> u32 {
+    pub(crate) fn table_index(self) -> u32 {
         EsFunction::ALL
             .iter()
             .position(|f| *f == self)
@@ -113,7 +111,7 @@ impl EsFunction {
     }
 
     /// The `Globals.inc` define name for the entry address.
-    pub fn define_name(self) -> &'static str {
+    pub(crate) fn define_name(self) -> &'static str {
         match self {
             EsFunction::InitRegister => "ES_INIT_REGISTER",
             EsFunction::UartSendByte => "ES_UART_SEND_BYTE",
@@ -145,7 +143,8 @@ impl EsFunction {
 
     /// Whether the calling convention changed between v1 and v2 — the
     /// functions whose wrappers the abstraction layer must re-factor.
-    pub fn changed_in_v2(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn changed_in_v2(self) -> bool {
         self.signature(EsVersion::V1) != self.signature(EsVersion::V2)
     }
 }
@@ -157,10 +156,9 @@ impl fmt::Display for EsFunction {
 }
 
 /// A generated embedded-software ROM for one (derivative, version) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EsRom {
     version: EsVersion,
-    derivative_name: String,
     source: String,
 }
 
@@ -344,7 +342,6 @@ impl EsRom {
 
         Self {
             version,
-            derivative_name: derivative.id().name().to_owned(),
             source: src,
         }
     }
@@ -352,11 +349,6 @@ impl EsRom {
     /// The ES release this ROM implements.
     pub fn version(&self) -> EsVersion {
         self.version
-    }
-
-    /// The derivative the ROM was generated for.
-    pub fn derivative_name(&self) -> &str {
-        &self.derivative_name
     }
 
     /// The full assembler source of the ROM.
@@ -425,7 +417,11 @@ mod tests {
     fn sc88d_ships_v2() {
         let rom = EsRom::for_derivative(&Derivative::sc88d());
         assert_eq!(rom.version(), EsVersion::V2);
-        assert_eq!(rom.derivative_name(), "SC88-D");
+        assert!(
+            rom.source().contains("ES ROM v2 for SC88-D"),
+            "{}",
+            rom.source()
+        );
     }
 
     #[test]

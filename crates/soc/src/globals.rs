@@ -16,15 +16,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::derivative::Derivative;
 use crate::es::EsFunction;
 use crate::memmap::{self, MemoryMap};
 use crate::testbench::{Mailbox, PlatformId};
 
 /// The value of one `Globals.inc` entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DefineValue {
     /// A numeric `.EQU` value.
     Num(u32),
@@ -33,7 +31,7 @@ pub enum DefineValue {
 }
 
 /// One named entry of the globals file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Define {
     /// The symbol name tests and base functions reference.
     pub name: String,
@@ -363,7 +361,7 @@ fn platform_knobs(platform: PlatformId) -> (u32, u32, u32) {
 
 /// A rendered `Globals.inc`: the text plus a structured view of every
 /// define for introspection by experiments.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalsFile {
     header: String,
     defines: Vec<Define>,

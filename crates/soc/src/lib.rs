@@ -46,7 +46,7 @@ pub mod memmap;
 pub mod regmap;
 pub mod testbench;
 
-pub use derivative::{base_regmap, ChangeOp, Derivative, DerivativeId};
+pub use derivative::{ChangeOp, Derivative, DerivativeId};
 pub use es::{EsFunction, EsRom, EsVersion};
 pub use globals::{Define, DefineValue, GlobalsFile, GlobalsSpec};
 pub use memmap::{MemoryMap, Region, RegionKind};

@@ -12,10 +12,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a memory region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
     /// Execute/read-only program memory.
     Rom,
@@ -40,7 +38,7 @@ impl fmt::Display for RegionKind {
 }
 
 /// One contiguous region of the address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     kind: RegionKind,
     start: u32,
@@ -87,7 +85,7 @@ impl Region {
 ///
 /// All derivatives share the same coarse map; peripheral placement within
 /// MMIO is per-derivative and lives in the register map instead.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryMap {
     regions: Vec<Region>,
     stack_top: u32,
@@ -160,13 +158,8 @@ impl MemoryMap {
     }
 
     /// Initial stack pointer value.
-    pub fn stack_top(&self) -> u32 {
+    pub(crate) fn stack_top(&self) -> u32 {
         self.stack_top
-    }
-
-    /// Link base of the embedded-software ROM.
-    pub fn es_base(&self) -> u32 {
-        self.es_base
     }
 
     /// Checks internal consistency: regions must not overlap, the stack
@@ -239,7 +232,7 @@ mod tests {
     #[test]
     fn es_base_in_rom() {
         let map = MemoryMap::sc88();
-        assert!(map.region(RegionKind::Rom).unwrap().contains(map.es_base()));
+        assert!(map.region(RegionKind::Rom).unwrap().contains(map.es_base));
     }
 
     #[test]

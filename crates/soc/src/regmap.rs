@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Register access rights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// Readable and writable.
     ReadWrite,
@@ -47,7 +45,7 @@ impl fmt::Display for Access {
 /// The paper's Figure 6 manipulates exactly such a field: the `PAGE` field
 /// whose `pos`/`width` become `PAGE_FIELD_START_POSITION` /
 /// `PAGE_FIELD_SIZE` in `Globals.inc`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     name: String,
     pos: u8,
@@ -101,11 +99,6 @@ impl Field {
         }
     }
 
-    /// The largest value the field can hold.
-    pub fn max_value(&self) -> u32 {
-        self.value_mask()
-    }
-
     /// Extracts this field's value from a register word.
     pub fn extract(&self, word: u32) -> u32 {
         (word >> self.pos) & self.value_mask()
@@ -122,7 +115,7 @@ impl Field {
 }
 
 /// A 32-bit register within a module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Register {
     name: String,
     offset: u32,
@@ -164,7 +157,7 @@ impl Register {
     /// # Errors
     ///
     /// Fails if the field overlaps an existing field or duplicates a name.
-    pub fn with_field(mut self, field: Field) -> Result<Self, RegMapError> {
+    pub(crate) fn with_field(mut self, field: Field) -> Result<Self, RegMapError> {
         if self.fields.iter().any(|f| f.name == field.name) {
             return Err(RegMapError::DuplicateName {
                 kind: "field",
@@ -214,7 +207,7 @@ impl Register {
 }
 
 /// A hardware module (peripheral) with a base address and registers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
     name: String,
     base: u32,
@@ -251,7 +244,7 @@ impl Module {
     ///
     /// Fails on duplicate names, duplicate offsets, or offsets outside the
     /// module's claimed size.
-    pub fn with_register(mut self, register: Register) -> Result<Self, RegMapError> {
+    pub(crate) fn with_register(mut self, register: Register) -> Result<Self, RegMapError> {
         if register.offset + 4 > self.size {
             return Err(RegMapError::RegisterOutsideModule {
                 module: self.name,
@@ -301,7 +294,7 @@ impl Module {
     }
 
     /// The absolute byte address of a register.
-    pub fn register_addr(&self, name: &str) -> Option<u32> {
+    pub(crate) fn register_addr(&self, name: &str) -> Option<u32> {
         self.register(name).map(|r| self.base + r.offset)
     }
 
@@ -379,7 +372,7 @@ impl Module {
 }
 
 /// A complete register map: every module of one chip derivative.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegMap {
     modules: Vec<Module>,
 }
@@ -396,7 +389,7 @@ impl RegMap {
     ///
     /// Fails if the module's address range overlaps an existing module or
     /// duplicates a name.
-    pub fn with_module(mut self, module: Module) -> Result<Self, RegMapError> {
+    pub(crate) fn with_module(mut self, module: Module) -> Result<Self, RegMapError> {
         if self.modules.iter().any(|m| m.name == module.name) {
             return Err(RegMapError::DuplicateName {
                 kind: "module",
@@ -433,7 +426,8 @@ impl RegMap {
     }
 
     /// Finds the module containing `addr`, if any.
-    pub fn module_at(&self, addr: u32) -> Option<&Module> {
+    #[cfg(test)]
+    pub(crate) fn module_at(&self, addr: u32) -> Option<&Module> {
         self.modules.iter().find(|m| m.contains(addr))
     }
 
@@ -650,7 +644,7 @@ mod tests {
     fn field_insert_masks_value() {
         let field = Field::new("PAGE", 0, 5).unwrap();
         assert_eq!(field.insert(0, 0xFF), 0x1F);
-        assert_eq!(field.max_value(), 31);
+        assert_eq!(field.value_mask(), 31);
     }
 
     #[test]

@@ -10,12 +10,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of an execution platform, as reported by the mailbox's
 /// `PLATFORM` register. These are the six development platforms the paper
 /// lists in §1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PlatformId {
     /// The golden reference model — the software simulator supplied to the
     /// customer for software development.
@@ -85,7 +83,8 @@ impl PlatformId {
     /// Rough relative execution speed (instructions per wall-clock unit),
     /// used to model platform-dependent polling budgets. Gate-level
     /// simulation is orders of magnitude slower than silicon.
-    pub fn speed_class(self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn speed_class(self) -> u32 {
         match self {
             PlatformId::GateSim => 1,
             PlatformId::RtlSim => 10,
@@ -107,7 +106,7 @@ impl fmt::Display for PlatformId {
 /// every derivative — the mailbox belongs to the verification environment,
 /// not the chip — but tests still reach it through `Globals.inc` defines,
 /// as the methodology requires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mailbox {
     base: u32,
 }
@@ -178,7 +177,7 @@ impl Default for Mailbox {
 }
 
 /// Outcome reported by a test through the mailbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TestOutcome {
     /// The test wrote `PASS_MAGIC | detail`.
     Pass {

@@ -10,9 +10,12 @@
 //! same spec reports when run locally, as the CLI runs it.
 
 mod common;
+#[path = "common/harness.rs"]
+mod harness;
 use common::strip_perf;
+use harness::TempDir;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use advm::wire::JsonValue;
 use advm_serve::daemon::{Daemon, DaemonConfig};
@@ -20,33 +23,6 @@ use advm_serve::{JobSpec, JobState};
 use advm_soc::PlatformId;
 
 use proptest::prelude::*;
-
-/// Minimal self-cleaning temp dir (no external crate available).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(prefix: &str) -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "{prefix}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&path).expect("creating temp dir");
-        Self(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Writes the two-test PAGE preset to disk and returns its directory.
 fn env_on_disk() -> TempDir {
@@ -98,48 +74,7 @@ fn artifact_hits(done_line: &str) -> u64 {
 #[cfg(unix)]
 mod socket {
     use super::*;
-    use advm_serve::{Client, Server};
-
-    /// Binds a server on a fresh socket path and runs it on its own
-    /// thread; the returned guard shuts it down on drop.
-    struct RunningServer {
-        path: PathBuf,
-        handle: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl RunningServer {
-        fn start(config: DaemonConfig) -> Self {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            static NEXT: AtomicU64 = AtomicU64::new(0);
-            let path = std::env::temp_dir().join(format!(
-                "advm-e2e-{}-{}.sock",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let server = Server::bind(Daemon::start(config), &path).expect("binding test socket");
-            let handle = std::thread::spawn(move || server.run().expect("server run"));
-            Self {
-                path,
-                handle: Some(handle),
-            }
-        }
-
-        fn client(&self) -> Client {
-            Client::connect(&self.path).expect("connecting to test socket")
-        }
-    }
-
-    impl Drop for RunningServer {
-        fn drop(&mut self) {
-            if let Ok(mut client) = Client::connect(&self.path) {
-                let _ = client.shutdown();
-            }
-            if let Some(handle) = self.handle.take() {
-                let _ = handle.join();
-            }
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
+    use harness::RunningServer;
 
     /// The tentpole acceptance test: cold then warm identical regress
     /// jobs over the socket. The warm job's perf JSON shows nonzero
