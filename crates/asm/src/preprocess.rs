@@ -162,8 +162,10 @@ struct Macro {
     body: Vec<(Vec<Token>, Loc)>,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 struct CondFrame {
+    /// The `.IF`, `.IFDEF` or `.IFNDEF` line that opened the conditional.
+    opened: Loc,
     /// Whether the current branch emits lines.
     active: bool,
     /// Whether any branch of this conditional has been taken.
@@ -426,6 +428,7 @@ impl<'a> Preprocessor<'a> {
                                 false
                             };
                             self.conds.push(CondFrame {
+                                opened: loc,
                                 active: parent_active && cond,
                                 taken: cond,
                                 seen_else: false,
@@ -521,14 +524,15 @@ impl<'a> Preprocessor<'a> {
         Ok(None)
     }
 
-    /// Checks, at the end of the unit, that every conditional closed.
+    /// Checks, at the end of the unit, that every conditional closed; an
+    /// open one is reported at the line that opened the innermost.
     fn finish(&self, entry: &str) -> Result<(), AsmError> {
-        if self.conds.is_empty() {
-            Ok(())
-        } else {
-            Err(AsmError::general(format!(
-                "unterminated conditional at end of `{entry}` (missing .ENDIF)"
-            )))
+        match self.conds.last() {
+            None => Ok(()),
+            Some(frame) => Err(AsmError::at(
+                frame.opened.clone(),
+                format!("unterminated conditional at end of `{entry}` (missing .ENDIF)"),
+            )),
         }
     }
 
@@ -1005,6 +1009,20 @@ NOP
         assert!(run("t.asm", &[("t.asm", ".IF 1\nNOP\n")]).is_err());
         assert!(run("t.asm", &[("t.asm", ".ENDIF\n")]).is_err());
         assert!(run("t.asm", &[("t.asm", ".ELSE\n")]).is_err());
+        // An open conditional is reported where the innermost one
+        // opened, in whichever file that is.
+        let err = run(
+            "t.asm",
+            &[
+                ("t.asm", ".IF 1\n.INCLUDE g.inc\n"),
+                ("g.inc", "NOP\n.IFDEF X\n"),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "g.inc:2: unterminated conditional at end of `t.asm` (missing .ENDIF)"
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The experiment implementations, one module per paper artifact.
 
 pub mod ablation_wrappers;
-pub mod campaign_e2e;
 pub mod coverage;
 pub mod devcost;
 pub mod effort;
@@ -11,9 +10,7 @@ pub mod fig3_layout;
 pub mod fig4_system;
 pub mod fig6_spec_change;
 pub mod fig7_es_change;
-pub mod fuzz_gen;
 pub mod platforms;
 pub mod random_globals;
 pub mod release_labels;
 pub mod sim_throughput;
-pub mod snapshot_fork;

@@ -70,7 +70,7 @@ use advm_fuzz::TraceAssertion;
 
 use crate::artifacts::ArtifactStore;
 use crate::campaign::{
-    default_workers, json_string, on_workers, Campaign, CampaignError, CampaignObserver,
+    default_workers, distinct, json_string, on_workers, Campaign, CampaignError, CampaignObserver,
     CampaignPerf, CampaignReport, EventLog, InOrder, ObserverFactory,
 };
 use crate::env::ModuleTestEnv;
@@ -461,14 +461,16 @@ impl FaultAudit {
         self
     }
 
-    /// Replaces the fault list.
+    /// Replaces the fault list. A fault listed twice is audited once,
+    /// in its first position.
     pub fn faults(mut self, faults: impl IntoIterator<Item = PlatformFault>) -> Self {
         self.faults = faults.into_iter().collect();
         self
     }
 
     /// Replaces the audited platforms. The reference platform is never
-    /// faulted; it is filtered out if listed.
+    /// faulted; it is filtered out if listed. A platform listed twice is
+    /// audited once, in its first position.
     pub fn platforms(mut self, platforms: impl IntoIterator<Item = PlatformId>) -> Self {
         self.platforms = platforms.into_iter().collect();
         self
@@ -777,14 +779,11 @@ impl FaultAudit {
         if self.faults.is_empty() {
             return Err(AuditError::NoFaults);
         }
-        // Never fault the reference, and audit each platform once —
-        // duplicates would double matrix cells and kill counts.
-        let mut platforms: Vec<PlatformId> = Vec::new();
-        for &p in &self.platforms {
-            if p != REFERENCE && !platforms.contains(&p) {
-                platforms.push(p);
-            }
-        }
+        // Audit each fault and each platform once, in first-seen order,
+        // and never fault the reference: a repeat would double matrix
+        // cells and kill counts.
+        let faults = distinct(self.faults.iter().copied());
+        let platforms = distinct(self.platforms.iter().copied().filter(|&p| p != REFERENCE));
         if platforms.is_empty() {
             return Err(AuditError::NoPlatforms);
         }
@@ -810,8 +809,7 @@ impl FaultAudit {
         let mut perf = CampaignPerf::default();
         let suite_baseline = self.baseline(&self.suite, &[], &store)?;
         perf.absorb(suite_baseline.perf());
-        let grid: Vec<(PlatformFault, PlatformId)> = self
-            .faults
+        let grid: Vec<(PlatformFault, PlatformId)> = faults
             .iter()
             .flat_map(|&fault| platforms.iter().map(move |&platform| (fault, platform)))
             .collect();
@@ -895,7 +893,7 @@ impl FaultAudit {
         kill_counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         Ok(FaultAuditReport {
             platforms,
-            faults: self.faults.clone(),
+            faults,
             cells,
             suite_tests: self.suite.iter().map(|e| e.cells().len()).sum(),
             scenarios_generated,
@@ -1107,6 +1105,28 @@ _main:
             .unwrap();
         assert_eq!(report.platforms(), [PlatformId::RtlSim]);
         assert_eq!(report.cells().len(), 1, "one cell per distinct platform");
+
+        // A repeated fault is one matrix row, and its kills count once.
+        let repeated = FaultAudit::new()
+            .suite(tiny_suite())
+            .faults([
+                PlatformFault::PageActiveOffByOne,
+                PlatformFault::PageActiveOffByOne,
+            ])
+            .platforms([PlatformId::RtlSim])
+            .escape_rounds(0)
+            .workers(2)
+            .run()
+            .unwrap();
+        assert_eq!(repeated.faults(), [PlatformFault::PageActiveOffByOne]);
+        assert_eq!(repeated.cells().len(), 1, "one cell per distinct fault");
+        assert_eq!(repeated.kill_counts(), report.kill_counts());
+        assert_eq!(repeated.matrix().to_string(), report.matrix().to_string());
+        let json = repeated.to_json();
+        assert!(
+            json.contains("\"detected\":1,\"broken\":0,\"killed\":1,"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -142,6 +142,18 @@ pub(crate) fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
+/// `items` without repeats, each in its first position: the builders'
+/// platform and fault lists run each entry once.
+pub(crate) fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut out = Vec::new();
+    for item in items {
+        if !out.contains(&item) {
+            out.push(item);
+        }
+    }
+    out
+}
+
 /// One executed test run.
 #[derive(Debug, Clone)]
 pub struct TestRun {
@@ -602,6 +614,9 @@ pub enum CampaignError {
     NoEnvironments,
     /// The campaign has no target platforms.
     NoPlatforms,
+    /// Two hand-built environments share a name, so their runs would
+    /// merge into one report row.
+    DuplicateEnvName(String),
     /// A job failed to build. Execution failures are results, not
     /// errors; this is an assembler or link problem.
     Build {
@@ -621,6 +636,9 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::NoEnvironments => f.write_str("campaign has no environments"),
             CampaignError::NoPlatforms => f.write_str("campaign has no target platforms"),
+            CampaignError::DuplicateEnvName(name) => {
+                write!(f, "duplicate environment name `{name}`")
+            }
             CampaignError::Build {
                 env,
                 test_id,
@@ -1588,12 +1606,7 @@ impl Campaign {
     /// Replaces the target platforms (default: all six). A platform
     /// listed twice runs once, in its first position.
     pub fn platforms(mut self, platforms: impl IntoIterator<Item = PlatformId>) -> Self {
-        self.platforms.clear();
-        for platform in platforms {
-            if !self.platforms.contains(&platform) {
-                self.platforms.push(platform);
-            }
-        }
+        self.platforms = distinct(platforms);
         self
     }
 
@@ -1703,9 +1716,10 @@ impl Campaign {
     /// # Errors
     ///
     /// [`CampaignError::NoEnvironments`] / [`CampaignError::NoPlatforms`]
-    /// for an unrunnable plan, [`CampaignError::Build`] for the first
-    /// (in job order) assembler or link failure. Execution failures are
-    /// results, not errors.
+    /// for an unrunnable plan, [`CampaignError::DuplicateEnvName`] for two
+    /// hand-built environments of one name, [`CampaignError::Build`] for
+    /// the first (in job order) assembler or link failure. Execution
+    /// failures are results, not errors.
     pub fn run(self) -> Result<CampaignReport, CampaignError> {
         Ok(self.plan()?.build()?.execute().seal())
     }
@@ -1736,8 +1750,9 @@ impl Campaign {
     /// # Errors
     ///
     /// [`CampaignError::NoEnvironments`] / [`CampaignError::NoPlatforms`]
-    /// for an unrunnable plan, [`CampaignError::Build`] for a job whose
-    /// sources cannot be generated.
+    /// for an unrunnable plan, [`CampaignError::DuplicateEnvName`] for two
+    /// hand-built environments of one name, [`CampaignError::Build`] for
+    /// a job whose sources cannot be generated.
     pub(crate) fn plan(mut self) -> Result<Planned, CampaignError> {
         if self.envs.is_empty() && self.scenarios.is_empty() {
             return Err(CampaignError::NoEnvironments);
@@ -1747,15 +1762,21 @@ impl Campaign {
         }
         let started = Instant::now();
 
-        // Materialise generated scenarios into synthetic environments;
-        // their runs carry the scenario's provenance. Names are deduped
-        // against the hand-built envs and against each other — separately
-        // planned batches can mint the same engine names (`CR_000`, …),
-        // and a colliding env name would silently merge report cells.
+        // A report indexes runs by environment name, so two hand-built
+        // envs of one name would merge their cells: refuse them.
         let mut planned: Vec<(ModuleTestEnv, Option<Arc<ScenarioMeta>>)> =
             std::mem::take(&mut self.envs);
-        let mut used_names: std::collections::HashSet<String> =
-            planned.iter().map(|(e, _)| e.name().to_owned()).collect();
+        let mut used_names = std::collections::HashSet::new();
+        for (env, _) in &planned {
+            if !used_names.insert(env.name().to_owned()) {
+                return Err(CampaignError::DuplicateEnvName(env.name().to_owned()));
+            }
+        }
+        // Materialise generated scenarios into synthetic environments;
+        // their runs carry the scenario's provenance. Their names are
+        // deduped against the hand-built envs and against each other:
+        // separately planned batches can mint the same engine names
+        // (`CR_000`, …).
         for mut scenario in std::mem::take(&mut self.scenarios) {
             if used_names.contains(scenario.name()) {
                 let base = scenario.name().to_owned();
@@ -2911,6 +2932,23 @@ t_fail:
     }
 
     #[test]
+    fn repeated_env_names_are_rejected() {
+        // A passing and a failing env of one name would merge into one
+        // report row, with a false divergence between the platforms.
+        let err = Campaign::new()
+            .env(env(vec![passing_cell("TEST_A")]))
+            .env(env(vec![failing_cell("TEST_A")]))
+            .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, CampaignError::DuplicateEnvName(name) if name == "PAGE"),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "duplicate environment name `PAGE`");
+    }
+
+    #[test]
     fn scenario_campaign_carries_provenance() {
         use advm_gen::{ConstrainedRandom, GlobalsConstraints, ScenarioEngine};
         let plan = ScenarioEngine::new(11)
@@ -3153,6 +3191,23 @@ t_fail:
         }
     }
 
+    /// `envs` renamed `<name>_<index>`, so that one campaign can plan a
+    /// suite under several configurations: it refuses two environments
+    /// of one name. Content keys ignore the comment line that carries
+    /// the name.
+    fn numbered(envs: impl IntoIterator<Item = ModuleTestEnv>) -> Vec<ModuleTestEnv> {
+        envs.into_iter()
+            .enumerate()
+            .map(|(i, env)| {
+                ModuleTestEnv::new(
+                    format!("{}_{i}", env.name()),
+                    env.config(),
+                    env.cells().to_vec(),
+                )
+            })
+            .collect()
+    }
+
     /// Plans `campaign` and checks every job's content key, and the
     /// plan's hit and build counts, against [`CellFingerprint`] run on
     /// the job's own re-targeted sources. Returns the number of jobs.
@@ -3191,7 +3246,7 @@ t_fail:
             }
         }
         let cells: usize = standard.iter().map(|e| e.cells().len()).sum();
-        let jobs = assert_keys_match_reference(Campaign::new().envs(standard));
+        let jobs = assert_keys_match_reference(Campaign::new().envs(numbered(standard)));
         assert_eq!(jobs, cells * PlatformId::ALL.len());
 
         // Scenario envs pin `Stimulus` extras; one extra shares its name
@@ -3335,7 +3390,7 @@ t_fail:
         }
         let cells: usize = standard.iter().map(|e| e.cells().len()).sum();
         assert_eq!(
-            assert_resumed_units_match_whole_units(Campaign::new().envs(standard)),
+            assert_resumed_units_match_whole_units(Campaign::new().envs(numbered(standard))),
             cells * PlatformId::ALL.len()
         );
 
@@ -3373,11 +3428,13 @@ t_fail:
     #[test]
     fn frame_checkpoints_count_the_contexts_a_campaign_builds() {
         let envs = || {
-            [DerivativeId::Sc88A, DerivativeId::Sc88C]
-                .into_iter()
-                .flat_map(|d| {
-                    crate::presets::standard_system(EnvConfig::new(d, PlatformId::GoldenModel))
-                })
+            numbered(
+                [DerivativeId::Sc88A, DerivativeId::Sc88C]
+                    .into_iter()
+                    .flat_map(|d| {
+                        crate::presets::standard_system(EnvConfig::new(d, PlatformId::GoldenModel))
+                    }),
+            )
         };
         // One checkpoint per distinct (library, `Globals.inc`) among the
         // jobs that assemble an image: the first job of each content key.

@@ -501,9 +501,10 @@ impl Exploration {
         self
     }
 
-    /// Replaces the target platforms.
+    /// Replaces the target platforms. A platform listed twice runs
+    /// once, in its first position.
     pub fn platforms(mut self, platforms: impl IntoIterator<Item = PlatformId>) -> Self {
-        self.platforms = platforms.into_iter().collect();
+        self.platforms = crate::campaign::distinct(platforms);
         self
     }
 
@@ -778,6 +779,31 @@ mod tests {
         for pair in report.rounds().windows(2) {
             assert!(pair[1].register_coverage >= pair[0].register_coverage - 1e-9);
         }
+    }
+
+    #[test]
+    fn repeated_platforms_are_explored_and_listed_once() {
+        let report = Exploration::new()
+            .rounds(1)
+            .batch(1)
+            .platforms([
+                PlatformId::RtlSim,
+                PlatformId::GoldenModel,
+                PlatformId::RtlSim,
+            ])
+            .workers(2)
+            .run()
+            .unwrap();
+        assert_eq!(
+            report.platforms(),
+            [PlatformId::RtlSim, PlatformId::GoldenModel]
+        );
+        assert_eq!(report.rounds()[0].campaign.platforms(), report.platforms());
+        let json = report.to_json();
+        assert!(
+            json.contains("\"platforms\":[\"rtl\",\"golden\"]"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ mod harness;
 use std::path::Path;
 
 use advm::env::EnvConfig;
+use advm::wire::JsonValue;
 use advm_serve::JobSpec;
 use advm_soc::{DerivativeId, PlatformId};
 use harness::TempDir;
@@ -47,6 +48,106 @@ fn strip_timings(text: &str) -> String {
     out
 }
 
+/// The first value where `actual` departs from `golden`, as
+/// `path: golden X, actual Y`, or `None` when the two are equal.
+fn value_difference(path: &str, golden: &JsonValue, actual: &JsonValue) -> Option<String> {
+    let at = |key: &str| match path {
+        "" => key.to_owned(),
+        _ => format!("{path}.{key}"),
+    };
+    let here = |what: String| match path {
+        "" => Some(what),
+        _ => Some(format!("{path}: {what}")),
+    };
+    match (golden, actual) {
+        (JsonValue::Object(pairs), JsonValue::Object(others)) => {
+            for (key, value) in pairs {
+                let found = match actual.get(key) {
+                    Some(other) => value_difference(&at(key), value, other),
+                    None => Some(format!(
+                        "{}: golden {}, actual absent",
+                        at(key),
+                        value.to_json()
+                    )),
+                };
+                if found.is_some() {
+                    return found;
+                }
+            }
+            if let Some((key, other)) = others.iter().find(|(key, _)| golden.get(key).is_none()) {
+                return Some(format!(
+                    "{}: golden absent, actual {}",
+                    at(key),
+                    other.to_json()
+                ));
+            }
+            let keys = |pairs: &[(String, JsonValue)]| -> Vec<String> {
+                pairs.iter().map(|(key, _)| key.clone()).collect()
+            };
+            let (order, other_order) = (keys(pairs), keys(others));
+            if order != other_order {
+                return here(format!(
+                    "key order: golden {order:?}, actual {other_order:?}"
+                ));
+            }
+            None
+        }
+        (JsonValue::Array(items), JsonValue::Array(others)) => {
+            let found = items
+                .iter()
+                .zip(others)
+                .enumerate()
+                .find_map(|(i, (item, other))| {
+                    value_difference(&format!("{path}[{i}]"), item, other)
+                });
+            if found.is_none() && items.len() != others.len() {
+                return here(format!(
+                    "golden {} items, actual {}",
+                    items.len(),
+                    others.len()
+                ));
+            }
+            found
+        }
+        _ if golden == actual => None,
+        _ => here(format!(
+            "golden {}, actual {}",
+            golden.to_json(),
+            actual.to_json()
+        )),
+    }
+}
+
+/// Where `actual` first departs from `expected`, compared line by line
+/// (a report is one line, a served stream one line per event) and named
+/// by its JSON path, as in `perf.forked_runs: golden 414, actual 0`.
+fn first_difference(expected: &str, actual: &str) -> String {
+    let golden: Vec<&str> = expected.lines().collect();
+    let lines: Vec<&str> = actual.lines().collect();
+    let Some(i) = (0..golden.len().max(lines.len())).find(|&i| golden.get(i) != lines.get(i))
+    else {
+        return "line breaks differ".to_owned();
+    };
+    let place = if golden.len().max(lines.len()) > 1 {
+        format!("line {}: ", i + 1)
+    } else {
+        String::new()
+    };
+    let (Some(golden_line), Some(line)) = (golden.get(i), lines.get(i)) else {
+        return format!(
+            "{place}golden has {} lines, actual {}",
+            golden.len(),
+            lines.len()
+        );
+    };
+    let found = match (JsonValue::parse(golden_line), JsonValue::parse(line)) {
+        (Ok(golden_value), Ok(value)) => value_difference("", &golden_value, &value)
+            .unwrap_or_else(|| "equal values, written differently".to_owned()),
+        (Err(e), _) | (_, Err(e)) => format!("not JSON: {e}"),
+    };
+    format!("{place}{found}")
+}
+
 /// Compares `actual` with `tests/golden/reports/<name>`, or rewrites the
 /// file when `UPDATE_GOLDEN` is set.
 fn check(name: &str, actual: &str) {
@@ -62,8 +163,9 @@ fn check(name: &str, actual: &str) {
         .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
     assert!(
         actual == expected,
-        "{name} moved; if the change is intended, rerun with UPDATE_GOLDEN=1 \
-         and name the golden in CHANGES.md\n  golden: {expected}\n  actual: {actual}"
+        "{name} moved at {}; if the change is intended, rerun with UPDATE_GOLDEN=1 \
+         and name the golden in CHANGES.md\n  golden: {expected}\n  actual: {actual}",
+        first_difference(&expected, actual)
     );
 }
 
@@ -185,6 +287,40 @@ fn served_regress_watch_stream() {
     stream.push_str(&done);
     stream.push('\n');
     check("served_regress_watch.ndjson", &strip_timings(&stream));
+}
+
+#[test]
+fn a_mismatch_names_the_first_value_that_moved() {
+    let golden = "{\"perf\":{\"instructions\":7,\"forked_runs\":414},\"tests\":[\"A\",\"B\"]}";
+    let moved = |actual: &str| first_difference(golden, actual);
+    assert_eq!(
+        moved("{\"perf\":{\"instructions\":7,\"forked_runs\":0},\"tests\":[\"A\",\"B\"]}"),
+        "perf.forked_runs: golden 414, actual 0"
+    );
+    assert_eq!(
+        moved("{\"perf\":{\"instructions\":7,\"forked_runs\":414},\"tests\":[\"A\"]}"),
+        "tests: golden 2 items, actual 1"
+    );
+    assert_eq!(
+        moved("{\"perf\":{\"instructions\":7},\"tests\":[\"A\",\"C\"]}"),
+        "perf.forked_runs: golden 414, actual absent"
+    );
+    assert_eq!(
+        moved("{\"tests\":[\"A\",\"B\"],\"perf\":{\"instructions\":7,\"forked_runs\":414}}"),
+        "key order: golden [\"perf\", \"tests\"], actual [\"tests\", \"perf\"]"
+    );
+    // A stream is compared line by line.
+    assert_eq!(
+        first_difference(
+            "{\"ok\":true}\n{\"seq\":0}\n",
+            "{\"ok\":true}\n{\"seq\":1}\n"
+        ),
+        "line 2: seq: golden 0, actual 1"
+    );
+    assert_eq!(
+        first_difference("{\"ok\":true}\n{\"seq\":0}\n", "{\"ok\":true}\n"),
+        "line 2: golden has 2 lines, actual 1"
+    );
 }
 
 #[test]
