@@ -416,49 +416,7 @@ impl<'a> Preprocessor<'a> {
                     CachedLine::Tokens(t) => t.clone(),
                 };
 
-                // Conditional directives are processed even when inactive so
-                // nesting stays balanced.
-                if let Some(Token::Directive(d)) = tokens.first() {
-                    match d.as_str() {
-                        ".IF" | ".IFDEF" | ".IFNDEF" => {
-                            let parent_active = self.active();
-                            let cond = if parent_active {
-                                self.eval_condition(d, &tokens[1..], &loc)?
-                            } else {
-                                false
-                            };
-                            self.conds.push(CondFrame {
-                                opened: loc,
-                                active: parent_active && cond,
-                                taken: cond,
-                                seen_else: false,
-                            });
-                            continue;
-                        }
-                        ".ELSE" => {
-                            let parent_active = self.conds.iter().rev().skip(1).all(|c| c.active);
-                            let frame = self.conds.last_mut().ok_or_else(|| {
-                                AsmError::at(loc.clone(), ".ELSE without matching .IF")
-                            })?;
-                            if frame.seen_else {
-                                return Err(AsmError::at(loc, "duplicate .ELSE"));
-                            }
-                            frame.seen_else = true;
-                            frame.active = parent_active && !frame.taken;
-                            frame.taken = true;
-                            continue;
-                        }
-                        ".ENDIF" => {
-                            self.conds.pop().ok_or_else(|| {
-                                AsmError::at(loc.clone(), ".ENDIF without matching .IF")
-                            })?;
-                            continue;
-                        }
-                        _ => {}
-                    }
-                }
-
-                if !self.active() {
+                if self.conditional(&tokens, &loc, 0)? || !self.active() {
                     continue;
                 }
 
@@ -522,6 +480,52 @@ impl<'a> Preprocessor<'a> {
             }
         }
         Ok(None)
+    }
+
+    /// Applies one line to the conditional stack if it is an `.IF`,
+    /// `.IFDEF`, `.IFNDEF`, `.ELSE` or `.ENDIF`, and returns whether it
+    /// was. Conditionals are tracked in inactive branches too, so nesting
+    /// stays balanced. The frames below `floor` belong to the enclosing
+    /// text (the file around a macro body), so an `.ELSE` or `.ENDIF`
+    /// here cannot close them.
+    fn conditional(&mut self, tokens: &[Token], loc: &Loc, floor: usize) -> Result<bool, AsmError> {
+        let Some(Token::Directive(d)) = tokens.first() else {
+            return Ok(false);
+        };
+        let unmatched = || AsmError::at(loc.clone(), format!("{d} without matching .IF"));
+        match d.as_str() {
+            ".IF" | ".IFDEF" | ".IFNDEF" => {
+                let parent_active = self.active();
+                let cond = parent_active && self.eval_condition(d, &tokens[1..], loc)?;
+                self.conds.push(CondFrame {
+                    opened: loc.clone(),
+                    active: cond,
+                    taken: cond,
+                    seen_else: false,
+                });
+            }
+            ".ELSE" => {
+                if self.conds.len() <= floor {
+                    return Err(unmatched());
+                }
+                let parent_active = self.conds.iter().rev().skip(1).all(|c| c.active);
+                let frame = self.conds.last_mut().ok_or_else(unmatched)?;
+                if frame.seen_else {
+                    return Err(AsmError::at(loc.clone(), "duplicate .ELSE"));
+                }
+                frame.seen_else = true;
+                frame.active = parent_active && !frame.taken;
+                frame.taken = true;
+            }
+            ".ENDIF" => {
+                if self.conds.len() <= floor {
+                    return Err(unmatched());
+                }
+                self.conds.pop();
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Checks, at the end of the unit, that every conditional closed; an
@@ -687,10 +691,22 @@ impl<'a> Preprocessor<'a> {
                 (out, loc.clone())
             })
             .collect();
+        // The body's conditionals are evaluated per call, on the
+        // substituted lines, and must close inside the body.
+        let floor = self.conds.len();
         for (tokens, loc) in body {
+            if self.conditional(&tokens, &loc, floor)? || !self.active() {
+                continue;
+            }
             self.process_line(tokens, loc, depth + 1)?;
         }
-        Ok(())
+        match self.conds.get(floor..).and_then(<[CondFrame]>::last) {
+            Some(open) => Err(AsmError::at(
+                open.opened.clone(),
+                format!("unterminated conditional in macro `{name}` (missing .ENDIF)"),
+            )),
+            None => Ok(()),
+        }
     }
 
     fn substitute_aliases(&self, tokens: Vec<Token>) -> Vec<Token> {

@@ -390,6 +390,58 @@ _main:
     );
 }
 
+/// Bytes the program emits, over all its segments.
+fn emitted(program: &advm_asm::Program) -> usize {
+    program.segments().iter().map(|s| s.bytes().len()).sum()
+}
+
+#[test]
+fn macro_bodies_take_conditionals() {
+    // A guard rail whose branch is off emits nothing and fires nothing.
+    let guard = assemble_str(".MACRO GUARD\n.IF 0\n.ERROR \"x\"\n.ENDIF\n.ENDM\nGUARD\n").unwrap();
+    assert_eq!(emitted(&guard), 0);
+    let pad = assemble_str(".MACRO PAD\n.IF 1\n    NOP\n.ENDIF\n.ENDM\nPAD\n").unwrap();
+    assert_eq!(decode_all(&pad), [Insn::Nop]);
+
+    // A body's `.IF` sees the call's argument, so each call picks its
+    // own branch.
+    let pick = assemble_str(
+        "\
+.MACRO PICK n
+.IF n == 1
+    NOP
+.ELSE
+    MOVI d0, #n
+.ENDIF
+.ENDM
+    PICK 1
+    PICK 2
+    PICK 1
+",
+    )
+    .unwrap();
+    let two = Insn::MovI {
+        rd: DataReg::D0,
+        imm: 2,
+    };
+    assert_eq!(decode_all(&pick), [Insn::Nop, two, Insn::Nop]);
+}
+
+#[test]
+fn a_macro_body_closes_its_own_conditionals() {
+    // An `.IF` the body leaves open is named where it opened.
+    let err = assemble_str("NOP\n.MACRO OPEN\n.IF 1\n    NOP\n.ENDM\n    OPEN\n").unwrap_err();
+    assert_eq!(err.loc().unwrap().line, 3, "{err}");
+    assert!(err.message().contains("macro `OPEN`"), "{err}");
+    // A body's `.ENDIF` cannot close the conditional around its call.
+    let err = assemble_str(".MACRO SHUT\n.ENDIF\n.ENDM\n.IF 1\n    SHUT\n.ENDIF\n").unwrap_err();
+    assert_eq!(err.loc().unwrap().line, 2, "{err}");
+    assert!(
+        err.message().contains(".ENDIF without matching .IF"),
+        "{err}"
+    );
+}
+
 #[test]
 fn duplicate_label_rejected() {
     let err = assemble_str("x:\nNOP\nx:\nNOP\n").unwrap_err();

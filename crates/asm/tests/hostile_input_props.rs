@@ -126,14 +126,15 @@ const STATEMENTS: [&str; 11] = [
 
 /// Renders one file of a directive unit from `(kind, x, y)` ops. An op
 /// opens a block (a conditional, or a macro definition with up to two
-/// parameters), closes the innermost open block, adds an `.ELSE` to the
-/// innermost conditional, or emits one line: an `.EQU` (chained,
-/// self-referential, or guarded by `.IFNDEF`), a `.DEFINE` (aliasing a
-/// symbol, itself, or nothing), a macro call with zero to three
-/// arguments, a statement, an `.ERROR` inside a block, an `.INCLUDE`, or
-/// rarely a stray `.ELSE`/`.ENDIF`/`.ENDM`. When `close` is set, the
-/// blocks still open at the end are closed, so nested well-formed blocks
-/// are common; otherwise they stay open.
+/// parameters; a conditional inside a macro body may test a parameter,
+/// which each call binds), closes the innermost open block, adds an
+/// `.ELSE` to the innermost conditional, or emits one line: an `.EQU`
+/// (chained, self-referential, or guarded by `.IFNDEF`), a `.DEFINE`
+/// (aliasing a symbol, itself, or nothing), a macro call with zero to
+/// three arguments, a statement, an `.ERROR` inside a block, an
+/// `.INCLUDE`, or rarely a stray `.ELSE`/`.ENDIF`/`.ENDM`. When `close`
+/// is set, the blocks still open at the end are closed, so nested
+/// well-formed blocks are common; otherwise they stay open.
 fn directive_file(ops: &[(u8, u8, u8)], close: bool) -> String {
     let mut open: Vec<&str> = Vec::new();
     let mut text = String::new();
@@ -143,6 +144,11 @@ fn directive_file(ops: &[(u8, u8, u8)], close: bool) -> String {
         let other = SYMBOLS[y % SYMBOLS.len()];
         let line = match kind % 20 {
             0..=3 => {
+                let sym = if open.contains(&".ENDM") && x & 8 != 0 {
+                    PARAMS[x % 2]
+                } else {
+                    sym
+                };
                 open.push(".ENDIF");
                 match y % 10 {
                     0..=2 => format!(".IF {sym} == {}", y % 3),

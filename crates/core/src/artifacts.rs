@@ -213,16 +213,6 @@ impl ArtifactStore {
         )
     }
 
-    /// Image slots currently resident.
-    pub fn len(&self) -> usize {
-        self.images.lock().map.len()
-    }
-
-    /// Whether no image slot is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The image slot for one content key: present slots are returned
     /// with `true` (a cross-campaign hit — the artifact, or at least
     /// its in-flight build, is reused), fresh ones with `false`.

@@ -26,12 +26,14 @@
 //! kill counts, the escape list and a JSON rendering; `advm-cli audit`
 //! is a thin veneer over it.
 //!
-//! The reference runs each stimulus set once, as one campaign on
-//! [`FaultAudit::workers`] threads. The cells then share a pool of as
-//! many threads: each thread claims the next cell in fault-major order,
-//! runs that cell's campaign on its own (or, when a round has fewer
-//! cells than workers, on an even share of them), and classifies it
-//! against the baseline at once. Observers see each internal campaign's
+//! The audit's run knobs (workers, fuel, checkers, store, observer
+//! factory) live in one [`Campaign`] that every internal campaign is
+//! cloned from. The reference runs each stimulus set once, as one
+//! campaign on [`FaultAudit::workers`] threads. The cells then share a
+//! pool of as many threads: each thread claims the next cell in
+//! fault-major order, runs that cell's campaign on its own (or, when a
+//! round has fewer cells than workers, on an even share of them), and
+//! classifies it against the baseline at once. Observers see each internal campaign's
 //! events in one unbroken run, in sweep order, at any thread count.
 //! Every campaign of a run shares one [`ArtifactStore`] (the attached
 //! one, else a fresh default store), so each (test, platform) image is
@@ -70,8 +72,8 @@ use advm_fuzz::TraceAssertion;
 
 use crate::artifacts::ArtifactStore;
 use crate::campaign::{
-    default_workers, distinct, json_string, on_workers, Campaign, CampaignError, CampaignObserver,
-    CampaignPerf, CampaignReport, EventLog, InOrder, ObserverFactory,
+    distinct, json_string, on_workers, Campaign, CampaignError, CampaignPerf, CampaignReport,
+    EventLog, InOrder, ObserverFactory,
 };
 use crate::env::ModuleTestEnv;
 use crate::presets;
@@ -141,7 +143,7 @@ pub enum CellOutcome {
 
 impl CellOutcome {
     /// Stable machine-readable label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CellOutcome::Detected { .. } => "detected",
             CellOutcome::Masked => "masked",
@@ -174,12 +176,6 @@ pub struct FaultAuditReport {
 }
 
 impl FaultAuditReport {
-    /// The reference platform every campaign compared against: the
-    /// golden model.
-    pub fn reference(&self) -> PlatformId {
-        REFERENCE
-    }
-
     /// The audited (faulted) platforms, in matrix column order.
     pub fn platforms(&self) -> &[PlatformId] {
         &self.platforms
@@ -216,7 +212,7 @@ impl FaultAuditReport {
     }
 
     /// Looks up one cell.
-    pub fn cell(&self, fault: PlatformFault, platform: PlatformId) -> Option<&AuditCell> {
+    pub(crate) fn cell(&self, fault: PlatformFault, platform: PlatformId) -> Option<&AuditCell> {
         self.cells
             .iter()
             .find(|c| c.fault == fault && c.platform == platform)
@@ -397,37 +393,19 @@ impl fmt::Display for FaultAuditReport {
 /// whole [`PlatformFault::ALL`] catalog, the RTL simulation as the
 /// audited platform, the golden model as reference, one escape-driven
 /// round of 8 scenarios.
-#[derive(Clone)]
+///
+/// The run knobs (workers, fuel, checkers, store, observer factory) live
+/// in one [`Campaign`] that every baseline and cell campaign is cloned
+/// from.
+#[derive(Clone, Debug)]
 pub struct FaultAudit {
+    campaign: Campaign,
     suite: Vec<ModuleTestEnv>,
     faults: Vec<PlatformFault>,
     platforms: Vec<PlatformId>,
     scenarios: usize,
     escape_rounds: usize,
     seed: u64,
-    workers: usize,
-    fuel: u64,
-    checkers: Vec<TraceAssertion>,
-    artifact_store: Option<Arc<ArtifactStore>>,
-    observer_factory: Option<ObserverFactory>,
-}
-
-impl std::fmt::Debug for FaultAudit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultAudit")
-            .field("suite", &self.suite.len())
-            .field("faults", &self.faults)
-            .field("platforms", &self.platforms)
-            .field("scenarios", &self.scenarios)
-            .field("escape_rounds", &self.escape_rounds)
-            .field("seed", &self.seed)
-            .field("workers", &self.workers)
-            .field("fuel", &self.fuel)
-            .field("checkers", &self.checkers.len())
-            .field("artifact_store", &self.artifact_store.is_some())
-            .field("observer_factory", &self.observer_factory.is_some())
-            .finish()
-    }
 }
 
 impl Default for FaultAudit {
@@ -441,17 +419,13 @@ impl FaultAudit {
     /// catalog.
     pub fn new() -> Self {
         Self {
+            campaign: Campaign::new(),
             suite: presets::standard_system(presets::default_config()),
             faults: PlatformFault::ALL.to_vec(),
             platforms: vec![PlatformId::RtlSim],
             scenarios: 8,
             escape_rounds: 1,
             seed: 0xFA017,
-            workers: default_workers(),
-            fuel: advm_sim::DEFAULT_FUEL,
-            checkers: Vec::new(),
-            artifact_store: None,
-            observer_factory: None,
         }
     }
 
@@ -505,7 +479,7 @@ impl FaultAudit {
     /// on its thread alone, or, in a round with fewer cells than
     /// workers, on an even share of the workers.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.campaign = self.campaign.workers(workers);
         self
     }
 
@@ -513,7 +487,7 @@ impl FaultAudit {
     /// (stuck-busy polling) burn the whole budget on the faulted
     /// platform, so audits over large suites may want a smaller one.
     pub fn fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
+        self.campaign = self.campaign.fuel(fuel);
         self
     }
 
@@ -529,7 +503,7 @@ impl FaultAudit {
     /// monitor); classifications that do not depend on checkers are
     /// unchanged.
     pub fn checkers(mut self, checkers: impl IntoIterator<Item = TraceAssertion>) -> Self {
-        self.checkers = checkers.into_iter().collect();
+        self.campaign = self.campaign.checkers(checkers);
         self
     }
 
@@ -544,7 +518,7 @@ impl FaultAudit {
     /// provably can forks from its snapshot. Detection matrices and kill
     /// counts are identical with any store; only the perf block differs.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
-        self.artifact_store = Some(store);
+        self.campaign = self.campaign.artifact_store(store);
         self
     }
 
@@ -557,53 +531,33 @@ impl FaultAudit {
     /// [`FaultAudit::workers`] count but for each campaign's
     /// `started.workers`.
     pub fn observe_with(mut self, factory: ObserverFactory) -> Self {
-        self.observer_factory = Some(factory);
+        self.campaign = self.campaign.observe_with(factory);
         self
     }
 
-    /// One internal campaign over a stimulus set on `workers` workers,
-    /// on the run's `store`. With no `cell` it is the fault-free
-    /// reference baseline, run once and shared by every cell of the
-    /// sweep. With a `(fault, platform)` cell it runs on the faulted
-    /// platform only.
+    /// One internal campaign over a stimulus set, cloned from the
+    /// audit's campaign onto the run's `store`. With no `cell` it is the
+    /// fault-free reference baseline, run once and shared by every cell
+    /// of the sweep, on [`FaultAudit::workers`] workers, its events
+    /// streaming live. With a `(fault, platform)` cell it runs on the
+    /// faulted platform only.
     fn campaign(
         &self,
         cell: Option<(PlatformFault, PlatformId)>,
-        workers: usize,
         envs: &[ModuleTestEnv],
         scenarios: &[Scenario],
         store: &Arc<ArtifactStore>,
     ) -> Campaign {
-        let mut campaign = Campaign::new()
+        let campaign = self
+            .campaign
+            .clone()
             .envs(envs.iter().cloned())
             .scenarios(scenarios.iter().cloned())
-            .workers(workers)
-            .fuel(self.fuel)
             .artifact_store(Arc::clone(store));
-        campaign = match cell {
+        match cell {
             None => campaign.platform(REFERENCE),
             Some((fault, platform)) => campaign.platform(platform).fault(platform, fault),
-        };
-        if !self.checkers.is_empty() {
-            campaign = campaign.checkers(self.checkers.iter().copied());
         }
-        campaign
-    }
-
-    /// Runs the reference baseline for a stimulus set on
-    /// [`FaultAudit::workers`] workers, its events streaming live to a
-    /// fresh observer.
-    fn baseline(
-        &self,
-        envs: &[ModuleTestEnv],
-        scenarios: &[Scenario],
-        store: &Arc<ArtifactStore>,
-    ) -> Result<CampaignReport, CampaignError> {
-        let mut campaign = self.campaign(None, self.workers, envs, scenarios, store);
-        if let Some(factory) = &self.observer_factory {
-            campaign = campaign.observe(factory());
-        }
-        campaign.run()
     }
 
     /// The workers the campaign of cell `index` of `cells` runs on: an
@@ -612,7 +566,8 @@ impl FaultAudit {
     /// than workers thus keeps every worker busy, while a larger round
     /// runs each cell on its sweep thread alone.
     fn share(&self, index: usize, cells: usize) -> usize {
-        (self.workers / cells + usize::from(index < self.workers % cells)).max(1)
+        let workers = self.campaign.workers;
+        (workers / cells + usize::from(index < workers % cells)).max(1)
     }
 
     /// Runs the campaigns of `cells` on up to [`FaultAudit::workers`]
@@ -649,7 +604,8 @@ impl FaultAudit {
         // Each finished cell's events and whether it failed, forwarded
         // in cell order while the flag holds: up to the first failure.
         let forward = Mutex::new((InOrder::new(cells.len()), true));
-        on_workers(self.workers.min(cells.len()), || loop {
+        let factory = &self.campaign.observer_factory;
+        on_workers(self.campaign.workers.min(cells.len()), || loop {
             let (index, platform, planned, log) = {
                 let mut next = claim.lock();
                 let index = *next;
@@ -657,12 +613,16 @@ impl FaultAudit {
                     break;
                 };
                 *next += 1;
-                let workers = self.share(index, cells.len());
-                let mut campaign =
-                    self.campaign(Some((fault, platform)), workers, envs, scenarios, store);
-                let log = self.observer_factory.is_some().then(EventLog::new);
+                let mut campaign = self
+                    .campaign(Some((fault, platform)), envs, scenarios, store)
+                    .workers(self.share(index, cells.len()));
+                // The cell's events wait in a log until every earlier
+                // cell's have gone out.
+                let log = factory.is_some().then(EventLog::new);
                 if let Some(log) = &log {
-                    campaign = campaign.observe(log.clone());
+                    let log = log.clone();
+                    campaign =
+                        campaign.observe_with(Arc::new(move || Box::new(log.clone()) as Box<_>));
                 }
                 (index, platform, campaign.plan(), log)
             };
@@ -677,7 +637,7 @@ impl FaultAudit {
             if result.is_err() {
                 *claim.lock() = cells.len();
             }
-            if let (Some(log), Some(factory)) = (log, &self.observer_factory) {
+            if let (Some(log), Some(factory)) = (log, factory) {
                 let mut forward = forward.lock();
                 let (batches, open) = &mut *forward;
                 for (batch, failed) in batches.deposit(index, (log.events(), result.is_err())) {
@@ -801,13 +761,13 @@ impl FaultAudit {
         // One store for every campaign of the run: the matrix re-runs
         // each (test, platform) image under every fault, so each image
         // is built, and its fault-free prefix run, once.
-        let store = self.artifact_store.clone().unwrap_or_default();
+        let store = self.campaign.artifact_store.clone().unwrap_or_default();
 
         // Round 1: the seed suite against every (fault, platform) cell.
         // The reference runs the suite exactly once; each cell simulates
         // only its faulted platform and compares against that baseline.
         let mut perf = CampaignPerf::default();
-        let suite_baseline = self.baseline(&self.suite, &[], &store)?;
+        let suite_baseline = self.campaign(None, &self.suite, &[], &store).run()?;
         perf.absorb(suite_baseline.perf());
         let grid: Vec<(PlatformFault, PlatformId)> = faults
             .iter()
@@ -863,7 +823,7 @@ impl FaultAudit {
                 .batch(self.scenarios)
                 .plan()?;
             scenarios_generated += plan.len();
-            let scenario_baseline = self.baseline(&[], plan.scenarios(), &store)?;
+            let scenario_baseline = self.campaign(None, &[], plan.scenarios(), &store).run()?;
             perf.absorb(scenario_baseline.perf());
             let targets: Vec<(PlatformFault, PlatformId)> = escaped
                 .iter()
@@ -905,7 +865,7 @@ impl FaultAudit {
 
 #[cfg(test)]
 mod tests {
-    use crate::campaign::CampaignEvent;
+    use crate::campaign::{CampaignEvent, CampaignObserver};
     use crate::env::EnvConfig;
     use crate::wire::JsonValue;
 

@@ -42,7 +42,7 @@ impl fmt::Display for BaseFuncsStyle {
 
 impl BaseFuncsStyle {
     /// Parses the style from its `ENV_CONFIG.TXT` representation.
-    pub fn parse(text: &str) -> Option<Self> {
+    pub(crate) fn parse(text: &str) -> Option<Self> {
         match text {
             "v1-only" => Some(BaseFuncsStyle::V1Only),
             "version-aware" => Some(BaseFuncsStyle::VersionAware),

@@ -44,8 +44,16 @@
 //!   whose images all come from the cache or an artifact store builds no
 //!   checkpoint ([`CampaignPerf::frame_checkpoints`]).
 //! * **Event streaming.** Typed [`CampaignEvent`]s (job started / built /
-//!   finished, planned cache hits, divergences) stream to pluggable
-//!   [`CampaignObserver`]s while the campaign runs.
+//!   finished, planned cache hits, divergences) stream, while the
+//!   campaign runs, to the [`CampaignObserver`] its [`ObserverFactory`]
+//!   builds when it plans.
+//! * **One options type.** A campaign is `Clone`, factory included.
+//!   [`FaultAudit`](crate::audit::FaultAudit),
+//!   [`Exploration`](crate::stimulus::Exploration) and
+//!   [`Fuzz`](crate::fuzz::Fuzz) each hold one campaign carrying their
+//!   run knobs (workers, fuel, checkers, store, observer factory and,
+//!   where they take them, platforms and a fault) and clone every
+//!   internal campaign from it.
 //! * **Indexed report.** [`CampaignReport`] pre-indexes runs by test and
 //!   platform, so [`CampaignReport::matrix`] and
 //!   [`CampaignReport::divergences`] are lookups, not rescans.
@@ -103,14 +111,15 @@ use crate::build::{es_rom_source, link_programs, unit_sources, UNIT_FILE};
 use crate::env::{EnvConfig, ModuleTestEnv, BASE_FUNCTIONS_FILE, GLOBALS_FILE, TEST_SOURCE_FILE};
 use crate::prefix::PrefixEntry;
 
-/// Default capacity of the per-run MMIO monitor armed when a campaign
-/// carries mined checkers (see [`Campaign::checkers`]).
+/// Capacity of the per-run MMIO monitor every mining run and every run
+/// of a campaign carrying checkers (see [`Campaign::checkers`]) arms.
 ///
 /// Mining and checking must observe traffic through rings of the *same*
 /// capacity: a truncation-aware temporal checker skips windows that
 /// precede the ring's oldest retained record, so equal capacities make
 /// "zero spurious violations on the mining inputs" a guarantee rather
-/// than a heuristic.
+/// than a heuristic. Checkers on rings that truncate (down to capacity
+/// 0, which retains nothing) are tested in `advm_fuzz::assert`.
 pub const DEFAULT_MONITOR_CAPACITY: usize = 4096;
 
 /// One mined-checker violation: a run whose MMIO trace broke a
@@ -264,25 +273,11 @@ pub enum CampaignEvent {
 }
 
 impl CampaignEvent {
-    /// The event's wire-format tag (the `"type"` field of its JSON
-    /// form).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CampaignEvent::Started { .. } => "started",
-            CampaignEvent::JobStarted { .. } => "job_started",
-            CampaignEvent::JobBuilt { .. } => "job_built",
-            CampaignEvent::JobFinished { .. } => "job_finished",
-            CampaignEvent::JobFailed { .. } => "job_failed",
-            CampaignEvent::CheckerViolation { .. } => "checker_violation",
-            CampaignEvent::DivergenceDetected { .. } => "divergence",
-            CampaignEvent::Finished { .. } => "finished",
-        }
-    }
-
     /// Renders the event as one compact JSON object — the line format
     /// of the NDJSON event stream `advm-serve` sends to watchers. The
-    /// encoding is a stable contract: every variant round-trips through
-    /// [`CampaignEvent::from_json`] and is pinned by golden tests.
+    /// encoding is a stable contract: every variant's line is pinned by
+    /// golden tests and reads back through
+    /// [`JsonValue`](crate::wire::JsonValue) unchanged.
     pub fn to_json(&self) -> String {
         match self {
             CampaignEvent::Started {
@@ -377,90 +372,6 @@ impl CampaignEvent {
             ),
         }
     }
-
-    /// Parses one event back from its [`CampaignEvent::to_json`] line.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`](crate::wire::WireError) for malformed JSON, an
-    /// unknown `"type"` tag, or a missing/mistyped field.
-    pub fn from_json(text: &str) -> Result<Self, crate::wire::WireError> {
-        use crate::wire::{JsonValue, WireError};
-        let parse_platform = |value: &JsonValue| -> Result<PlatformId, WireError> {
-            let name = value.str_field("platform")?;
-            PlatformId::ALL
-                .into_iter()
-                .find(|p| p.name() == name)
-                .ok_or_else(|| WireError::shape(format!("unknown platform `{name}`")))
-        };
-        let value = JsonValue::parse(text)?;
-        let event = match value.str_field("type")? {
-            "started" => CampaignEvent::Started {
-                jobs: value.u64_field("jobs")? as usize,
-                unique_builds: value.u64_field("unique_builds")? as usize,
-                workers: value.u64_field("workers")? as usize,
-            },
-            "job_started" => CampaignEvent::JobStarted {
-                env: value.str_field("env")?.to_owned(),
-                test_id: value.str_field("test")?.to_owned(),
-                platform: parse_platform(&value)?,
-            },
-            "job_built" => CampaignEvent::JobBuilt {
-                env: value.str_field("env")?.to_owned(),
-                test_id: value.str_field("test")?.to_owned(),
-                platform: parse_platform(&value)?,
-                cache_hit: value.bool_field("cache_hit")?,
-            },
-            "job_finished" => CampaignEvent::JobFinished {
-                env: value.str_field("env")?.to_owned(),
-                test_id: value.str_field("test")?.to_owned(),
-                platform: parse_platform(&value)?,
-                passed: value.bool_field("passed")?,
-            },
-            "job_failed" => CampaignEvent::JobFailed {
-                env: value.str_field("env")?.to_owned(),
-                test_id: value.str_field("test")?.to_owned(),
-                platform: parse_platform(&value)?,
-                error: value.str_field("error")?.to_owned(),
-            },
-            "checker_violation" => CampaignEvent::CheckerViolation {
-                env: value.str_field("env")?.to_owned(),
-                test_id: value.str_field("test")?.to_owned(),
-                platform: parse_platform(&value)?,
-                checker: value.str_field("checker")?.to_owned(),
-                detail: value.str_field("detail")?.to_owned(),
-            },
-            "divergence" => {
-                let divergent = value
-                    .get("divergent")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| WireError::shape("missing `divergent` array"))?
-                    .iter()
-                    .map(|item| {
-                        let name = item
-                            .as_str()
-                            .ok_or_else(|| WireError::shape("non-string platform name"))?;
-                        PlatformId::ALL
-                            .into_iter()
-                            .find(|p| p.name() == name)
-                            .ok_or_else(|| WireError::shape(format!("unknown platform `{name}`")))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                CampaignEvent::DivergenceDetected {
-                    test: value.str_field("test")?.to_owned(),
-                    divergent,
-                }
-            }
-            "finished" => CampaignEvent::Finished {
-                total: value.u64_field("total")? as usize,
-                passed: value.u64_field("passed")? as usize,
-                failed: value.u64_field("failed")? as usize,
-                cache_hits: value.u64_field("cache_hits")? as usize,
-            },
-            other => return Err(WireError::shape(format!("unknown event type `{other}`"))),
-        };
-        Ok(event)
-    }
 }
 
 /// A sink for [`CampaignEvent`]s.
@@ -479,12 +390,15 @@ impl CampaignObserver for Box<dyn CampaignObserver> {
     }
 }
 
-/// Builds a fresh observer for each campaign a multi-campaign driver
-/// runs. [`FaultAudit`](crate::audit::FaultAudit) and
-/// [`Exploration`](crate::stimulus::Exploration) spin up many internal
-/// campaigns; a factory (rather than one observer) lets every one of
-/// them stream events to its own sink — e.g. the daemon's per-job
-/// NDJSON stream — without the driver knowing the sink type.
+/// Builds a fresh observer for each campaign that runs: a [`Campaign`]
+/// calls it once, when it plans, and streams every event to the
+/// observer it returns. [`FaultAudit`](crate::audit::FaultAudit),
+/// [`Exploration`](crate::stimulus::Exploration) and
+/// [`Fuzz`](crate::fuzz::Fuzz) clone their internal campaigns from one
+/// [`Campaign`], factory included, so every one of them streams events
+/// to its own sink — e.g. the daemon's per-job NDJSON stream — without
+/// the driver knowing the sink type. A factory, unlike an observer, is
+/// cloneable, which keeps [`Campaign`] `Clone`.
 pub type ObserverFactory = Arc<dyn Fn() -> Box<dyn CampaignObserver> + Send + Sync>;
 
 /// An observer that prints one progress line per finished job to stderr.
@@ -958,7 +872,7 @@ impl CampaignReport {
     }
 
     /// The distinct `(env, test)` pairs in run order.
-    pub fn tests(&self) -> &[(String, String)] {
+    pub(crate) fn tests(&self) -> &[(String, String)] {
         &self.tests
     }
 
@@ -1506,22 +1420,26 @@ impl Job {
 /// A builder-driven, event-streaming, build-cached execution pipeline
 /// over module test environments.
 ///
-/// See the [module docs](self) for the design.
+/// See the [module docs](self) for the design. The multi-campaign
+/// drivers ([`FaultAudit`](crate::audit::FaultAudit),
+/// [`Exploration`](crate::stimulus::Exploration),
+/// [`Fuzz`](crate::fuzz::Fuzz)) each hold one campaign that carries their
+/// run knobs and clone every internal campaign from it.
+#[derive(Clone)]
 pub struct Campaign {
     /// Environments, each with optional scenario provenance — hand-built
     /// envs carry `None`, [`Campaign::env_with_meta`] envs (e.g. fuzz
     /// programs) carry the meta their runs report.
     envs: Vec<(ModuleTestEnv, Option<Arc<ScenarioMeta>>)>,
     scenarios: Vec<Scenario>,
-    platforms: Vec<PlatformId>,
-    workers: usize,
+    pub(crate) platforms: Vec<PlatformId>,
+    pub(crate) workers: usize,
     fuel: u64,
     fault: Option<(PlatformId, PlatformFault)>,
-    artifact_store: Option<Arc<ArtifactStore>>,
+    pub(crate) artifact_store: Option<Arc<ArtifactStore>>,
     bisect: bool,
     checkers: Vec<TraceAssertion>,
-    monitor_capacity: usize,
-    observers: Vec<Box<dyn CampaignObserver>>,
+    pub(crate) observer_factory: Option<ObserverFactory>,
 }
 
 impl fmt::Debug for Campaign {
@@ -1536,7 +1454,7 @@ impl fmt::Debug for Campaign {
             .field("artifact_store", &self.artifact_store.is_some())
             .field("bisect", &self.bisect)
             .field("checkers", &self.checkers.len())
-            .field("observers", &self.observers.len())
+            .field("observer_factory", &self.observer_factory.is_some())
             .finish()
     }
 }
@@ -1561,8 +1479,7 @@ impl Campaign {
             artifact_store: None,
             bisect: false,
             checkers: Vec::new(),
-            monitor_capacity: DEFAULT_MONITOR_CAPACITY,
-            observers: Vec::new(),
+            observer_factory: None,
         }
     }
 
@@ -1581,23 +1498,18 @@ impl Campaign {
     /// Adds one environment whose runs carry explicit scenario
     /// provenance — used by generated workloads that materialise their
     /// own environments (e.g. fuzz programs) rather than going through
-    /// [`Campaign::scenario`].
+    /// [`Campaign::scenarios`].
     pub(crate) fn env_with_meta(mut self, env: ModuleTestEnv, meta: ScenarioMeta) -> Self {
         self.envs.push((env, Some(Arc::new(meta))));
         self
     }
 
-    /// Adds one generated scenario. The campaign materialises it into a
-    /// synthetic environment (see [`crate::stimulus::scenario_env`])
-    /// named after the scenario; its runs carry the scenario's
-    /// provenance in [`TestRun::scenario`] and the report's JSON.
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenarios.push(scenario);
-        self
-    }
-
     /// Adds generated scenarios (e.g. a whole
-    /// [`StimulusPlan`](advm_gen::StimulusPlan) batch).
+    /// [`StimulusPlan`](advm_gen::StimulusPlan) batch). The campaign
+    /// materialises each into a synthetic environment (see
+    /// [`crate::stimulus::scenario_env`]) named after the scenario; its
+    /// runs carry the scenario's provenance in [`TestRun::scenario`] and
+    /// the report's JSON.
     pub fn scenarios(mut self, scenarios: impl IntoIterator<Item = Scenario>) -> Self {
         self.scenarios.extend(scenarios);
         self
@@ -1687,21 +1599,12 @@ impl Campaign {
         self
     }
 
-    /// Sets the MMIO monitor ring capacity used when checkers are armed
-    /// (default [`DEFAULT_MONITOR_CAPACITY`]). Mining and checking must
-    /// use the same capacity; see the constant's docs.
-    ///
-    /// A capacity of `0` is honoured, not clamped: every transaction is
-    /// counted as dropped, and the truncation-skip rule makes every
-    /// checker pass vacuously rather than fire spurious violations.
-    pub fn monitor_capacity(mut self, capacity: usize) -> Self {
-        self.monitor_capacity = capacity;
-        self
-    }
-
-    /// Attaches an observer; every [`CampaignEvent`] streams to it.
-    pub fn observe(mut self, observer: impl CampaignObserver + 'static) -> Self {
-        self.observers.push(Box::new(observer));
+    /// Attaches an observer factory: the campaign builds one observer
+    /// with it when it plans, and every [`CampaignEvent`] streams to
+    /// that observer. A clone of the campaign calls the factory again
+    /// for its own observer.
+    pub fn observe_with(mut self, factory: ObserverFactory) -> Self {
+        self.observer_factory = Some(factory);
         self
     }
 
@@ -1911,7 +1814,7 @@ impl Campaign {
         }
         let unique_builds = jobs.len() - cache_hits;
         let workers = self.workers.min(jobs.len().max(1));
-        let events = Events::new(std::mem::take(&mut self.observers));
+        let events = Events::new(self.observer_factory.as_ref().map(|factory| factory()));
         events.emit(|| CampaignEvent::Started {
             jobs: jobs.len(),
             unique_builds,
@@ -1934,19 +1837,19 @@ impl Campaign {
     }
 }
 
-/// A campaign's observers, shared by every stage. With no observers (the
+/// A campaign's observer, shared by every stage. With no observer (the
 /// common library case) events are neither constructed nor serialized
 /// on the lock.
 struct Events {
-    observers: Mutex<Vec<Box<dyn CampaignObserver>>>,
+    observer: Mutex<Option<Box<dyn CampaignObserver>>>,
     active: bool,
 }
 
 impl Events {
-    fn new(observers: Vec<Box<dyn CampaignObserver>>) -> Self {
+    fn new(observer: Option<Box<dyn CampaignObserver>>) -> Self {
         Self {
-            active: !observers.is_empty(),
-            observers: Mutex::new(observers),
+            active: observer.is_some(),
+            observer: Mutex::new(observer),
         }
     }
 
@@ -1959,9 +1862,8 @@ impl Events {
 
     /// Dispatches a batch of events in order, under one lock.
     fn dispatch(&self, batch: &[CampaignEvent]) {
-        let mut observers = self.observers.lock();
-        for event in batch {
-            for observer in observers.iter_mut() {
+        if let Some(observer) = self.observer.lock().as_mut() {
+            for event in batch {
                 observer.on_event(event);
             }
         }
@@ -1971,8 +1873,8 @@ impl Events {
 /// A campaign after the plan stage: its job graph, shared build slots
 /// and the perf counters the stages fill in as they go.
 pub(crate) struct Planned {
-    /// The campaign's knobs; its environments, scenarios and observers
-    /// have moved into the jobs and `events`.
+    /// The campaign's knobs; its environments and scenarios have moved
+    /// into the jobs.
     options: Campaign,
     events: Events,
     jobs: Vec<Job>,
@@ -2067,7 +1969,7 @@ impl Built {
 
     /// Mines checkers from the campaign's own builds: every job runs
     /// once more, fault-free from reset with the MMIO monitor armed at
-    /// the campaign's monitor capacity, loading the same image and
+    /// [`DEFAULT_MONITOR_CAPACITY`], loading the same image and
     /// predecode artifact the execute stage loads. Workers fold each
     /// trace into their own [`Miner`] and drop it; the merged miners
     /// give the checkers. The pass emits no events and adds nothing to
@@ -2076,14 +1978,13 @@ impl Built {
     pub(crate) fn mine(&mut self) -> Vec<TraceAssertion> {
         let started = Instant::now();
         let Planned { options, jobs, .. } = &self.0;
-        let (fuel, capacity) = (options.fuel, options.monitor_capacity);
+        let fuel = options.fuel;
         let next = AtomicUsize::new(0);
         let mine_jobs = || {
             let mut miner = Miner::new();
             while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let prebuilt = Self::prebuilt(job);
-                let (platform, _) =
-                    run_monitored(job, prebuilt, PlatformFault::None, fuel, capacity);
+                let (platform, _) = run_monitored(job, prebuilt, PlatformFault::None, fuel);
                 miner.observe(platform.mmio_trace().expect("the monitor is armed"));
             }
             miner
@@ -2095,6 +1996,28 @@ impl Built {
             .reduce(Miner::merge)
             .unwrap_or_default()
             .finish()
+    }
+
+    /// Runs every job's built image once more, fault-free from reset,
+    /// with the MMIO monitor armed at `capacity` instead of
+    /// [`DEFAULT_MONITOR_CAPACITY`]: each job's result and the machine
+    /// whose monitor holds its trace, in plan order. Tests replay tiny
+    /// monitors through it.
+    #[cfg(test)]
+    pub(crate) fn run_at_capacity(&self, capacity: usize) -> Vec<(RunResult, Platform)> {
+        let Planned { options, jobs, .. } = &self.0;
+        jobs.iter()
+            .map(|job| {
+                let prebuilt = Self::prebuilt(job);
+                let mut platform =
+                    Platform::with_fault(job.platform, &job.derivative, PlatformFault::None);
+                platform.set_fuel(options.fuel);
+                platform.enable_mmio_trace(capacity);
+                platform.load_prebuilt(&prebuilt.image, &prebuilt.decoded);
+                let result = platform.run();
+                (result, platform)
+            })
+            .collect()
     }
 
     /// Arms `checkers` on every run of the execute stage (see
@@ -2110,16 +2033,8 @@ impl Built {
         // Runs fork only from the attached store's prefix snapshots, so
         // they persist across the campaigns sharing it.
         let store = planned.options.store();
-        // Workers borrow the knobs one by one: the campaign itself holds
-        // (moved-out) observers, which are not `Sync`.
         let Planned {
-            options:
-                Campaign {
-                    fuel,
-                    checkers,
-                    monitor_capacity,
-                    ..
-                },
+            options: Campaign { fuel, checkers, .. },
             events,
             jobs,
             workers,
@@ -2189,7 +2104,7 @@ impl Built {
                         );
                         (result, Vec::new())
                     } else {
-                        execute_checked(job, prebuilt, *fuel, checkers, *monitor_capacity)
+                        execute_checked(job, prebuilt, *fuel, checkers)
                     };
                     if events.active {
                         for (checker, detail) in &violations {
@@ -2450,9 +2365,8 @@ fn execute_checked(
     prebuilt: &Prebuilt,
     fuel: u64,
     checkers: &[TraceAssertion],
-    capacity: usize,
 ) -> (RunResult, Vec<(String, String)>) {
-    let (platform, result) = run_monitored(job, prebuilt, job.fault, fuel, capacity);
+    let (platform, result) = run_monitored(job, prebuilt, job.fault, fuel);
     let mut violations = Vec::new();
     if let Some(trace) = platform.mmio_trace() {
         for checker in checkers {
@@ -2466,18 +2380,18 @@ fn execute_checked(
 }
 
 /// Runs one job's built image from reset on a fresh machine carrying
-/// `fault`, with the MMIO monitor armed at `capacity`. Returns the
-/// machine, whose monitor holds the run's trace, and the result.
+/// `fault`, with the MMIO monitor armed at [`DEFAULT_MONITOR_CAPACITY`].
+/// Returns the machine, whose monitor holds the run's trace, and the
+/// result.
 fn run_monitored(
     job: &Job,
     prebuilt: &Prebuilt,
     fault: PlatformFault,
     fuel: u64,
-    capacity: usize,
 ) -> (Platform, RunResult) {
     let mut platform = Platform::with_fault(job.platform, &job.derivative, fault);
     platform.set_fuel(fuel);
-    platform.enable_mmio_trace(capacity);
+    platform.enable_mmio_trace(DEFAULT_MONITOR_CAPACITY);
     platform.load_prebuilt(&prebuilt.image, &prebuilt.decoded);
     let result = platform.run();
     (platform, result)
@@ -2553,6 +2467,12 @@ mod tests {
             EnvConfig::new(DerivativeId::Sc88A, PlatformId::GoldenModel),
             cells,
         )
+    }
+
+    /// An observer factory whose every observer records into `log`.
+    fn logging_to(log: &EventLog) -> ObserverFactory {
+        let log = log.clone();
+        Arc::new(move || Box::new(log.clone()) as Box<dyn CampaignObserver>)
     }
 
     /// A fresh store whose prefixes run `budget` instructions (0: no
@@ -2837,7 +2757,7 @@ t_fail:
             .env(e)
             .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
             .workers(1)
-            .observe(log.clone())
+            .observe_with(logging_to(&log))
             .run()
             .unwrap();
         let events = log.events();
@@ -2890,7 +2810,7 @@ t_fail:
         let err = Campaign::new()
             .env(e)
             .platform(PlatformId::GoldenModel)
-            .observe(log.clone())
+            .observe_with(logging_to(&log))
             .run()
             .unwrap_err();
         // The event stream still terminates on the error path.
@@ -3029,7 +2949,7 @@ t_fail:
         .unwrap();
         let report = Campaign::new()
             .env(env(vec![passing_cell("TEST_A")]))
-            .scenario(scenario)
+            .scenarios([scenario])
             .platform(PlatformId::GoldenModel)
             .run()
             .unwrap();
@@ -3550,15 +3470,14 @@ t_fail:
 
     #[test]
     fn every_event_round_trips_through_json() {
+        // Each line is well-formed JSON with a type tag, which the wire
+        // parser reads and renders back byte for byte.
         for event in every_event() {
             let json = event.to_json();
-            let back = CampaignEvent::from_json(&json).unwrap_or_else(|e| {
-                panic!("{json} failed to parse back: {e}");
-            });
-            assert_eq!(back, event, "{json}");
-            // The wire form is itself well-formed JSON with a type tag.
-            let value = crate::wire::JsonValue::parse(&json).unwrap();
-            assert_eq!(value.str_field("type").unwrap(), event.kind());
+            let value = crate::wire::JsonValue::parse(&json)
+                .unwrap_or_else(|e| panic!("{json} failed to parse: {e}"));
+            assert!(value.str_field("type").is_ok(), "{json}");
+            assert_eq!(value.to_json(), json);
         }
     }
 
@@ -3579,20 +3498,6 @@ t_fail:
         ];
         for (event, expected) in every_event().iter().zip(golden) {
             assert_eq!(event.to_json(), expected);
-        }
-    }
-
-    #[test]
-    fn malformed_events_are_rejected_with_shape_errors() {
-        for bad in [
-            "",
-            "{}",
-            r#"{"type":"nope"}"#,
-            r#"{"type":"started","jobs":1}"#,
-            r#"{"type":"job_started","env":"E","test":"T","platform":"vax"}"#,
-            r#"{"type":"finished","total":-1,"passed":0,"failed":0,"cache_hits":0}"#,
-        ] {
-            assert!(CampaignEvent::from_json(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -3632,7 +3537,7 @@ _main:
             .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
             .fault(PlatformId::RtlSim, PlatformFault::PageMapWriteIgnored)
             .checkers([map_checker()])
-            .observe(log.clone())
+            .observe_with(logging_to(&log))
             .run()
             .unwrap();
         // The verdict passes everywhere and no divergence is raised —
@@ -3678,33 +3583,39 @@ _main:
     #[test]
     fn zero_and_one_capacity_monitors_never_fire_spurious_violations() {
         // Capacity 0 retains nothing (every transaction is "dropped");
-        // capacity 1 retains only the newest. Both must run the checker
-        // campaign to completion with no panic and no violations: every
-        // checker anchors on *retained* writes, so a truncated ring
-        // degrades to a vacuous pass, never a false positive.
+        // capacity 1 retains only the newest. Replaying the campaign's
+        // jobs at either capacity must run to completion with no panic
+        // and no violations: every checker anchors on *retained*
+        // writes, so a truncated ring degrades to a vacuous pass, never
+        // a false positive.
         let baseline = Campaign::new()
             .env(env(vec![sink_readback_cell()]))
             .run()
             .unwrap();
+        let built = Campaign::new()
+            .env(env(vec![sink_readback_cell()]))
+            .plan()
+            .unwrap()
+            .build()
+            .unwrap();
+        let checker = map_checker();
         for capacity in [0usize, 1] {
-            let report = Campaign::new()
-                .env(env(vec![sink_readback_cell()]))
-                .checkers([map_checker()])
-                .monitor_capacity(capacity)
-                .run()
-                .unwrap();
-            assert_eq!(report.total(), baseline.total(), "capacity {capacity}");
-            assert_eq!(report.failed(), baseline.failed(), "capacity {capacity}");
-            assert!(
-                report.checker_violations().is_empty(),
-                "capacity {capacity}: truncation must skip, not fire"
-            );
-            // Verdicts are checker-independent.
-            for run in baseline.runs() {
-                let twin = report
-                    .run_of(&run.env, &run.test_id, run.platform)
+            let runs = built.run_at_capacity(capacity);
+            assert_eq!(runs.len(), baseline.total(), "capacity {capacity}");
+            let failed = runs.iter().filter(|(result, _)| !result.passed()).count();
+            assert_eq!(failed, baseline.failed(), "capacity {capacity}");
+            for (job, (result, platform)) in built.0.jobs.iter().zip(&runs) {
+                let trace = platform.mmio_trace().expect("the monitor is armed");
+                assert!(trace.dropped() > 0, "capacity {capacity} must truncate");
+                assert!(
+                    checker.check(trace).is_empty(),
+                    "capacity {capacity}: truncation must skip, not fire"
+                );
+                // Verdicts are checker- and monitor-independent.
+                let twin = baseline
+                    .run_of(&job.env_name, &job.test_id, job.platform)
                     .expect("same job set");
-                assert_eq!(twin.result.passed(), run.result.passed());
+                assert_eq!(result.passed(), twin.result.passed());
             }
         }
     }
@@ -3718,7 +3629,6 @@ _main:
             .env(e.clone())
             .artifact_store(prefix_store(8))
             .checkers([map_checker()])
-            .monitor_capacity(256)
             .run()
             .unwrap();
         assert_eq!(checked.perf().forked_runs, 0, "{:?}", checked.perf());

@@ -29,7 +29,7 @@ pub struct ModuleCoverage {
 
 impl ModuleCoverage {
     /// Coverage ratio in `0.0..=1.0`.
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         if self.total == 0 {
             1.0
         } else {
@@ -47,7 +47,7 @@ pub struct RegisterCoverage {
 impl RegisterCoverage {
     /// Computes coverage of `derivative`'s register map from a set of
     /// touched MMIO addresses.
-    pub fn compute(derivative: &Derivative, touched: &BTreeSet<u32>) -> Self {
+    pub(crate) fn compute(derivative: &Derivative, touched: &BTreeSet<u32>) -> Self {
         let map = derivative.regmap();
         let mut modules = Vec::new();
         for module in map.modules() {
@@ -87,7 +87,8 @@ impl RegisterCoverage {
     }
 
     /// One module's coverage, by name.
-    pub fn module(&self, name: &str) -> Option<&ModuleCoverage> {
+    #[cfg(test)]
+    pub(crate) fn module(&self, name: &str) -> Option<&ModuleCoverage> {
         self.modules.iter().find(|m| m.module == name)
     }
 

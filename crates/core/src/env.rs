@@ -169,11 +169,6 @@ impl TestCell {
         &self.id
     }
 
-    /// The test-plan description.
-    pub fn description(&self) -> &str {
-        &self.description
-    }
-
     /// The assembler source of the test.
     pub fn source(&self) -> &str {
         &self.source
@@ -253,7 +248,8 @@ impl ModuleTestEnv {
     }
 
     /// The pinned stimulus override, if any.
-    pub fn stimulus(&self) -> Option<&Stimulus> {
+    #[cfg(test)]
+    pub(crate) fn stimulus(&self) -> Option<&Stimulus> {
         self.stimulus.as_ref()
     }
 
@@ -317,7 +313,7 @@ impl ModuleTestEnv {
     }
 
     /// Looks up a cell by id.
-    pub fn cell(&self, id: &str) -> Option<&TestCell> {
+    pub(crate) fn cell(&self, id: &str) -> Option<&TestCell> {
         self.cells.iter().find(|c| c.id == id)
     }
 
@@ -397,11 +393,6 @@ impl ModuleTestEnv {
             testplan,
             stimulus: None,
         })
-    }
-
-    /// Total source lines across the environment (effort accounting).
-    pub fn total_lines(&self) -> usize {
-        self.tree().values().map(|t| t.lines().count()).sum()
     }
 }
 

@@ -13,16 +13,19 @@
 //! 2. **Plan and build** the programs as one verify [`Campaign`] across
 //!    the target platforms: one job per program × platform, each image
 //!    assembled once (deduplicated by the build cache) on the worker
-//!    pool.
+//!    pool. The verify campaign is a clone of the campaign in which
+//!    [`Fuzz`] holds its platforms, workers, fuel, fault, store and
+//!    observer factory.
 //! 3. **Mine** (optional), then **verify**: the mining pass runs every
 //!    planned job fault-free from reset on the worker pool with the MMIO
 //!    monitor armed, loading the built image the verify run loads, and
 //!    mines [`TraceAssertion`] checkers — readback invariants and
 //!    bounded temporal windows — from the traces. The campaign then
 //!    executes with those checkers armed. Because the checking runs
-//!    replay the mining runs exactly (same images, same monitor
-//!    capacity, from reset), a fault-free matrix reports zero spurious
-//!    violations *by construction*.
+//!    replay the mining runs exactly (same images, the same
+//!    [`DEFAULT_MONITOR_CAPACITY`](crate::campaign::DEFAULT_MONITOR_CAPACITY),
+//!    from reset), a fault-free matrix reports zero spurious violations
+//!    *by construction*.
 //!
 //! Mined checkers then feed [`FaultAudit`](crate::audit::FaultAudit)
 //! via [`FaultAudit::checkers`](crate::audit::FaultAudit::checkers) to
@@ -36,10 +39,7 @@ use advm_fuzz::{FuzzProgram, ProgramSource, TraceAssertion};
 use advm_soc::PlatformId;
 
 use crate::artifacts::ArtifactStore;
-use crate::campaign::{
-    default_workers, Campaign, CampaignError, CampaignReport, CheckerViolation, ObserverFactory,
-    DEFAULT_MONITOR_CAPACITY,
-};
+use crate::campaign::{Campaign, CampaignError, CampaignReport, CheckerViolation, ObserverFactory};
 use crate::env::{EnvConfig, ModuleTestEnv, TestCell};
 use crate::wire::json_string;
 
@@ -177,35 +177,15 @@ impl FuzzReport {
 /// Defaults: [`DEFAULT_FUZZ_PROGRAMS`] programs from
 /// [`DEFAULT_FUZZ_SEED`], all six platforms, machine-derived worker
 /// count, mining off.
-#[derive(Clone)]
+///
+/// The run knobs (platforms, workers, fuel, fault, store, observer
+/// factory) live in the [`Campaign`] the verify campaign is cloned from.
+#[derive(Clone, Debug)]
 pub struct Fuzz {
+    campaign: Campaign,
     programs: usize,
     seed: u64,
     mine: bool,
-    platforms: Vec<PlatformId>,
-    workers: usize,
-    fuel: u64,
-    monitor_capacity: usize,
-    fault: Option<(PlatformId, advm_sim::PlatformFault)>,
-    observer_factory: Option<ObserverFactory>,
-    artifact_store: Option<Arc<ArtifactStore>>,
-}
-
-impl fmt::Debug for Fuzz {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Fuzz")
-            .field("programs", &self.programs)
-            .field("seed", &self.seed)
-            .field("mine", &self.mine)
-            .field("platforms", &self.platforms)
-            .field("workers", &self.workers)
-            .field("fuel", &self.fuel)
-            .field("monitor_capacity", &self.monitor_capacity)
-            .field("fault", &self.fault)
-            .field("observer_factory", &self.observer_factory.is_some())
-            .field("artifact_store", &self.artifact_store.is_some())
-            .finish()
-    }
 }
 
 impl Default for Fuzz {
@@ -218,16 +198,10 @@ impl Fuzz {
     /// A fuzz run with the documented defaults.
     pub fn new() -> Self {
         Self {
+            campaign: Campaign::new(),
             programs: DEFAULT_FUZZ_PROGRAMS,
             seed: DEFAULT_FUZZ_SEED,
             mine: false,
-            platforms: PlatformId::ALL.to_vec(),
-            workers: default_workers(),
-            fuel: advm_sim::DEFAULT_FUEL,
-            monitor_capacity: DEFAULT_MONITOR_CAPACITY,
-            fault: None,
-            observer_factory: None,
-            artifact_store: None,
         }
     }
 
@@ -258,28 +232,20 @@ impl Fuzz {
 
     /// Replaces the target platforms (default: all six).
     pub fn platforms(mut self, platforms: impl IntoIterator<Item = PlatformId>) -> Self {
-        self.platforms = platforms.into_iter().collect();
+        self.campaign = self.campaign.platforms(platforms);
         self
     }
 
     /// Sets the worker count (minimum 1) of the verify campaign's
     /// build, mining and execution pools.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.campaign = self.campaign.workers(workers);
         self
     }
 
     /// Sets the per-run instruction budget.
     pub fn fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
-        self
-    }
-
-    /// Sets the MMIO monitor ring capacity used for both mining and
-    /// checking (they must match; see
-    /// [`DEFAULT_MONITOR_CAPACITY`]).
-    pub fn monitor_capacity(mut self, capacity: usize) -> Self {
-        self.monitor_capacity = capacity.max(1);
+        self.campaign = self.campaign.fuel(fuel);
         self
     }
 
@@ -288,7 +254,7 @@ impl Fuzz {
     /// differentially invisible fault surfaces as checker violations in
     /// the report instead of passing silently.
     pub fn fault(mut self, platform: PlatformId, fault: advm_sim::PlatformFault) -> Self {
-        self.fault = Some((platform, fault));
+        self.campaign = self.campaign.fault(platform, fault);
         self
     }
 
@@ -297,7 +263,7 @@ impl Fuzz {
     /// store here. Mining loads the same builds, so a warm job skips
     /// assembly for mining and checking alike.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
-        self.artifact_store = Some(store);
+        self.campaign = self.campaign.artifact_store(store);
         self
     }
 
@@ -306,7 +272,7 @@ impl Fuzz {
     /// [`CampaignEvent`](crate::campaign::CampaignEvent)s stream out
     /// live (the daemon's per-job NDJSON feed).
     pub fn observe_with(mut self, factory: ObserverFactory) -> Self {
-        self.observer_factory = Some(factory);
+        self.campaign = self.campaign.observe_with(factory);
         self
     }
 
@@ -316,7 +282,7 @@ impl Fuzz {
         if self.programs == 0 {
             return Err(FuzzError::NoPrograms);
         }
-        if self.platforms.is_empty() {
+        if self.campaign.platforms.is_empty() {
             return Err(FuzzError::NoPlatforms);
         }
         let source = ProgramSource::new(self.seed);
@@ -332,39 +298,6 @@ impl Fuzz {
         Ok(programs)
     }
 
-    /// The verify campaign over `programs`, without observers or mined
-    /// checkers; [`Fuzz::run`] and [`Fuzz::mine_checkers`] both start
-    /// from it.
-    fn campaign(&self, programs: &[FuzzProgram]) -> Campaign {
-        let mut campaign = Campaign::new()
-            .platforms(self.platforms.iter().copied())
-            .workers(self.workers)
-            .fuel(self.fuel)
-            .monitor_capacity(self.monitor_capacity);
-        for program in programs {
-            campaign = campaign.env_with_meta(program_env(program), program.scenario_meta());
-        }
-        if let Some(store) = &self.artifact_store {
-            campaign = campaign.artifact_store(Arc::clone(store));
-        }
-        if let Some((platform, fault)) = self.fault {
-            campaign = campaign.fault(platform, fault);
-        }
-        campaign
-    }
-
-    /// Generates the batch, plans and builds it, and mines checkers from
-    /// fault-free runs on every target platform, without running the
-    /// verify campaign.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fuzz::run`] minus campaign execution.
-    pub fn mine_checkers(&self) -> Result<Vec<TraceAssertion>, FuzzError> {
-        let programs = self.generate()?;
-        Ok(self.campaign(&programs).plan()?.build()?.mine())
-    }
-
     /// Generates, plans and builds, mines (when enabled) and verifies.
     ///
     /// # Errors
@@ -375,9 +308,9 @@ impl Fuzz {
     /// build and campaign failures.
     pub fn run(&self) -> Result<FuzzReport, FuzzError> {
         let programs = self.generate()?;
-        let mut campaign = self.campaign(&programs);
-        if let Some(factory) = &self.observer_factory {
-            campaign = campaign.observe(factory());
+        let mut campaign = self.campaign.clone();
+        for program in &programs {
+            campaign = campaign.env_with_meta(program_env(program), program.scenario_meta());
         }
         let mut built = campaign.plan()?.build()?;
         let mined = if self.mine { built.mine() } else { Vec::new() };
@@ -499,7 +432,7 @@ mod tests {
             .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
             .workers(2);
         let envs: Vec<ModuleTestEnv> = fuzz.generate().unwrap().iter().map(program_env).collect();
-        let mined = fuzz.mine_checkers().unwrap();
+        let mined = fuzz.mine(true).run().unwrap().mined().to_vec();
         assert!(!mined.is_empty());
 
         let audit = FaultAudit::new()
@@ -533,20 +466,36 @@ mod tests {
 
     #[test]
     fn tiny_monitor_capacity_never_yields_spurious_violations() {
-        // At capacity 2 the ring truncates on every run; mining anchors
-        // only on retained writes and checking replays the same
-        // truncation, so the run stays violation-free end to end.
-        let report = Fuzz::new()
+        // At capacity 2 the ring truncates; mining anchors only on
+        // retained writes and checking replays the same truncation, so
+        // the programs stay violation-free end to end.
+        let fuzz = Fuzz::new()
             .programs(3)
             .seed(11)
-            .mine(true)
             .platforms([PlatformId::GoldenModel, PlatformId::RtlSim])
-            .monitor_capacity(2)
-            .workers(2)
-            .run()
-            .unwrap();
-        assert!(report.violations().is_empty(), "{:?}", report.violations());
-        assert!(report.ok());
+            .workers(2);
+        let mut campaign = fuzz.campaign.clone();
+        for program in &fuzz.generate().unwrap() {
+            campaign = campaign.env_with_meta(program_env(program), program.scenario_meta());
+        }
+        let built = campaign.plan().unwrap().build().unwrap();
+        let mut miner = advm_fuzz::Miner::new();
+        let mut truncated = 0;
+        for (_, platform) in built.run_at_capacity(2) {
+            let trace = platform.mmio_trace().expect("the monitor is armed");
+            truncated += usize::from(trace.dropped() > 0);
+            miner.observe(trace);
+        }
+        assert!(truncated > 0, "capacity 2 must truncate some run");
+        let mined = miner.finish();
+        for (result, platform) in built.run_at_capacity(2) {
+            assert!(result.passed(), "{result:?}");
+            let trace = platform.mmio_trace().expect("the monitor is armed");
+            for checker in &mined {
+                let violations = checker.check(trace);
+                assert!(violations.is_empty(), "{}: {violations:?}", checker.name());
+            }
+        }
     }
 
     #[test]

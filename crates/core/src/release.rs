@@ -24,7 +24,7 @@ pub struct Release {
 
 impl Release {
     /// Freezes an environment under a label.
-    pub fn freeze(label: impl Into<String>, env: &ModuleTestEnv) -> Self {
+    pub(crate) fn freeze(label: impl Into<String>, env: &ModuleTestEnv) -> Self {
         let tree = env.tree();
         let checksum = tree_checksum(&tree);
         Self {
@@ -36,7 +36,8 @@ impl Release {
     }
 
     /// The release label.
-    pub fn label(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn label(&self) -> &str {
         &self.label
     }
 
@@ -45,13 +46,9 @@ impl Release {
         &self.env_name
     }
 
-    /// The frozen file tree.
-    pub fn tree(&self) -> &BTreeMap<String, String> {
-        &self.tree
-    }
-
     /// The integrity checksum of the frozen tree.
-    pub fn checksum(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn checksum(&self) -> u64 {
         self.checksum
     }
 
@@ -95,11 +92,6 @@ pub struct SystemRelease {
 }
 
 impl SystemRelease {
-    /// The system release label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// `(environment, label)` pairs.
     pub fn components(&self) -> &[(String, String)] {
         &self.components

@@ -18,8 +18,10 @@
 //!    [`CoverageFeedback`] and the next round draws from a
 //!    [`CoverageDirected`] source biased toward the holes.
 //!
-//! [`Exploration`] packages rounds 1..N of that cycle behind a builder;
-//! `advm-cli explore` is a thin veneer over it.
+//! [`Exploration`] packages rounds 1..N of that cycle behind a builder
+//! whose platforms, workers, store and observer factory live in the
+//! [`Campaign`] every round's campaign is cloned from; `advm-cli explore`
+//! is a thin veneer over it.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -32,7 +34,7 @@ use advm_gen::{
 use advm_metrics::Table;
 use advm_soc::{Derivative, DerivativeId, PlatformId};
 
-use crate::campaign::{default_workers, json_string, Campaign, CampaignError, CampaignReport};
+use crate::campaign::{json_string, Campaign, CampaignError, CampaignReport};
 use crate::coverage::RegisterCoverage;
 use crate::env::{EnvConfig, ModuleTestEnv, Stimulus, TestCell};
 use crate::presets;
@@ -326,13 +328,9 @@ pub struct ExplorationReport {
 }
 
 impl ExplorationReport {
-    /// The derivative explored.
-    pub fn derivative(&self) -> DerivativeId {
-        self.derivative
-    }
-
     /// The platforms each round's campaign ran on.
-    pub fn platforms(&self) -> &[PlatformId] {
+    #[cfg(test)]
+    pub(crate) fn platforms(&self) -> &[PlatformId] {
         &self.platforms
     }
 
@@ -357,7 +355,7 @@ impl ExplorationReport {
     }
 
     /// Renders the per-round coverage table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             "Coverage exploration",
             &[
@@ -444,31 +442,16 @@ const SCENARIO_PAGES: usize = 2;
 /// by construction; as long as unseen pages remain, a coverage-directed
 /// round strictly improves on the constrained-random baseline because
 /// its page sampling drains the unseen pool first.
-#[derive(Clone)]
+///
+/// The run knobs (platforms, workers, store, observer factory) live in
+/// the [`Campaign`] every round's campaign is cloned from.
+#[derive(Clone, Debug)]
 pub struct Exploration {
+    campaign: Campaign,
     derivative: DerivativeId,
-    platforms: Vec<PlatformId>,
     rounds: usize,
     batch: usize,
     master_seed: u64,
-    workers: usize,
-    artifact_store: Option<Arc<crate::artifacts::ArtifactStore>>,
-    observer_factory: Option<crate::campaign::ObserverFactory>,
-}
-
-impl std::fmt::Debug for Exploration {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Exploration")
-            .field("derivative", &self.derivative)
-            .field("platforms", &self.platforms)
-            .field("rounds", &self.rounds)
-            .field("batch", &self.batch)
-            .field("master_seed", &self.master_seed)
-            .field("workers", &self.workers)
-            .field("artifact_store", &self.artifact_store.is_some())
-            .field("observer_factory", &self.observer_factory.is_some())
-            .finish()
-    }
 }
 
 impl Default for Exploration {
@@ -484,14 +467,11 @@ impl Exploration {
     /// ([`advm_sim::DEFAULT_FUEL`]).
     pub fn new() -> Self {
         Self {
+            campaign: Campaign::new().platforms([PlatformId::GoldenModel, PlatformId::RtlSim]),
             derivative: DerivativeId::Sc88A,
-            platforms: vec![PlatformId::GoldenModel, PlatformId::RtlSim],
             rounds: 3,
             batch: 4,
             master_seed: 0x5EED,
-            workers: default_workers(),
-            artifact_store: None,
-            observer_factory: None,
         }
     }
 
@@ -504,7 +484,7 @@ impl Exploration {
     /// Replaces the target platforms. A platform listed twice runs
     /// once, in its first position.
     pub fn platforms(mut self, platforms: impl IntoIterator<Item = PlatformId>) -> Self {
-        self.platforms = crate::campaign::distinct(platforms);
+        self.campaign = self.campaign.platforms(platforms);
         self
     }
 
@@ -528,7 +508,7 @@ impl Exploration {
 
     /// Sets the campaign worker count.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.campaign = self.campaign.workers(workers);
         self
     }
 
@@ -538,7 +518,7 @@ impl Exploration {
     /// builds, predecode artifacts and prefix snapshots. Coverage and
     /// verdicts are identical with or without a store.
     pub fn artifact_store(mut self, store: Arc<crate::artifacts::ArtifactStore>) -> Self {
-        self.artifact_store = Some(store);
+        self.campaign = self.campaign.artifact_store(store);
         self
     }
 
@@ -546,7 +526,7 @@ impl Exploration {
     /// fresh observer built by `factory`, streaming its
     /// [`CampaignEvent`](crate::campaign::CampaignEvent)s live.
     pub fn observe_with(mut self, factory: crate::campaign::ObserverFactory) -> Self {
-        self.observer_factory = Some(factory);
+        self.campaign = self.campaign.observe_with(factory);
         self
     }
 
@@ -558,6 +538,7 @@ impl Exploration {
     /// Propagates unsatisfiable constraints and campaign build failures.
     pub fn run(&self) -> Result<ExplorationReport, ExplorationError> {
         let base_platform = self
+            .campaign
             .platforms
             .first()
             .copied()
@@ -588,17 +569,11 @@ impl Exploration {
                     .plan()?
             };
 
-            let mut campaign = Campaign::new()
+            let report = self
+                .campaign
+                .clone()
                 .scenarios(plan.scenarios().iter().cloned())
-                .platforms(self.platforms.iter().copied())
-                .workers(self.workers);
-            if let Some(store) = &self.artifact_store {
-                campaign = campaign.artifact_store(Arc::clone(store));
-            }
-            if let Some(factory) = &self.observer_factory {
-                campaign = campaign.observe(factory());
-            }
-            let report = campaign.run()?;
+                .run()?;
 
             let before = pages.pages_hit();
             for scenario in plan.scenarios() {
@@ -626,7 +601,7 @@ impl Exploration {
 
         Ok(ExplorationReport {
             derivative: self.derivative,
-            platforms: self.platforms.clone(),
+            platforms: self.campaign.platforms.clone(),
             page_space: constraints.legal_pages().len(),
             rounds,
         })

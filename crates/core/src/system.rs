@@ -10,7 +10,6 @@ use std::fmt;
 
 use advm_soc::{Derivative, EsRom};
 
-use crate::campaign::Campaign;
 use crate::env::{validate_layout, LayoutIssue, ModuleTestEnv};
 use crate::release::{ReleaseError, ReleaseStore, SystemRelease};
 use crate::runtime::{trap_handlers, vector_table, TRAP_HANDLERS_FILE, VECTOR_TABLE_FILE};
@@ -94,19 +93,9 @@ impl SystemVerificationEnv {
         }
     }
 
-    /// The system environment name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The component module environments.
     pub fn envs(&self) -> &[ModuleTestEnv] {
         &self.envs
-    }
-
-    /// Looks up a component by name.
-    pub fn env(&self, name: &str) -> Option<&ModuleTestEnv> {
-        self.envs.iter().find(|e| e.name() == name)
     }
 
     /// Total test-cell count across all environments.
@@ -215,10 +204,12 @@ impl SystemVerificationEnv {
         issues
     }
 
-    /// A [`Campaign`] seeded with every component environment; chain
-    /// further builder calls to pick platforms, workers or observers.
-    pub fn campaign(&self) -> Campaign {
-        Campaign::new().envs(self.envs.iter().cloned())
+    /// A [`Campaign`](crate::campaign::Campaign) seeded with every
+    /// component environment; chain further builder calls to pick
+    /// platforms, workers or observers.
+    #[cfg(test)]
+    pub(crate) fn campaign(&self) -> crate::campaign::Campaign {
+        crate::campaign::Campaign::new().envs(self.envs.iter().cloned())
     }
 
     /// Freezes every component under `<label>/<env>` sub-labels and

@@ -42,17 +42,17 @@ impl Testplan {
     }
 
     /// The module this plan covers.
-    pub fn module(&self) -> &str {
+    pub(crate) fn module(&self) -> &str {
         &self.module
     }
 
     /// All entries.
-    pub fn entries(&self) -> &[TestplanEntry] {
+    pub(crate) fn entries(&self) -> &[TestplanEntry] {
         &self.entries
     }
 
     /// Looks up an entry by test id.
-    pub fn entry(&self, id: &str) -> Option<&TestplanEntry> {
+    pub(crate) fn entry(&self, id: &str) -> Option<&TestplanEntry> {
         self.entries.iter().find(|e| e.id == id)
     }
 
@@ -68,7 +68,7 @@ impl Testplan {
     }
 
     /// Parses the plain-text form back into a plan.
-    pub fn parse(text: &str) -> Self {
+    pub(crate) fn parse(text: &str) -> Self {
         let mut module = String::new();
         let mut entries = Vec::new();
         for line in text.lines() {

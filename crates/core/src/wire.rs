@@ -47,7 +47,7 @@ pub struct WireError {
 
 impl WireError {
     /// Builds an error at a byte offset.
-    pub fn new(message: impl Into<String>, offset: usize) -> Self {
+    pub(crate) fn new(message: impl Into<String>, offset: usize) -> Self {
         Self {
             message: message.into(),
             offset,
@@ -61,7 +61,8 @@ impl WireError {
     }
 
     /// Byte offset in the input where the error was noticed.
-    pub fn offset(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn offset(&self) -> usize {
         self.offset
     }
 }

@@ -523,7 +523,8 @@ mod tests {
         };
         // The anchoring writes (and for readback, the value they wrote)
         // fall off a tiny ring; the retained reads *look* like
-        // violations but must be skipped.
+        // violations but must be skipped. Capacity 0 retains nothing,
+        // 1 and 2 only the newest reads.
         let events = [
             write(1, MAP, 0x1234),
             write(2, DATA, 0x41),
@@ -532,10 +533,13 @@ mod tests {
             read(52, MAP, 0x9999),
             read(53, MAP, 0x9999),
         ];
-        let tiny = trace_of(&events, 4);
-        assert!(tiny.dropped() > 0);
-        assert!(readback.check(&tiny).is_empty(), "anchor write dropped");
-        assert!(temporal.check(&tiny).is_empty(), "anchor write dropped");
+        for capacity in [0, 1, 2, 4] {
+            let tiny = trace_of(&events, capacity);
+            assert!(tiny.dropped() > 0, "capacity {capacity}");
+            for checker in [readback, temporal] {
+                assert!(checker.check(&tiny).is_empty(), "capacity {capacity}");
+            }
+        }
 
         // The same stream with a large ring does violate both.
         let full = trace_of(&events, 64);

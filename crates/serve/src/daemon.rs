@@ -88,12 +88,12 @@ impl JobRecord {
     }
 
     /// The job's queue id.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// The submitted spec.
-    pub fn spec(&self) -> &JobSpec {
+    pub(crate) fn spec(&self) -> &JobSpec {
         &self.spec
     }
 
@@ -186,13 +186,14 @@ impl JobRecord {
     }
 
     /// The final `done` line, if the job already finished.
-    pub fn result_line(&self) -> Option<String> {
+    #[cfg(test)]
+    pub(crate) fn result_line(&self) -> Option<String> {
         self.result.get().cloned()
     }
 
     /// The finished job's aggregated campaign perf, if it completed
     /// successfully (`None` while queued/running and for failures).
-    pub fn perf(&self) -> Option<&CampaignPerf> {
+    pub(crate) fn perf(&self) -> Option<&CampaignPerf> {
         self.perf.get()
     }
 
@@ -318,7 +319,7 @@ impl Daemon {
 
     /// Cancels a queued job. Running jobs are not interrupted — the
     /// reply says whether the cancel took effect.
-    pub fn cancel(&self, id: u64) -> String {
+    pub(crate) fn cancel(&self, id: u64) -> String {
         match self.job(id) {
             Some(record) => record.cancel(),
             None => crate::protocol::error_line(&format!("no such job {id}")),
@@ -388,7 +389,7 @@ impl Daemon {
 
     /// Signals shutdown: workers exit after their current job; queued
     /// jobs are abandoned.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let mut state = self.shared.state.lock().expect("daemon state poisoned");
         state.shutdown = true;
         drop(state);

@@ -13,7 +13,15 @@
 //! [`MAX_SCENARIOS`], [`MAX_BATCH`], [`MAX_ROUNDS`]), and so is its
 //! thread count ([`MAX_WORKERS`]): a job sized past what memory holds,
 //! or one asking for more threads than the host can start, would abort
-//! the whole daemon, which no job-level error handling can catch.
+//! the whole daemon, which no job-level error handling can catch. A
+//! field its kind does not take is refused by name, as the CLI refuses
+//! a flag, since ignoring it would run another job than the one sent.
+//! The CLI's local runs decode their spec through the same decoder, so
+//! they accept exactly the specs the daemon accepts.
+//!
+//! [`JobSpec::run`] maps all four kinds alike: it sets the spec's values
+//! on the driver's builder, then attaches the store and the observer
+//! factory, which every internal campaign of the driver inherits.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -94,6 +102,22 @@ fn opt_bool(value: &JsonValue, key: &str) -> Result<bool, WireError> {
     match value.get(key) {
         None | Some(JsonValue::Null) => Ok(false),
         Some(_) => value.bool_field(key),
+    }
+}
+
+/// Rejects a key of the spec `value` that is neither `kind` nor one of
+/// its kind's `fields`: a misspelt or foreign field would otherwise be
+/// ignored, and a different job run than the one sent.
+fn only_fields(value: &JsonValue, kind: &str, fields: &[&str]) -> Result<(), WireError> {
+    let JsonValue::Object(pairs) = value else {
+        return Ok(());
+    };
+    match pairs
+        .iter()
+        .find(|(key, _)| key != "kind" && !fields.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(WireError::shape(format!("unknown {kind} field `{key}`"))),
+        None => Ok(()),
     }
 }
 
@@ -288,59 +312,102 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`WireError`] for a missing or mistyped field, an unknown kind,
-    /// platform or derivative, or a size or `workers` field above its
-    /// cap.
+    /// [`WireError`] for a missing or mistyped field, a field its kind
+    /// does not take, an unknown kind, platform or derivative, or a size
+    /// or `workers` field above its cap.
     pub(crate) fn from_value(value: &JsonValue) -> Result<Self, WireError> {
-        match value.str_field("kind")? {
-            "regress" => Ok(JobSpec::Regress {
-                dir: value.str_field("dir")?.to_owned(),
-                env: value.str_field("env")?.to_owned(),
-                platforms: opt_platforms(value, "platforms")?,
-                all_platforms: opt_bool(value, "all_platforms")?,
-                workers: opt_size(value, "workers", MAX_WORKERS)?,
-                fuel: opt_u64(value, "fuel")?,
-            }),
-            "audit" => Ok(JobSpec::Audit {
-                platforms: opt_platforms(value, "platforms")?,
-                all_platforms: opt_bool(value, "all_platforms")?,
-                scenarios: opt_size(value, "scenarios", MAX_SCENARIOS)?,
-                seed: opt_u64(value, "seed")?,
-                workers: opt_size(value, "workers", MAX_WORKERS)?,
-                fuel: opt_u64(value, "fuel")?,
-            }),
-            "explore" => Ok(JobSpec::Explore {
-                rounds: opt_size(value, "rounds", MAX_ROUNDS)?,
-                seed: opt_u64(value, "seed")?,
-                batch: opt_size(value, "batch", MAX_BATCH)?,
-                workers: opt_size(value, "workers", MAX_WORKERS)?,
-                derivative: match value.get("derivative") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(_) => {
-                        let name = value.str_field("derivative")?;
-                        Some(
-                            DerivativeId::ALL
-                                .into_iter()
-                                .find(|d| d.name().eq_ignore_ascii_case(name))
-                                .ok_or_else(|| {
-                                    WireError::shape(format!("unknown derivative `{name}`"))
-                                })?,
-                        )
-                    }
-                },
-                all_platforms: opt_bool(value, "all_platforms")?,
-            }),
-            "fuzz" => Ok(JobSpec::Fuzz {
-                programs: opt_size(value, "programs", MAX_PROGRAMS)?,
-                seed: opt_u64(value, "seed")?,
-                mine: opt_bool(value, "mine")?,
-                platforms: opt_platforms(value, "platforms")?,
-                all_platforms: opt_bool(value, "all_platforms")?,
-                workers: opt_size(value, "workers", MAX_WORKERS)?,
-                fuel: opt_u64(value, "fuel")?,
-            }),
-            other => Err(WireError::shape(format!("unknown job kind `{other}`"))),
-        }
+        let kind = value.str_field("kind")?;
+        let fields = |names: &[&str]| only_fields(value, kind, names);
+        Ok(match kind {
+            "regress" => {
+                fields(&[
+                    "dir",
+                    "env",
+                    "platforms",
+                    "all_platforms",
+                    "workers",
+                    "fuel",
+                ])?;
+                JobSpec::Regress {
+                    dir: value.str_field("dir")?.to_owned(),
+                    env: value.str_field("env")?.to_owned(),
+                    platforms: opt_platforms(value, "platforms")?,
+                    all_platforms: opt_bool(value, "all_platforms")?,
+                    workers: opt_size(value, "workers", MAX_WORKERS)?,
+                    fuel: opt_u64(value, "fuel")?,
+                }
+            }
+            "audit" => {
+                fields(&[
+                    "platforms",
+                    "all_platforms",
+                    "scenarios",
+                    "seed",
+                    "workers",
+                    "fuel",
+                ])?;
+                JobSpec::Audit {
+                    platforms: opt_platforms(value, "platforms")?,
+                    all_platforms: opt_bool(value, "all_platforms")?,
+                    scenarios: opt_size(value, "scenarios", MAX_SCENARIOS)?,
+                    seed: opt_u64(value, "seed")?,
+                    workers: opt_size(value, "workers", MAX_WORKERS)?,
+                    fuel: opt_u64(value, "fuel")?,
+                }
+            }
+            "explore" => {
+                fields(&[
+                    "rounds",
+                    "seed",
+                    "batch",
+                    "workers",
+                    "derivative",
+                    "all_platforms",
+                ])?;
+                JobSpec::Explore {
+                    rounds: opt_size(value, "rounds", MAX_ROUNDS)?,
+                    seed: opt_u64(value, "seed")?,
+                    batch: opt_size(value, "batch", MAX_BATCH)?,
+                    workers: opt_size(value, "workers", MAX_WORKERS)?,
+                    derivative: match value.get("derivative") {
+                        None | Some(JsonValue::Null) => None,
+                        Some(_) => {
+                            let name = value.str_field("derivative")?;
+                            Some(
+                                DerivativeId::ALL
+                                    .into_iter()
+                                    .find(|d| d.name().eq_ignore_ascii_case(name))
+                                    .ok_or_else(|| {
+                                        WireError::shape(format!("unknown derivative `{name}`"))
+                                    })?,
+                            )
+                        }
+                    },
+                    all_platforms: opt_bool(value, "all_platforms")?,
+                }
+            }
+            "fuzz" => {
+                fields(&[
+                    "programs",
+                    "seed",
+                    "mine",
+                    "platforms",
+                    "all_platforms",
+                    "workers",
+                    "fuel",
+                ])?;
+                JobSpec::Fuzz {
+                    programs: opt_size(value, "programs", MAX_PROGRAMS)?,
+                    seed: opt_u64(value, "seed")?,
+                    mine: opt_bool(value, "mine")?,
+                    platforms: opt_platforms(value, "platforms")?,
+                    all_platforms: opt_bool(value, "all_platforms")?,
+                    workers: opt_size(value, "workers", MAX_WORKERS)?,
+                    fuel: opt_u64(value, "fuel")?,
+                }
+            }
+            other => return Err(WireError::shape(format!("unknown job kind `{other}`"))),
+        })
     }
 
     /// Parses a spec from JSON text.
@@ -388,11 +455,7 @@ impl JobSpec {
                 let campaign = set(campaign, workers.map(|n| n as usize), Campaign::workers);
                 let campaign = set(campaign, *fuel, Campaign::fuel);
                 let campaign = set(campaign, store, Campaign::artifact_store);
-                let campaign = set(
-                    campaign,
-                    observe.map(|factory| factory()),
-                    Campaign::observe,
-                );
+                let campaign = set(campaign, observe, Campaign::observe_with);
                 campaign
                     .run()
                     .map(JobReport::Regress)
@@ -530,7 +593,7 @@ impl JobReport {
 
     /// The run's campaign perf with every internal campaign absorbed
     /// (an exploration sums its rounds).
-    pub fn perf(&self) -> CampaignPerf {
+    pub(crate) fn perf(&self) -> CampaignPerf {
         match self {
             JobReport::Regress(report) => *report.perf(),
             JobReport::Audit(report) => *report.perf(),
@@ -570,7 +633,7 @@ pub enum JobState {
 
 impl JobState {
     /// The wire name of this state.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -653,6 +716,19 @@ mod tests {
             r#"{"kind":"fuzz","mine":"yes"}"#,
         ] {
             assert!(JobSpec::from_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_field_its_kind_does_not_take_is_rejected_by_name() {
+        for (spec, key) in [
+            (r#"{"kind":"regress","dir":"d","env":"E","seed":3}"#, "seed"),
+            (r#"{"kind":"audit","programs":9}"#, "programs"),
+            (r#"{"kind":"explore","fuel":100}"#, "fuel"),
+            (r#"{"kind":"fuzz","worker":2,"programz":9}"#, "worker"),
+        ] {
+            let err = JobSpec::from_json(spec).unwrap_err().to_string();
+            assert!(err.contains(&format!("field `{key}`")), "{spec}: {err}");
         }
     }
 

@@ -68,11 +68,6 @@ impl Server {
         })
     }
 
-    /// The bound socket path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Serves until a client sends `shutdown`. Each connection runs on
     /// its own thread; request errors are answered on the wire, and
     /// accept or thread-spawn errors are logged, not propagated here.

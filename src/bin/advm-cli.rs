@@ -339,10 +339,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Runs `regress`, `audit`, `explore` or `fuzz` in process: the
-/// arguments parse into the [`JobSpec`] `submit` would send, and
-/// [`JobSpec::run`] runs it as a daemon worker does, without a store.
+/// arguments parse into the [`JobSpec`] `submit` would send, which is
+/// decoded as the daemon decodes it, so a spec past a wire cap fails
+/// here as it would there, before any campaign starts; [`JobSpec::run`]
+/// then runs it as a daemon worker does, without a store.
 fn run_job(args: &[String]) -> Result<(), CliError> {
-    let spec = job_spec(args, &LOCAL_FLAGS)?;
+    let spec = JobSpec::from_json(&job_spec(args, &LOCAL_FLAGS)?.to_json())
+        .map_err(|e| CliError::usage(e.to_string()))?;
     let json = args.iter().any(|a| a == "--json");
     // Live progress streams to stderr; verdicts stay on stdout.
     let progress: Option<ObserverFactory> = match spec {
@@ -1021,6 +1024,32 @@ mod tests {
         assert_eq!(err.token.as_deref(), Some(token), "{err}");
         assert!(err.show_usage, "{err}");
         assert!(err.message.contains(&format!("`{token}`")), "{err}");
+    }
+
+    #[test]
+    fn a_local_run_past_a_wire_cap_fails_before_it_starts() {
+        // Each spec is one past its cap, so none of them runs; at the cap
+        // the daemon would accept it, and so does the local command.
+        for (list, field) in [
+            (
+                &["fuzz", "--programs", "1025", "--platforms", "golden"][..],
+                "programs",
+            ),
+            (&["audit", "--scenarios", "257"][..], "scenarios"),
+            (&["explore", "--batch", "257"][..], "batch"),
+            (&["explore", "--rounds", "33"][..], "rounds"),
+            (
+                &["regress", "no-such-envs", "PAGE", "--workers", "257"][..],
+                "workers",
+            ),
+            (&["audit", "--workers", "257"][..], "workers"),
+            (&["explore", "--workers", "257"][..], "workers"),
+            (&["fuzz", "--workers", "257"][..], "workers"),
+        ] {
+            let err = dispatch(&args(list)).unwrap_err();
+            assert!(err.message.contains(&format!("`{field}`")), "{err}");
+            assert!(err.message.contains("above the cap"), "{err}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `advm-cli regress|audit|explore|fuzz` and the daemon share, and
 //! compares its `--json` report byte for byte with a committed file
 //! under `tests/golden/reports/`. One more pins every line a daemon
-//! streams to `advm-cli submit --watch regress`.
+//! streams to `advm-cli submit --watch regress`, and two pin every event
+//! an audit and an exploration hand their observer factory's observers.
 //!
 //! A golden drops only timings: each `perf` object's `*_ms` keys and
 //! `steps_per_sec`. Every verdict and every counter stays, so a change
@@ -17,7 +18,9 @@
 mod harness;
 
 use std::path::Path;
+use std::sync::Arc;
 
+use advm::campaign::{CampaignEvent, CampaignObserver, EventLog, ObserverFactory};
 use advm::env::EnvConfig;
 use advm::wire::JsonValue;
 use advm_serve::JobSpec;
@@ -176,6 +179,45 @@ fn pin_report(name: &str, spec: &JobSpec) {
     check(name, &(strip_timings(&report.to_json()) + "\n"));
 }
 
+/// Runs `spec` as the daemon does, with an observer factory but no
+/// store, and pins the events its observers receive in delivery order:
+/// one line per internal campaign, holding its `started` and `finished`
+/// events, its event count and the FNV-1a digest of all its event
+/// lines, so a moved event names its campaign.
+fn pin_events(name: &str, spec: &JobSpec) {
+    let log = EventLog::new();
+    let sink = log.clone();
+    let factory: ObserverFactory =
+        Arc::new(move || Box::new(sink.clone()) as Box<dyn CampaignObserver>);
+    spec.run(None, Some(factory)).expect("job runs");
+    let mut pinned = String::new();
+    let mut campaign: Vec<String> = Vec::new();
+    for event in log.events() {
+        campaign.push(event.to_json());
+        if let CampaignEvent::Finished { .. } = event {
+            let digest = campaign
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325_u64, |hash, line| {
+                    (line.bytes().chain([b'\n'])).fold(hash, |hash, byte| {
+                        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+                    })
+                });
+            pinned.push_str(&format!(
+                "{{\"started\":{},\"finished\":{},\"events\":{},\"fnv1a\":\"{digest:016x}\"}}\n",
+                campaign[0],
+                campaign[campaign.len() - 1],
+                campaign.len()
+            ));
+            campaign.clear();
+        }
+    }
+    assert!(
+        campaign.is_empty(),
+        "every campaign's stream ends `finished`"
+    );
+    check(name, &pinned);
+}
+
 /// Writes the two-test PAGE environment (SC88-A, golden model) to disk.
 fn page_env_on_disk() -> TempDir {
     let dir = TempDir::new("advm-golden");
@@ -220,18 +262,22 @@ fn regress_page_all_platforms() {
     );
 }
 
-/// `advm-cli explore --rounds 2 --batch 3 --seed 7 --workers 2 --json`.
-#[test]
-fn explore_two_rounds_seed_7() {
-    let spec = JobSpec::Explore {
+/// `advm-cli explore --rounds 2 --batch 3 --seed 7 --workers 2`.
+fn explore_spec() -> JobSpec {
+    JobSpec::Explore {
         rounds: Some(2),
         seed: Some(7),
         batch: Some(3),
         workers: Some(2),
         derivative: None,
         all_platforms: false,
-    };
-    pin_report("explore_rounds2_batch3_seed7.json", &spec);
+    }
+}
+
+/// `advm-cli explore --rounds 2 --batch 3 --seed 7 --workers 2 --json`.
+#[test]
+fn explore_two_rounds_seed_7() {
+    pin_report("explore_rounds2_batch3_seed7.json", &explore_spec());
 }
 
 /// `advm-cli fuzz --programs 16 --mine --all-platforms --seed 1 --workers 2 --json`.
@@ -246,18 +292,22 @@ fn fuzz_mine_all_platforms_seed_7919() {
     pin_report("fuzz_programs16_mine_seed7919.json", &fuzz_spec(7919));
 }
 
-/// `advm-cli audit --scenarios 8 --workers 2 --json`.
-#[test]
-fn audit_eight_scenarios() {
-    let spec = JobSpec::Audit {
+/// `advm-cli audit --scenarios 8 --workers 2`.
+fn audit_spec() -> JobSpec {
+    JobSpec::Audit {
         platforms: Vec::new(),
         all_platforms: false,
         scenarios: Some(8),
         seed: None,
         workers: Some(2),
         fuel: None,
-    };
-    pin_report("audit_scenarios8.json", &spec);
+    }
+}
+
+/// `advm-cli audit --scenarios 8 --workers 2 --json`.
+#[test]
+fn audit_eight_scenarios() {
+    pin_report("audit_scenarios8.json", &audit_spec());
 }
 
 /// Every line `advm-cli submit --watch regress <dir> PAGE --platform rtl`
@@ -287,6 +337,22 @@ fn served_regress_watch_stream() {
     stream.push_str(&done);
     stream.push('\n');
     check("served_regress_watch.ndjson", &strip_timings(&stream));
+}
+
+/// Every event the audit of [`audit_eight_scenarios`] streams: the
+/// suite baseline, each cell, the escape round's baseline and its cells.
+#[test]
+fn audit_eight_scenarios_event_stream() {
+    pin_events("audit_scenarios8_events.ndjson", &audit_spec());
+}
+
+/// Every event the two rounds of [`explore_two_rounds_seed_7`] stream.
+#[test]
+fn explore_two_rounds_seed_7_event_stream() {
+    pin_events(
+        "explore_rounds2_batch3_seed7_events.ndjson",
+        &explore_spec(),
+    );
 }
 
 #[test]
